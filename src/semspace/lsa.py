@@ -142,15 +142,18 @@ def build_matrix(paragraphs: list[Paragraph], config: StemmerConfig) -> Cooccurr
 
     Row order is first occurrence in corpus order; column order follows the
     paragraph list. Raises EmptyCorpusError rather than returning a matrix
-    with no rows or no columns.
+    with no rows or no columns. Each distinct token is stemmed once.
     """
     vocabulary = Vocabulary()
     columns: list[tuple[str, int]] = []
     counts: dict[tuple[int, int], int] = {}
+    stems: dict[str, str | None] = {}
     for j, paragraph in enumerate(paragraphs):
         columns.append((paragraph.doc_id, paragraph.index))
         for token in paragraph.tokens:
-            stemmed = config.stem_token(token)
+            if token not in stems:
+                stems[token] = config.stem_token(token)
+            stemmed = stems[token]
             if stemmed is None or not stemmed:
                 continue
             i = vocabulary.add(stemmed)

@@ -1,16 +1,25 @@
 """Dense singular value decomposition, implemented here rather than delegated.
 
-The factorization is a one-sided Jacobi iteration: plane rotations
-orthogonalize the columns of the working matrix, the surviving column norms
-are the singular values, and the accumulated rotations form the right
-singular vectors. Tall inputs are first reduced by a Householder QR so the
-iteration runs on a small square factor; wide inputs are transposed. Pairs
-are visited in a fixed round-robin schedule, with every round's disjoint
-pairs rotated in one vectorized step, so results are bit-reproducible.
+The factorization runs in four steps:
 
-Column pairs whose norms sit at roundoff level relative to the matrix are
-excluded from the convergence measure; their directions are completed to an
-orthonormal basis afterwards.
+1. Identical columns are merged: c copies of a column become one column
+   scaled by sqrt(c). This leaves X @ X.T, and so U and sigma, unchanged.
+2. The merged matrix is factored by a Householder QR with column pivoting
+   (Businger & Golub, 1965), and R is cut at its numerical rank r, read off
+   its non-increasing diagonal.
+3. A one-sided Jacobi iteration runs on the r columns of R.T, the
+   preconditioned form of Drmac & Veselic (SIAM J. Matrix Anal. Appl. 29(4),
+   2008): plane rotations orthogonalize the columns, their norms are the
+   singular values, the accumulated rotations carried through Q give U, and
+   the normalized columns, un-permuted and un-merged, give V. Pairs are
+   visited in a fixed round-robin schedule, with every round's disjoint pairs
+   rotated in one vectorized step, so results are bit-reproducible. The
+   working matrix is kept transposed, so a rotation touches whole rows.
+   Pairs whose norms sit at roundoff level relative to the matrix are
+   excluded from the convergence measure.
+4. Directions with no singular value get sigma 0. U is completed from the
+   columns of the Householder Q beyond r, and V from the Householder Q of
+   its own live columns.
 """
 
 from __future__ import annotations
@@ -45,14 +54,29 @@ def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of a tall matrix (m >= n): Q with orthonormal columns, R upper triangular."""
-    A = np.array(A, dtype=np.float64)
-    m, n = A.shape
-    if m < n:
-        raise ValueError("householder_qr requires m >= n")
+def householder_qr(
+    A: np.ndarray, q_cols: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-pivoted QR of an m x c matrix: A[:, perm] == Q @ R.
+
+    Each step moves the remaining column of largest norm to the front, so
+    |diag R| is non-increasing. Q is m x q_cols with orthonormal columns
+    (q_cols defaults to min(m, c) and may be up to m), and R is q_cols x c
+    upper triangular.
+    """
+    A = np.array(A, dtype=np.float64, order="C")
+    m, c = A.shape
+    q_cols = min(m, c) if q_cols is None else q_cols
+    perm = np.arange(c)
     reflectors: list[np.ndarray | None] = []
-    for k in range(min(n, m - 1)):
+    for k in range(min(m, c)):
+        tail = A[k:, k:]
+        j = k + int(np.argmax(np.einsum("ij,ij->j", tail, tail)))
+        if j != k:
+            A[:, [k, j]] = A[:, [j, k]]
+            perm[[k, j]] = perm[[j, k]]
+        if k == m - 1:
+            break
         x = A[k:, k]
         norm_x = np.linalg.norm(x)
         if norm_x == 0.0:
@@ -67,28 +91,93 @@ def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v /= norm_v
         A[k:, k:] -= 2.0 * np.outer(v, v @ A[k:, k:])
         reflectors.append(v)
-    R = np.triu(A[:n, :])
-    Q = np.eye(m, n)
+    R = np.triu(A[:q_cols, :])
+    Q = np.eye(m, q_cols)
     for k in reversed(range(len(reflectors))):
         v = reflectors[k]
         if v is not None:
             Q[k:, :] -= 2.0 * np.outer(v, v @ Q[k:, :])
-    return Q, R
+    return Q, R, perm
 
 
-def _complete_orthonormal(U: np.ndarray, dead: np.ndarray) -> None:
-    """Fill zeroed columns of U with unit vectors orthogonal to all others."""
-    rows = U.shape[0]
-    for j in np.flatnonzero(dead):
-        for seed in range(rows):
-            v = np.zeros(rows)
-            v[seed] = 1.0
-            v -= U @ (U.T @ v)
-            v -= U @ (U.T @ v)  # second pass for numerical safety
-            norm_v = np.linalg.norm(v)
-            if norm_v > 0.1:
-                U[:, j] = v / norm_v
-                break
+def _merge_duplicate_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct columns of X in first-seen order, each scaled by sqrt(copies).
+
+    Returns the merged matrix, the merged index of every original column and
+    the number of copies of every merged column.
+    """
+    seen: dict[bytes, int] = {}
+    group = np.array([seen.setdefault(X[:, j].tobytes(), len(seen)) for j in range(X.shape[1])])
+    copies = np.bincount(group)
+    if len(seen) == X.shape[1]:
+        return X, group, copies
+    first = np.unique(group, return_index=True)[1]
+    return X[:, first] * np.sqrt(copies), group, copies
+
+
+def _jacobi_rows(G: np.ndarray, width: int, max_sweeps: int, tol: float) -> None:
+    """Rotate the rows of G in place until their first `width` entries are orthogonal.
+
+    G holds the working matrix in its first `width` columns and the rotations
+    to accumulate (started as an identity) in the rest, so a round gathers
+    and scatters each row pair once. The pairs are rotated in preallocated
+    buffers, which keeps the sweeps from growing the heap.
+    """
+    n = G.shape[0]
+    rounds = _round_robin_rounds(n)
+    dead_level = (_MACHINE_EPS * np.linalg.norm(G[:, :width])) ** 2
+
+    buf = np.empty((4, n // 2, G.shape[1]))
+    converged = n < 2
+    off = float("inf")
+    for _ in range(max_sweeps):
+        if converged:
+            break
+        off = 0.0
+        for p, q in rounds:
+            # mode="clip" lets take write straight into the buffer; the
+            # schedule's indices are always in range.
+            k = len(p)
+            Gp = np.take(G, p, axis=0, out=buf[0, :k], mode="clip")
+            Gq = np.take(G, q, axis=0, out=buf[1, :k], mode="clip")
+            Bp = Gp[:, :width]
+            Bq = Gq[:, :width]
+            app = np.einsum("ij,ij->i", Bp, Bp)
+            aqq = np.einsum("ij,ij->i", Bq, Bq)
+            apq = np.einsum("ij,ij->i", Bp, Bq)
+            live = (app > dead_level) & (aqq > dead_level)
+            denom = np.sqrt(np.where(live, app * aqq, 1.0))
+            rel = np.where(live, np.abs(apq) / denom, 0.0)
+            if rel.size:
+                off = max(off, float(rel.max()))
+            active = rel > tol
+            if not active.any():
+                continue
+            if not active.all():
+                p, q = p[active], q[active]
+                app, aqq, apq = app[active], aqq[active], apq[active]
+                k = len(p)
+                Gp = np.take(G, p, axis=0, out=buf[0, :k], mode="clip")
+                Gq = np.take(G, q, axis=0, out=buf[1, :k], mode="clip")
+            tau = (aqq - app) / (2.0 * apq)
+            t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            t = np.where(tau == 0.0, 1.0, t)
+            cos_t = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+            sin_t = t[:, None] * cos_t
+            sin_p = np.multiply(sin_t, Gp, out=buf[2, :k])
+            Gp *= cos_t
+            Gp -= np.multiply(sin_t, Gq, out=buf[3, :k])
+            Gq *= cos_t
+            Gq += sin_p
+            G[p] = Gp
+            G[q] = Gq
+        converged = off <= tol
+    if not converged:
+        raise ConvergenceError(
+            f"one-sided Jacobi did not converge in {max_sweeps} sweeps "
+            f"(off-diagonal residual {off:.3e})",
+            residual=off,
+        )
 
 
 def jacobi_svd(
@@ -110,80 +199,40 @@ def jacobi_svd(
     if X.ndim != 2 or X.size == 0:
         raise ValueError("expected a non-empty 2-d matrix")
     m, c = X.shape
-    transposed = m < c
-    A = X.T.copy() if transposed else X.copy()
+    n = min(m, c)
 
-    Q0 = None
-    if A.shape[0] > A.shape[1]:
-        Q0, A = householder_qr(A)
+    merged, group, copies = _merge_duplicate_columns(X)
+    Q, R, perm = householder_qr(merged, q_cols=n)
+    diag = np.abs(np.diag(R))
+    rank = int(np.count_nonzero(diag > diag[0] * max(merged.shape) * _MACHINE_EPS))
 
-    rows, n = A.shape
-    V = np.eye(n)
-    rounds = _round_robin_rounds(n)
-    dead_level = (_MACHINE_EPS * np.linalg.norm(A)) ** 2
+    # Jacobi on the rows of R[:rank] (the columns of R.T) ends with
+    # W @ R[:rank] = B = diag(sigma) @ Z.T, W orthogonal, so up to the cut
+    # merged[:, perm] = (Q[:, :rank] @ W.T) @ diag(sigma) @ Z.T.
+    width = merged.shape[1]
+    G = np.hstack([R[:rank], np.eye(rank)])
+    del R
+    _jacobi_rows(G, width, max_sweeps, tol)
+    B, W = G[:, :width], G[:, width:]
 
-    converged = n < 2
-    off = float("inf")
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        off = 0.0
-        for p, q in rounds:
-            Ap = A[:, p]
-            Aq = A[:, q]
-            app = np.einsum("ij,ij->j", Ap, Ap)
-            aqq = np.einsum("ij,ij->j", Aq, Aq)
-            apq = np.einsum("ij,ij->j", Ap, Aq)
-            live = (app > dead_level) & (aqq > dead_level)
-            denom = np.sqrt(np.where(live, app * aqq, 1.0))
-            rel = np.where(live, np.abs(apq) / denom, 0.0)
-            if rel.size:
-                off = max(off, float(rel.max()))
-            active = rel > tol
-            if not active.any():
-                continue
-            pa, qa = p[active], q[active]
-            tau = (aqq[active] - app[active]) / (2.0 * apq[active])
-            t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            t = np.where(tau == 0.0, 1.0, t)
-            cos_t = 1.0 / np.sqrt(1.0 + t * t)
-            sin_t = t * cos_t
-            Ap = A[:, pa]
-            Aq = A[:, qa]
-            A[:, pa] = cos_t * Ap - sin_t * Aq
-            A[:, qa] = sin_t * Ap + cos_t * Aq
-            Vp = V[:, pa]
-            Vq = V[:, qa]
-            V[:, pa] = cos_t * Vp - sin_t * Vq
-            V[:, qa] = sin_t * Vp + cos_t * Vq
-        converged = off <= tol
-    if not converged:
-        raise ConvergenceError(
-            f"one-sided Jacobi did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal residual {off:.3e})",
-            residual=off,
-        )
-
-    sigma = np.sqrt(np.einsum("ij,ij->j", A, A))
+    sigma = np.sqrt(np.einsum("ij,ij->i", B, B))
     order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    A = A[:, order]
-    V = V[:, order]
+    sigma = np.r_[sigma[order], np.zeros(n - rank)]
+    alive = sigma > sigma[0] * _MACHINE_EPS * 10
+    live = int(np.count_nonzero(alive))
+    sigma[~alive] = 0.0
 
-    U = np.zeros_like(A)
-    alive = sigma > (sigma[0] * _MACHINE_EPS * 10 if sigma[0] > 0 else 0.0)
-    U[:, alive] = A[:, alive] / sigma[alive]
-    sigma = np.where(alive, sigma, 0.0)
-    _complete_orthonormal(U, ~alive)
+    U = Q  # its columns beyond the rank complete U
+    U[:, :rank] = Q[:, :rank] @ W[order].T
+    Z = np.empty((width, live))
+    Z[perm] = (B[order[:live]] / sigma[:live, None]).T
+    V = np.empty((c, n))
+    V[:, :live] = Z[group] / np.sqrt(copies[group])[:, None]
+    if live < n:
+        V[:, live:] = householder_qr(V[:, :live], q_cols=n)[0][:, live:]
 
-    if Q0 is not None:
-        U = Q0 @ U
-    if transposed:
-        U, V = V, U
-
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            V[:, j] = -V[:, j]
+    rows = np.argmax(np.abs(U), axis=0)
+    flip = U[rows, np.arange(n)] < 0
+    U[:, flip] = -U[:, flip]
+    V[:, flip] = -V[:, flip]
     return U, sigma, V

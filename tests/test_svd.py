@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semspace.errors import ConvergenceError
 from semspace.svd import householder_qr, jacobi_svd
 
-from oracles import singular_values_via_gram
+from oracles import singular_values_via_augmented, singular_values_via_gram
 
 
 def reconstruction_error(X, U, s, V):
@@ -124,9 +126,91 @@ def test_invalid_input_rejected():
 
 def test_householder_qr():
     rng = np.random.default_rng(37)
-    for m, n in ((6, 6), (9, 4), (5, 1)):
+    for m, n in ((6, 6), (9, 4), (5, 1), (4, 7)):
         A = rng.normal(size=(m, n))
-        Q, R = householder_qr(A)
+        Q, R, perm = householder_qr(A)
         assert np.abs(np.tril(R, -1)).max() == 0
         assert orthonormality_error(Q) <= 1e-12
-        assert np.allclose(Q @ R, A, atol=1e-12)
+        assert sorted(perm) == list(range(n))
+        assert np.allclose(Q @ R, A[:, perm], atol=1e-12)
+        diag = np.abs(np.diag(R))
+        assert (np.diff(diag) <= 1e-12 * diag[0]).all()
+
+
+def test_householder_qr_extra_q_columns_stay_orthonormal():
+    rng = np.random.default_rng(41)
+    A = rng.normal(size=(9, 3))
+    Q, R, perm = householder_qr(A, q_cols=7)
+    assert Q.shape == (9, 7) and R.shape == (7, 3)
+    assert orthonormality_error(Q) <= 1e-12
+    assert np.allclose(Q @ R, A[:, perm], atol=1e-12)
+
+
+def test_duplicate_columns_merge_like_scaled_columns():
+    # three copies of a column contribute to X X^T exactly as sqrt(3) times one copy
+    rng = np.random.default_rng(43)
+    X = rng.integers(0, 6, size=(9, 5)).astype(float)
+    repeated = np.column_stack([X[:, 0], X[:, 1], X[:, 0], X[:, 2], X[:, 3], X[:, 0], X[:, 4]])
+    scaled = X.copy()
+    scaled[:, 0] *= np.sqrt(3.0)
+    _, s_repeated, _ = jacobi_svd(repeated)
+    _, s_scaled, _ = jacobi_svd(scaled)
+    assert np.abs(s_repeated[:5] - s_scaled).max() <= 1e-12 * s_scaled[0]
+    assert np.all(s_repeated[5:] == 0)
+
+
+@pytest.mark.parametrize("shape", [(12, 7), (6, 15)], ids=["tall", "wide"])
+def test_rank_below_min_dimension_is_completed(shape):
+    rng = np.random.default_rng(47)
+    m, c = shape
+    X = rng.integers(-3, 4, size=(m, 3)).astype(float) @ rng.integers(-3, 4, size=(3, c))
+    U, s, V = jacobi_svd(X)
+    n = min(m, c)
+    assert U.shape == (m, n) and V.shape == (c, n)
+    assert np.count_nonzero(s) == 3
+    assert orthonormality_error(U) <= 1e-12
+    assert orthonormality_error(V) <= 1e-12
+    assert reconstruction_error(X, U, s, V) <= 1e-12 * np.linalg.norm(X)
+
+
+def test_small_singular_values_survive_the_rank_cut():
+    rng = np.random.default_rng(53)
+    left, _ = np.linalg.qr(rng.normal(size=(7, 4)))
+    right, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    expected = np.array([1.0, 1e-4, 1e-8, 1e-12])
+    U, s, V = jacobi_svd((left * expected) @ right.T)
+    assert np.abs(s - expected).max() <= 1e-14
+    assert orthonormality_error(U) <= 1e-12
+    assert orthonormality_error(V) <= 1e-12
+
+
+@st.composite
+def count_matrices(draw):
+    """Small non-negative integer matrices with repeated columns and zero rows."""
+    m = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 6))
+    X = np.array(draw(st.lists(st.integers(0, 5), min_size=m * c, max_size=m * c)), float).reshape(m, c)
+    copies = draw(st.lists(st.integers(0, c - 1), max_size=6))
+    X = np.column_stack([X] + [X[:, j] for j in copies])
+    zero_rows = draw(st.lists(st.integers(0, m - 1), max_size=m // 2))
+    X[zero_rows] = 0.0
+    order = draw(st.permutations(range(X.shape[1])))
+    return X[:, order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_matrices())
+def test_svd_properties_with_duplicate_columns_and_zero_rows(X):
+    U, s, V = jacobi_svd(X)
+    n = min(X.shape)
+    assert U.shape == (X.shape[0], n) and s.shape == (n,) and V.shape == (X.shape[1], n)
+    scale = max(float(s[0]), 1.0)
+    assert np.abs(s - singular_values_via_augmented(X)).max() <= 1e-8 * scale
+    assert reconstruction_error(X, U, s, V) <= 1e-8 * scale
+    assert orthonormality_error(U) <= 1e-8
+    assert orthonormality_error(V) <= 1e-8
+    assert (s >= 0).all() and (np.diff(s) <= 0).all()
+    largest = U[np.argmax(np.abs(U), axis=0), np.arange(n)]
+    assert (largest >= 0).all()
+    U2, s2, V2 = jacobi_svd(np.asfortranarray(X))
+    assert np.array_equal(U, U2) and np.array_equal(s, s2) and np.array_equal(V, V2)
