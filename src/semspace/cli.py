@@ -180,7 +180,7 @@ def _cmd_build(args) -> int:
     corpus = load_corpus(args.corpus_dir)
     partial = _warn_skipped(corpus)
     paragraphs = segment_corpus(corpus)
-    stats = corpus_stats(corpus)
+    stats = corpus_stats(corpus, paragraphs)
     stemmer = make_config(config.mode or MODE_NONE, config.rules_dir)
     space = build_space(paragraphs, stats, stemmer, k=config.k, scaling=config.scaling)
     save_space(space, args.output)

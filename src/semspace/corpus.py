@@ -160,8 +160,10 @@ def segment_corpus(corpus: Corpus) -> list[Paragraph]:
     return out
 
 
-def corpus_stats(corpus: Corpus) -> CorpusStats:
-    paragraphs = segment_corpus(corpus)
+def corpus_stats(corpus: Corpus, paragraphs: list[Paragraph] | None = None) -> CorpusStats:
+    """Counts over the corpus; pass `paragraphs` when segment_corpus already ran."""
+    if paragraphs is None:
+        paragraphs = segment_corpus(corpus)
     categories = {d.category for d in corpus.documents if d.category is not None}
     return CorpusStats(
         n_documents=len(corpus.documents),

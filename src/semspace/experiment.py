@@ -150,7 +150,7 @@ def run_comparison(
     """Build one space per requested stemmer over the same corpus and score every pair."""
     corpus = load_corpus(corpus_dir)
     paragraphs = segment_corpus(corpus)
-    stats = corpus_stats(corpus)
+    stats = corpus_stats(corpus, paragraphs)
 
     configs = [make_config(mode, rules_dir) for mode in modes]
     factored = []

@@ -11,12 +11,14 @@ The factorization runs in four steps:
    preconditioned form of Drmac & Veselic (SIAM J. Matrix Anal. Appl. 29(4),
    2008): plane rotations orthogonalize the columns, their norms are the
    singular values, the accumulated rotations carried through Q give U, and
-   the normalized columns, un-permuted and un-merged, give V. Pairs are
-   visited in a fixed round-robin schedule, with every round's disjoint pairs
-   rotated in one vectorized step, so results are bit-reproducible. The
-   working matrix is kept transposed, so a rotation touches whole rows.
-   Pairs whose norms sit at roundoff level relative to the matrix are
-   excluded from the convergence measure.
+   the normalized columns, un-permuted and un-merged, give V. The working
+   matrix is kept transposed, so a rotation touches whole rows, and its rows
+   sit in pair slots of a fixed round-robin schedule (a zero spare row pads
+   an odd r): each round's disjoint pairs are adjacent, rotated together by
+   one batched 2 x 2 matmul, and moved to the next round's slots by one
+   fixed row permutation. The schedule never varies, so results are
+   bit-reproducible. Pairs whose norms sit at roundoff level relative to the
+   matrix are excluded from the convergence measure.
 4. Directions with no singular value get sigma 0. U is completed from the
    columns of the Householder Q beyond r, and V from the Householder Q of
    its own live columns.
@@ -34,24 +36,23 @@ DEFAULT_TOL = 1e-14
 DEFAULT_MAX_SWEEPS = 60
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule: n-1 rounds of disjoint index pairs covering all pairs."""
-    if n < 2:
-        return []
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    arr = players[:]
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = arr[i], arr[m - 1 - i]
-            if a != -1 and b != -1:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps), np.array(qs)))
-        arr = [arr[0], arr[-1]] + arr[1:-1]
-    return rounds
+def _pair_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot layout of the round-robin schedule on n rows, padded to even m.
+
+    Slots 2i and 2i + 1 hold the i-th pair of a round. Row j starts every
+    sweep in slot home[j]; when n is odd, row n is a spare that never
+    rotates. Taking the slots in the order `step` moves every row to its slot
+    in the next round, and m - 1 rounds cover each pair of rows once and
+    bring every row home.
+    """
+    m = n + n % 2
+    i = np.arange(m // 2)
+    home = np.empty(m, dtype=np.intp)
+    home[i], home[m - 1 - i] = 2 * i, 2 * i + 1
+    # tournament step [a0, a1, ..., a_last] -> [a0, a_last, a1, ...]
+    step = np.empty(m, dtype=np.intp)
+    step[home] = home[np.r_[0, m - 1, 1 : m - 1]]
+    return home, step
 
 
 def householder_qr(
@@ -119,65 +120,57 @@ def _jacobi_rows(G: np.ndarray, width: int, max_sweeps: int, tol: float) -> None
     """Rotate the rows of G in place until their first `width` entries are orthogonal.
 
     G holds the working matrix in its first `width` columns and the rotations
-    to accumulate (started as an identity) in the rest, so a round gathers
-    and scatters each row pair once. The pairs are rotated in preallocated
-    buffers, which keeps the sweeps from growing the heap.
+    to accumulate (started as an identity) in the rest. The rows sit in pair
+    slots, so a round rotates all of its pairs with one batched 2 x 2 matmul
+    and moves them to the next round's slots with one take.
     """
-    n = G.shape[0]
-    rounds = _round_robin_rounds(n)
+    n, w = G.shape
+    if n < 2:
+        return
+    home, step = _pair_slots(n)
+    m = len(home)
     dead_level = (_MACHINE_EPS * np.linalg.norm(G[:, :width])) ** 2
 
-    buf = np.empty((4, n // 2, G.shape[1]))
-    converged = n < 2
+    slots, spare = np.zeros((m, w)), np.empty((m, w))
+    slots[home[:n]] = G
+    rot = np.empty((m // 2, 2, 2))
     off = float("inf")
     for _ in range(max_sweeps):
-        if converged:
-            break
         off = 0.0
-        for p, q in rounds:
-            # mode="clip" lets take write straight into the buffer; the
-            # schedule's indices are always in range.
-            k = len(p)
-            Gp = np.take(G, p, axis=0, out=buf[0, :k], mode="clip")
-            Gq = np.take(G, q, axis=0, out=buf[1, :k], mode="clip")
-            Bp = Gp[:, :width]
-            Bq = Gq[:, :width]
+        for _ in range(m - 1):
+            pairs = slots.reshape(m // 2, 2, w)
+            Bp, Bq = pairs[:, 0, :width], pairs[:, 1, :width]
             app = np.einsum("ij,ij->i", Bp, Bp)
             aqq = np.einsum("ij,ij->i", Bq, Bq)
             apq = np.einsum("ij,ij->i", Bp, Bq)
             live = (app > dead_level) & (aqq > dead_level)
-            denom = np.sqrt(np.where(live, app * aqq, 1.0))
-            rel = np.where(live, np.abs(apq) / denom, 0.0)
-            if rel.size:
-                off = max(off, float(rel.max()))
+            rel = np.where(live, np.abs(apq) / np.sqrt(np.where(live, app * aqq, 1.0)), 0.0)
+            off = max(off, float(rel.max()))
             active = rel > tol
             if not active.any():
+                # mode="clip" lets take write straight into the buffer; the
+                # step's indices are always in range.
+                np.take(slots, step, axis=0, out=spare, mode="clip")
+                slots, spare = spare, slots
                 continue
-            if not active.all():
-                p, q = p[active], q[active]
-                app, aqq, apq = app[active], aqq[active], apq[active]
-                k = len(p)
-                Gp = np.take(G, p, axis=0, out=buf[0, :k], mode="clip")
-                Gq = np.take(G, q, axis=0, out=buf[1, :k], mode="clip")
-            tau = (aqq - app) / (2.0 * apq)
+            tau = (aqq - app) / (2.0 * np.where(active, apq, 1.0))
             t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            t = np.where(tau == 0.0, 1.0, t)
-            cos_t = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-            sin_t = t[:, None] * cos_t
-            sin_p = np.multiply(sin_t, Gp, out=buf[2, :k])
-            Gp *= cos_t
-            Gp -= np.multiply(sin_t, Gq, out=buf[3, :k])
-            Gq *= cos_t
-            Gq += sin_p
-            G[p] = Gp
-            G[q] = Gq
-        converged = off <= tol
-    if not converged:
-        raise ConvergenceError(
-            f"one-sided Jacobi did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal residual {off:.3e})",
-            residual=off,
-        )
+            t = np.where(active, np.where(tau == 0.0, 1.0, t), 0.0)
+            cos_t = 1.0 / np.sqrt(1.0 + t * t)
+            sin_t = t * cos_t
+            rot[:, 0, 0] = rot[:, 1, 1] = cos_t
+            rot[:, 0, 1] = -sin_t
+            rot[:, 1, 0] = sin_t
+            np.matmul(rot, pairs, out=spare.reshape(m // 2, 2, w))
+            np.take(spare, step, axis=0, out=slots, mode="clip")
+        if off <= tol:
+            G[:] = slots[home[:n]]
+            return
+    raise ConvergenceError(
+        f"one-sided Jacobi did not converge in {max_sweeps} sweeps "
+        f"(off-diagonal residual {off:.3e})",
+        residual=off,
+    )
 
 
 def jacobi_svd(

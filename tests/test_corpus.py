@@ -185,3 +185,4 @@ def test_stats_consistency(mini_corpus, mini_paragraphs, mini_stats):
     per_doc = sum(len(segment_paragraphs(d)) for d in mini_corpus.documents)
     assert mini_stats.n_paragraphs == per_doc
     assert mini_paragraphs == segment_corpus(mini_corpus)
+    assert corpus_stats(mini_corpus, mini_paragraphs) == mini_stats

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semspace.errors import ConvergenceError
-from semspace.svd import householder_qr, jacobi_svd
+from semspace.svd import _pair_slots, householder_qr, jacobi_svd
 
 from oracles import singular_values_via_augmented, singular_values_via_gram
 
@@ -182,6 +182,36 @@ def test_small_singular_values_survive_the_rank_cut():
     assert np.abs(s - expected).max() <= 1e-14
     assert orthonormality_error(U) <= 1e-12
     assert orthonormality_error(V) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pair_slots_pair_each_row_pair_once_and_return_home(n):
+    home, step = _pair_slots(n)
+    m = len(home)
+    assert m == n + n % 2 and sorted(home) == list(range(m))
+    occupant = np.empty(m, dtype=int)
+    occupant[home] = np.arange(m)
+    met = []
+    for _ in range(m - 1):
+        met += [(min(p, q), max(p, q)) for p, q in occupant.reshape(-1, 2) if max(p, q) < n]
+        occupant = occupant[step]
+    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    assert np.array_equal(occupant[home], np.arange(m))
+
+
+def test_odd_rank_count_matrix_with_duplicate_columns():
+    # rank 33 is odd, so the Jacobi rows are padded with a spare slot
+    rng = np.random.default_rng(59)
+    X = rng.poisson(0.4, size=(48, 33)).astype(float)
+    X = np.column_stack([X, X[:, [0, 5, 5, 12, 20, 32]]])[:, rng.permutation(39)]
+    U, s, V = jacobi_svd(X)
+    assert np.count_nonzero(s) == 33
+    assert np.abs(s - singular_values_via_augmented(X)).max() <= 1e-8 * s[0]
+    assert reconstruction_error(X, U, s, V) <= 1e-12 * s[0]
+    assert orthonormality_error(U) <= 1e-12
+    assert orthonormality_error(V) <= 1e-12
+    U2, s2, V2 = jacobi_svd(X.copy())
+    assert np.array_equal(U, U2) and np.array_equal(s, s2) and np.array_equal(V, V2)
 
 
 @st.composite
