@@ -14,25 +14,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .corpus import Corpus, corpus_stats, load_corpus, segment_corpus
+from .corpus import corpus_stats, load_corpus, segment_corpus
 from .errors import EXIT_IO, EXIT_USAGE, SemspaceError
-from .experiment import load_pairs, render_report, run_comparison
+from .experiment import DEFAULT_MODES, load_pairs, render_report, run_comparison
 from .lsa import SCALINGS, SCALING_U, build_space, load_space, save_space, word_vector
-from .similarity import MEASURE_ORDER, measure_all
-from .stemming import (
-    MODE_LIGHT,
-    MODE_NONE,
-    MODE_ROOT,
-    default_rules_dir,
-    light_stem,
-    load_affix_table,
-    load_pattern_table,
-    make_config,
-    root_stem,
-)
+from .similarity import MEASURE_ORDER, format_value, measure_all, unit_vector
+from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, MODES, make_config
 
 _CONFIG_KEYS = {"mode", "k", "scaling", "rules", "format", "normalize", "modes"}
 
@@ -61,8 +49,11 @@ class RunConfig:
     def __post_init__(self):
         if self.k is not None and self.k < 1:
             raise UsageError("k must be >= 1")
-        if self.mode is not None and self.mode not in (MODE_ROOT, MODE_LIGHT, MODE_NONE):
+        if self.mode is not None and self.mode not in MODES:
             raise UsageError(f"mode must be root, light or none, got {self.mode!r}")
+        for mode in self.modes or ():
+            if mode not in MODES:
+                raise UsageError(f"unknown mode in --modes: {mode!r}")
         if self.scaling not in SCALINGS:
             raise UsageError(f"scaling must be one of {', '.join(SCALINGS)}")
         if self.format not in ("tsv", "markdown"):
@@ -124,10 +115,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _warn_skipped(corpus: Corpus) -> bool:
-    for path, reason in corpus.skipped:
+def _warn_skipped(skipped: list[tuple[str, str]]) -> bool:
+    for path, reason in skipped:
         print(f"warning: skipped {path}: {reason}", file=sys.stderr)
-    return bool(corpus.skipped)
+    return bool(skipped)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -139,7 +130,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_stats(args) -> int:
     corpus = load_corpus(args.corpus_dir)
-    partial = _warn_skipped(corpus)
+    partial = _warn_skipped(corpus.skipped)
     if not corpus.documents:
         print(f"warning: no documents found under {args.corpus_dir}", file=sys.stderr)
     stats = corpus_stats(corpus)
@@ -149,16 +140,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_stem(args) -> int:
-    config = _resolve(args)
-    rules = config.rules_dir or default_rules_dir()
-    affixes = load_affix_table(rules)
-    patterns = load_pattern_table(rules)
+    stemmer = make_config(args.mode, _resolve(args).rules_dir)
     out_lines = []
     for word in args.words:
-        if args.mode == MODE_ROOT:
-            result = root_stem(word, affixes, patterns)
-        else:
-            result = light_stem(word, affixes)
+        result = stemmer.stem(word)
         s = result.stripped
         parts = ";".join(
             f"{name}={value}"
@@ -178,7 +163,7 @@ def _cmd_stem(args) -> int:
 def _cmd_build(args) -> int:
     config = _resolve(args)
     corpus = load_corpus(args.corpus_dir)
-    partial = _warn_skipped(corpus)
+    partial = _warn_skipped(corpus.skipped)
     paragraphs = segment_corpus(corpus)
     stats = corpus_stats(corpus, paragraphs)
     stemmer = make_config(config.mode or MODE_NONE, config.rules_dir)
@@ -203,19 +188,12 @@ def _cmd_sim(args) -> int:
             f"(current {stemmer.rules_fingerprint[:12]}, space {space.provenance.rules_fingerprint[:12]})",
             file=sys.stderr,
         )
-    vec_a = word_vector(space, args.word_a, stemmer).copy()
-    vec_b = word_vector(space, args.word_b, stemmer).copy()
+    vec_a = word_vector(space, args.word_a, stemmer)
+    vec_b = word_vector(space, args.word_b, stemmer)
     if config.normalize:
-        for vec in (vec_a, vec_b):
-            norm = float(np.linalg.norm(vec))
-            if norm > 0:
-                vec /= norm
-    results = {r.measure: r for r in measure_all(vec_a, vec_b)}
+        vec_a, vec_b = unit_vector(vec_a), unit_vector(vec_b)
     header = "\t".join(MEASURE_ORDER)
-    values = "\t".join(
-        "undefined" if results[name].value is None else format(results[name].value, ".6g")
-        for name in MEASURE_ORDER
-    )
+    values = "\t".join(format_value(r) for r in measure_all(vec_a, vec_b))
     _emit(f"{header}\n{values}\n", getattr(args, "output", None))
     return 0
 
@@ -223,21 +201,18 @@ def _cmd_sim(args) -> int:
 def _cmd_report(args) -> int:
     config = _resolve(args)
     pairs = load_pairs(args.pairs)
-    modes = config.modes or (MODE_ROOT, MODE_LIGHT)
-    for mode in modes:
-        if mode not in (MODE_ROOT, MODE_LIGHT, MODE_NONE):
-            raise UsageError(f"unknown mode in --modes: {mode!r}")
     report = run_comparison(
         args.corpus,
         pairs,
-        modes=modes,
+        modes=config.modes or DEFAULT_MODES,
         k=config.k,
         scaling=config.scaling,
         rules_dir=config.rules_dir,
         unit_length=config.normalize,
     )
+    partial = _warn_skipped(report.skipped)
     _emit(render_report(report, config.format), getattr(args, "output", None))
-    return 0
+    return EXIT_IO if partial else 0
 
 
 def _build_parser() -> _Parser:
@@ -257,7 +232,7 @@ def _build_parser() -> _Parser:
     p_stem.set_defaults(func=_cmd_stem)
 
     p_build = sub.add_parser("build", help="build and persist a word space")
-    p_build.add_argument("--mode", choices=(MODE_ROOT, MODE_LIGHT, MODE_NONE), required=True)
+    p_build.add_argument("--mode", choices=MODES, required=True)
     p_build.add_argument("-k", type=int, default=None, help="dimensions to keep (default min(300, n))")
     p_build.add_argument("--scaling", choices=SCALINGS, default=None)
     p_build.add_argument("--rules", default=None)

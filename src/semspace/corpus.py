@@ -90,17 +90,19 @@ def load_corpus(root: str | Path) -> Corpus:
 
     Document ids are relative paths without the .txt extension; order is
     lexicographic by relative path, so runs are reproducible. Files that do
-    not decode as UTF-8 are recorded in `skipped` rather than aborting the
-    load.
+    not decode as UTF-8, and files nested more than one level deep, are
+    recorded in `skipped` rather than aborting the load.
     """
     root = Path(root)
     if not root.is_dir():
         raise CorpusReadError(f"not a readable directory: {root}")
-    paths = sorted(root.glob("*.txt")) + sorted(root.glob("*/*.txt"))
-    paths = sorted(paths, key=lambda p: p.relative_to(root).as_posix())
+    paths = sorted(root.rglob("*.txt"), key=lambda p: p.relative_to(root).as_posix())
     corpus = Corpus(root=str(root))
     for path in paths:
         rel = path.relative_to(root)
+        if len(rel.parts) > 2:
+            corpus.skipped.append((str(path), "nested more than one level deep"))
+            continue
         try:
             data = path.read_bytes()
             text = data.decode("utf-8")

@@ -8,11 +8,9 @@ report byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib.resources import files
 from pathlib import Path
-
-import numpy as np
 
 from .corpus import corpus_stats, load_corpus, segment_corpus
 from .errors import OutOfVocabularyError, PairFormatError
@@ -20,13 +18,12 @@ from .lsa import (
     SCALING_U,
     SemanticSpace,
     build_matrix,
-    factorize,
+    default_k,
     space_fingerprint,
-    truncate,
+    space_from_matrix,
     word_vector,
-    Provenance,
 )
-from .similarity import MEASURE_ORDER, SimilarityResult, measure_all
+from .similarity import MEASURE_ORDER, SimilarityResult, format_value, measure_all, unit_vector
 from .stemming import MODE_LIGHT, MODE_ROOT, StemmerConfig, make_config
 
 LABEL_SIMILAR = "Similar"
@@ -110,14 +107,10 @@ class ComparisonReport:
     rows: list[ReportRow]
     metadata: ReportMetadata
     modes: tuple[str, ...]
+    skipped: list[tuple[str, str]] = field(default_factory=list)  # corpus files left out
 
 
 _UNDEFINED_ROW = tuple(SimilarityResult(name, None) for name in MEASURE_ORDER)
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    return v / norm if norm > 0 else v
 
 
 def _evaluate_pair(
@@ -134,7 +127,7 @@ def _evaluate_pair(
         return ReportRow(pair, config.mode, _UNDEFINED_ROW, oov=tuple(missing))
     a, b = vectors
     if unit_length:
-        a, b = _unit(a), _unit(b)
+        a, b = unit_vector(a), unit_vector(b)
     return ReportRow(pair, config.mode, measure_all(a, b))
 
 
@@ -153,35 +146,23 @@ def run_comparison(
     stats = corpus_stats(corpus, paragraphs)
 
     configs = [make_config(mode, rules_dir) for mode in modes]
-    factored = []
-    for config in configs:
-        matrix = build_matrix(paragraphs, config)
-        factored.append((config, matrix, factorize(matrix)))
+    matrices = [build_matrix(paragraphs, config) for config in configs]
     if k is None:
-        k = min(300, min(f.n for _, _, f in factored))
+        k = min(default_k(matrix) for matrix in matrices)  # one k for every mode
 
     rules_fp = next((c.rules_fingerprint for c in configs if c.rules_fingerprint), "")
     corpus_fp = space_fingerprint(rules_fp, stats)
 
     rows: list[ReportRow] = []
-    for config, matrix, factors in factored:
-        provenance = Provenance(config.mode, config.rules_fingerprint,
-                                space_fingerprint(config.rules_fingerprint, stats))
-        space = truncate(factors, k, scaling, matrix.vocabulary, provenance,
-                         n_columns=len(matrix.columns))
-        for pair in pairs:
-            rows.append(_evaluate_pair(space, config, pair, unit_length))
+    for config, matrix in zip(configs, matrices):
+        space = space_from_matrix(matrix, stats, config, k, scaling)
+        rows.extend(_evaluate_pair(space, config, pair, unit_length) for pair in pairs)
     return ComparisonReport(
         rows=rows,
         metadata=ReportMetadata(k, scaling, rules_fp, corpus_fp),
         modes=tuple(modes),
+        skipped=corpus.skipped,
     )
-
-
-def _format_value(result: SimilarityResult) -> str:
-    if result.value is None:
-        return "undefined"
-    return format(result.value, ".6g")
 
 
 def _row_cells(row: ReportRow) -> list[str]:
@@ -192,7 +173,7 @@ def _row_cells(row: ReportRow) -> list[str]:
         measures = ["-"] * len(MEASURE_ORDER)
         notes = ";".join(f"oov={word}" for word in row.oov)
     else:
-        measures = [_format_value(r) for r in row.results]
+        measures = [format_value(r) for r in row.results]
         notes = ""
     return [words, translit, gloss, *measures, notes]
 

@@ -79,19 +79,15 @@ class Vocabulary:
 @dataclass
 class CooccurrenceMatrix:
     vocabulary: Vocabulary
-    columns: list[tuple[str, int]]  # (doc_id, paragraph index), in corpus order
-    counts: dict[tuple[int, int], int]  # (row, col) -> occurrences, zeros implicit
-    stemmer_mode: str
+    counts: np.ndarray  # rows x paragraphs, float64 occurrence counts, read-only
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.vocabulary), len(self.columns)
+        return self.counts.shape
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        for (i, j), value in self.counts.items():
-            dense[i, j] = value
-        return dense
+        """The count array itself: it is read-only, so callers share it uncopied."""
+        return self.counts
 
 
 @dataclass(frozen=True)
@@ -145,22 +141,23 @@ def build_matrix(paragraphs: list[Paragraph], config: StemmerConfig) -> Cooccurr
     with no rows or no columns. Each distinct token is stemmed once.
     """
     vocabulary = Vocabulary()
-    columns: list[tuple[str, int]] = []
-    counts: dict[tuple[int, int], int] = {}
-    stems: dict[str, str | None] = {}
+    row_of: dict[str, int | None] = {}  # token -> matrix row, None when dropped
+    cells: list[int] = []  # row * n_paragraphs + paragraph, one per occurrence
+    n = len(paragraphs)
     for j, paragraph in enumerate(paragraphs):
-        columns.append((paragraph.doc_id, paragraph.index))
         for token in paragraph.tokens:
-            if token not in stems:
-                stems[token] = config.stem_token(token)
-            stemmed = stems[token]
-            if stemmed is None or not stemmed:
-                continue
-            i = vocabulary.add(stemmed)
-            counts[(i, j)] = counts.get((i, j), 0) + 1
-    if not columns or not len(vocabulary):
+            if token not in row_of:
+                stemmed = config.stem_token(token)
+                row_of[token] = vocabulary.add(stemmed) if stemmed else None
+            i = row_of[token]
+            if i is not None:
+                cells.append(i * n + j)
+    if not paragraphs or not len(vocabulary):
         raise EmptyCorpusError("empty corpus")
-    return CooccurrenceMatrix(vocabulary, columns, counts, config.mode)
+    counts = np.zeros((len(vocabulary), n))
+    np.add.at(counts.reshape(-1), cells, 1.0)
+    counts.flags.writeable = False
+    return CooccurrenceMatrix(vocabulary, counts)
 
 
 def factorize(matrix: CooccurrenceMatrix) -> SvdFactors:
@@ -196,6 +193,30 @@ def truncate(
     )
 
 
+def default_k(matrix: CooccurrenceMatrix) -> int:
+    """The k used when none is given: min(300, n), n = min(words, paragraphs)."""
+    return min(300, min(matrix.shape))
+
+
+def space_from_matrix(
+    matrix: CooccurrenceMatrix,
+    stats: CorpusStats,
+    config: StemmerConfig,
+    k: int | None,
+    scaling: str,
+) -> SemanticSpace:
+    """Factor a count matrix built with `config` and truncate it to k
+    (default_k when k is None), recording the space's provenance."""
+    factors = factorize(matrix)
+    provenance = Provenance(
+        stemmer_mode=config.mode,
+        rules_fingerprint=config.rules_fingerprint,
+        space_fingerprint=space_fingerprint(config.rules_fingerprint, stats),
+    )
+    return truncate(factors, default_k(matrix) if k is None else k, scaling,
+                    matrix.vocabulary, provenance, n_columns=matrix.shape[1])
+
+
 def build_space(
     paragraphs: list[Paragraph],
     stats: CorpusStats,
@@ -207,16 +228,7 @@ def build_space(
 
     When k is None the default min(300, n) is used.
     """
-    matrix = build_matrix(paragraphs, config)
-    factors = factorize(matrix)
-    if k is None:
-        k = min(300, factors.n)
-    provenance = Provenance(
-        stemmer_mode=config.mode,
-        rules_fingerprint=config.rules_fingerprint,
-        space_fingerprint=space_fingerprint(config.rules_fingerprint, stats),
-    )
-    return truncate(factors, k, scaling, matrix.vocabulary, provenance, n_columns=len(matrix.columns))
+    return space_from_matrix(build_matrix(paragraphs, config), stats, config, k, scaling)
 
 
 def word_vector(space: SemanticSpace, surface: str, config: StemmerConfig) -> np.ndarray:

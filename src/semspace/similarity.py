@@ -119,3 +119,16 @@ def measure_all(a, b) -> tuple[SimilarityResult, ...]:
         else:
             results.append(SimilarityResult(name, value))
     return tuple(results)
+
+
+def unit_vector(v: np.ndarray) -> np.ndarray:
+    """v scaled to unit Euclidean length; a zero vector comes back as is."""
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 0 else v
+
+
+def format_value(result: SimilarityResult) -> str:
+    """A measure as printed: six significant digits, or "undefined"."""
+    if result.value is None:
+        return "undefined"
+    return format(result.value, ".6g")

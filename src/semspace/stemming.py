@@ -304,15 +304,19 @@ class StemmerConfig:
         if self.mode == MODE_ROOT and self.patterns is None:
             raise ValueError("root mode requires pattern rules")
 
+    def stem(self, token: str) -> StemResult:
+        """The full stemming result for one token; mode none keeps it whole."""
+        if self.mode == MODE_ROOT:
+            return root_stem(token, self.affixes, self.patterns)
+        if self.mode == MODE_LIGHT:
+            return light_stem(token, self.affixes)
+        return StemResult(token, token, KIND_STEM, Stripped(), token)
+
     def stem_token(self, token: str) -> str | None:
         """Reduced form of a normalized token; None drops it (stopword)."""
         if token in self.stopwords:
             return None
-        if self.mode == MODE_NONE:
-            return token
-        if self.mode == MODE_LIGHT:
-            return light_stem(token, self.affixes).output
-        return root_stem(token, self.affixes, self.patterns).output
+        return self.stem(token).output
 
 
 def make_config(mode: str, rules_dir: Path | None = None, stopwords: frozenset[str] = frozenset()) -> StemmerConfig:

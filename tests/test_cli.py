@@ -130,7 +130,30 @@ def test_stem_rules_from_environment(capsys, tmp_path, monkeypatch):
     assert out.split("\t")[1] == "العراقية"  # empty rules strip nothing
 
 
+def test_stem_light_needs_no_patterns_file(capsys, tmp_path):
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    (rules / "antefixes.txt").write_text("ال\n", encoding="utf-8")
+    for name in ("prefixes", "suffixes", "postfixes"):
+        (rules / f"{name}.txt").write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "stem", "--mode", "light", "--rules", str(rules), "العراقية")
+    assert code == 0
+    assert out == "العراقية\tعراقية\tstem\tantefix=ال\n"
+    code, out, err = run(capsys, "stem", "--mode", "root", "--rules", str(rules), "العراقية")
+    assert code == 4
+    assert "missing rule file" in err
+
+
 # --- build / sim -------------------------------------------------------------------
+
+def test_build_default_k(capsys, tiny_corpus, tmp_path):
+    space_file = tmp_path / "space.bin"
+    code, out, err = run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
+    assert code == 0
+    space = load_space(space_file)
+    assert space.n_columns == 6
+    assert space.k == min(300, len(space.vocabulary), space.n_columns) == 6
+
 
 def test_build_and_sim(capsys, tiny_corpus, tmp_path):
     space_file = tmp_path / "space.bin"
@@ -282,6 +305,22 @@ def test_report_bad_pairs_file(capsys, tiny_corpus, tmp_path):
         capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs),
     )
     assert code == 4
+
+
+def test_report_warns_on_skipped_file(capsys, tiny_corpus, tmp_path):
+    (tiny_corpus / "a" / "bad.txt").write_bytes(b"\xff\xfebroken")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("السفير\tالسفارة\tDifferent\n", encoding="utf-8")
+    out_file = tmp_path / "report.tsv"
+    code, out, err = run(
+        capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "-k", "2",
+        "-o", str(out_file),
+    )
+    assert code == 2
+    assert out_file.read_text(encoding="utf-8").startswith("# semspace comparison report")
+    warnings = [line for line in err.splitlines() if line.startswith("warning: skipped")]
+    assert len(warnings) == 1  # once per file, not once per stemmer
+    assert "bad.txt" in warnings[0]
 
 
 def test_report_unknown_mode(capsys, tiny_corpus, tmp_path):

@@ -146,6 +146,18 @@ def test_load_corpus_skips_non_utf8(tmp_path):
     assert "bad.txt" in corpus.skipped[0][0]
 
 
+def test_load_corpus_skips_deeply_nested(tmp_path):
+    (tmp_path / "cat" / "sub").mkdir(parents=True)
+    (tmp_path / "cat" / "ok.txt").write_text("نص جيد\n", encoding="utf-8")
+    (tmp_path / "cat" / "sub" / "deep.txt").write_text("نص عميق\n", encoding="utf-8")
+    corpus = load_corpus(tmp_path)
+    assert [d.id for d in corpus.documents] == ["cat/ok"]
+    assert len(corpus.skipped) == 1
+    path, reason = corpus.skipped[0]
+    assert path.endswith("deep.txt")
+    assert "nested" in reason
+
+
 def test_mini_corpus_shape(mini_corpus):
     assert len(mini_corpus.documents) == 12
     assert {d.category for d in mini_corpus.documents} == {"sim", "diff"}

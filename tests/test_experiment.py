@@ -143,6 +143,15 @@ def test_light_conflation_implies_root_conflation(all_pairs, root_config, light_
             assert len(root_stems) == 1, pair
 
 
+def test_run_comparison_default_k_is_minimum_over_modes(tmp_path):
+    (tmp_path / "doc.txt").write_text("السفير\n\nالسفارة\n\nالسفير\n", encoding="utf-8")
+    pair = WordPair("السفير", "السفارة", "Similar")
+    report = run_comparison(tmp_path, [pair], modes=("root", "light"), k=None)
+    # root: one row (سفر), light: two (سفير, سفار); three paragraphs each
+    assert report.metadata.k == 1
+    assert [row.oov for row in report.rows] == [(), ()]
+
+
 def test_run_comparison_empty_corpus(tmp_path, all_pairs):
     with pytest.raises(EmptyCorpusError):
         run_comparison(tmp_path, all_pairs, modes=("light",), k=2)
