@@ -23,6 +23,7 @@ from .similarity import MEASURE_ORDER, format_value, measure_all, unit_vector
 from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, MODES, make_config
 
 _CONFIG_KEYS = {"mode", "k", "scaling", "rules", "format", "normalize", "modes"}
+_SWITCH_VALUES = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,9 +52,13 @@ class RunConfig:
             raise UsageError("k must be >= 1")
         if self.mode is not None and self.mode not in MODES:
             raise UsageError(f"mode must be root, light or none, got {self.mode!r}")
-        for mode in self.modes or ():
+        if self.modes == ():
+            raise UsageError("--modes names no mode")
+        for i, mode in enumerate(self.modes or ()):
             if mode not in MODES:
                 raise UsageError(f"unknown mode in --modes: {mode!r}")
+            if mode in self.modes[:i]:
+                raise UsageError(f"mode {mode!r} repeated in --modes")
         if self.scaling not in SCALINGS:
             raise UsageError(f"scaling must be one of {', '.join(SCALINGS)}")
         if self.format not in ("tsv", "markdown"):
@@ -100,7 +105,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"k must be an integer, got {k!r}") from None
     normalize_flag = pick("normalize", "normalize", False)
     if isinstance(normalize_flag, str):
-        normalize_flag = normalize_flag.lower() in ("1", "true", "yes", "on")
+        if normalize_flag.lower() not in _SWITCH_VALUES:
+            raise UsageError(f"normalize must be one of {', '.join(_SWITCH_VALUES)}, got {normalize_flag!r}")
+        normalize_flag = _SWITCH_VALUES[normalize_flag.lower()]
     modes = pick("modes", "modes", None)
     if isinstance(modes, str):
         modes = tuple(part.strip() for part in modes.split(",") if part.strip())

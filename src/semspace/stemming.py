@@ -2,8 +2,8 @@
 
 The light stemmer strips antefixes and prefixes from the front and
 postfixes and suffixes from the back, longest match first, repeating until
-nothing matches and never leaving fewer than ``min_stem_len`` letters, so
-stemming is idempotent on its own output. The root stemmer applies the
+nothing matches and never leaving fewer than ``MIN_STEM_LEN`` (2) letters,
+so stemming is idempotent on its own output. The root stemmer applies the
 identical stripping and then matches the residual against same-length
 templates to extract a 3- or 4-letter root, falling back to the residual
 when nothing matches. Because both stemmers share one stripping pass, the
@@ -27,6 +27,8 @@ MODES = (MODE_ROOT, MODE_LIGHT, MODE_NONE)
 
 KIND_ROOT = "root"
 KIND_STEM = "stem"
+
+MIN_STEM_LEN = 2  # stripping never leaves fewer letters than this
 
 RULE_FILES = ("antefixes.txt", "prefixes.txt", "suffixes.txt", "postfixes.txt", "patterns.txt")
 
@@ -58,7 +60,6 @@ class AffixTable:
     prefixes: tuple[str, ...]
     suffixes: tuple[str, ...]
     postfixes: tuple[str, ...]
-    min_stem_len: int = 2
 
     def __post_init__(self):
         for name in ("antefixes", "prefixes", "suffixes", "postfixes"):
@@ -67,8 +68,6 @@ class AffixTable:
                 raise RuleFormatError(f"empty entry in {name}")
             if len(set(entries)) != len(entries):
                 raise RuleFormatError(f"duplicate entry in {name}")
-        if self.min_stem_len < 2:
-            raise RuleFormatError("min_stem_len must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -89,9 +88,8 @@ class Pattern:
         """The extracted root, or None when a literal position disagrees."""
         if len(residual) != len(self.template):
             return None
-        roots = set(self.root_positions)
         for i, ch in enumerate(self.template):
-            if i not in roots and residual[i] != ch:
+            if i not in self.root_positions and residual[i] != ch:
                 return None
         return "".join(residual[i] for i in self.root_positions)
 
@@ -99,9 +97,6 @@ class Pattern:
 @dataclass(frozen=True)
 class PatternTable:
     patterns: tuple[Pattern, ...]
-
-    def by_length(self, length: int) -> tuple[Pattern, ...]:
-        return tuple(p for p in self.patterns if len(p.template) == length)
 
 
 @dataclass(frozen=True)
@@ -136,15 +131,20 @@ class Decomposition:
     postfix: str | None
 
 
-def _strip_one(word: str, affixes: tuple[str, ...], side: str, floor: int) -> tuple[str | None, str]:
-    for affix in affixes:
-        if len(word) - len(affix) < floor:
-            continue
-        if side == "front" and word.startswith(affix):
-            return affix, word[len(affix):]
-        if side == "back" and word.endswith(affix):
-            return affix, word[: -len(affix)]
-    return None, word
+def _strip_region(word: str, affixes: tuple[str, ...], front: bool) -> tuple[str | None, str]:
+    """Strip from one end of `word` until no entry of `affixes` fits, taking
+    the first that does (callers pass each table longest-first, in priority
+    order); returns the stripped letters, or None, and the rest."""
+    rest = word
+    while True:
+        for affix in affixes:
+            if len(rest) - len(affix) >= MIN_STEM_LEN and (rest.startswith(affix) if front else rest.endswith(affix)):
+                rest = rest[len(affix):] if front else rest[: -len(affix)]
+                break
+        else:
+            break
+    stripped = word[: len(word) - len(rest)] if front else word[len(rest):]
+    return stripped or None, rest
 
 
 def _strip_affixes(token: str, table: AffixTable) -> tuple[Stripped, str]:
@@ -156,52 +156,11 @@ def _strip_affixes(token: str, table: AffixTable) -> tuple[Stripped, str]:
     it, so the parts concatenate back to the original string exactly and the
     residual carries no strippable affix at all: stemming is idempotent.
     """
-    floor = table.min_stem_len
-    rest = token
-
-    antefix_parts: list[str] = []
-    while True:
-        affix, rest2 = _strip_one(rest, table.antefixes, "front", floor)
-        if affix is None:
-            break
-        antefix_parts.append(affix)
-        rest = rest2
-    prefix_parts: list[str] = []
-    while True:
-        affix, rest2 = _strip_one(rest, table.prefixes, "front", floor)
-        if affix is None:
-            affix, rest2 = _strip_one(rest, table.antefixes, "front", floor)
-        if affix is None:
-            break
-        prefix_parts.append(affix)
-        rest = rest2
-
-    postfix_parts: list[str] = []
-    while True:
-        affix, rest2 = _strip_one(rest, table.postfixes, "back", floor)
-        if affix is None:
-            break
-        postfix_parts.insert(0, affix)
-        rest = rest2
-    suffix_parts: list[str] = []
-    while True:
-        affix, rest2 = _strip_one(rest, table.suffixes, "back", floor)
-        if affix is None:
-            affix, rest2 = _strip_one(rest, table.postfixes, "back", floor)
-        if affix is None:
-            break
-        suffix_parts.insert(0, affix)
-        rest = rest2
-
-    return (
-        Stripped(
-            "".join(antefix_parts) or None,
-            "".join(prefix_parts) or None,
-            "".join(suffix_parts) or None,
-            "".join(postfix_parts) or None,
-        ),
-        rest,
-    )
+    antefix, rest = _strip_region(token, table.antefixes, front=True)
+    prefix, rest = _strip_region(rest, table.prefixes + table.antefixes, front=True)
+    postfix, rest = _strip_region(rest, table.postfixes, front=False)
+    suffix, rest = _strip_region(rest, table.suffixes + table.postfixes, front=False)
+    return Stripped(antefix, prefix, suffix, postfix), rest
 
 
 def light_stem(token: str, table: AffixTable) -> StemResult:
@@ -210,7 +169,7 @@ def light_stem(token: str, table: AffixTable) -> StemResult:
 
 
 def _match_root(residual: str, patterns: PatternTable) -> tuple[str, str] | None:
-    for pattern in patterns.by_length(len(residual)):
+    for pattern in patterns.patterns:
         root = pattern.match(residual)
         if root is not None:
             return root, pattern.template
@@ -232,7 +191,7 @@ def decompose(token: str, table: AffixTable, patterns: PatternTable) -> Decompos
     return Decomposition(s.antefix, s.prefix, result.output, s.suffix, s.postfix)
 
 
-def load_affix_table(rules_dir: Path, min_stem_len: int = 2) -> AffixTable:
+def load_affix_table(rules_dir: Path) -> AffixTable:
     def longest(name: str) -> tuple[str, ...]:
         path = rules_dir / name
         if not path.is_file():
@@ -244,7 +203,6 @@ def load_affix_table(rules_dir: Path, min_stem_len: int = 2) -> AffixTable:
         prefixes=longest("prefixes.txt"),
         suffixes=longest("suffixes.txt"),
         postfixes=longest("postfixes.txt"),
-        min_stem_len=min_stem_len,
     )
 
 

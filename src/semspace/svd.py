@@ -90,14 +90,14 @@ def householder_qr(
             reflectors.append(None)
             continue
         v /= norm_v
-        A[k:, k:] -= 2.0 * np.outer(v, v @ A[k:, k:])
+        A[k:, k:] -= np.outer(v, 2.0 * (v @ A[k:, k:]))
         reflectors.append(v)
     R = np.triu(A[:q_cols, :])
     Q = np.eye(m, q_cols)
     for k in reversed(range(len(reflectors))):
         v = reflectors[k]
         if v is not None:
-            Q[k:, :] -= 2.0 * np.outer(v, v @ Q[k:, :])
+            Q[k:, :] -= np.outer(v, 2.0 * (v @ Q[k:, :]))
     return Q, R, perm
 
 

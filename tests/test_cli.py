@@ -256,6 +256,32 @@ def test_config_file_flag_precedence(capsys, tiny_corpus, tmp_path):
     assert space.scaling == "usigma"  # config fills the unset flag
 
 
+def test_config_file_normalize_values(capsys, tiny_corpus, tmp_path):
+    space_file = tmp_path / "space.bin"
+    run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
+    config = tmp_path / "semspace.conf"
+    outputs = {}
+    for value in ("YES", "on", "Off", "0"):
+        config.write_text(f"normalize = {value}\n", encoding="utf-8")
+        code, outputs[value], err = run(
+            capsys, "sim", "--space", str(space_file), "--config", str(config), "السفير", "السفارة"
+        )
+        assert code == 0
+    _, unit_out, _ = run(capsys, "sim", "--space", str(space_file), "--normalize", "السفير", "السفارة")
+    _, raw_out, _ = run(capsys, "sim", "--space", str(space_file), "السفير", "السفارة")
+    assert outputs["YES"] == outputs["on"] == unit_out
+    assert outputs["Off"] == outputs["0"] == raw_out
+    assert unit_out != raw_out
+
+    config.write_text("normalize = ture\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "sim", "--space", str(space_file), "--config", str(config), "السفير", "السفارة"
+    )
+    assert code == 1
+    assert out == ""
+    assert "normalize must be one of" in err
+
+
 def test_config_file_unknown_key(capsys, tiny_corpus, tmp_path):
     config = tmp_path / "semspace.conf"
     config.write_text("kk = 4\n", encoding="utf-8")
@@ -333,7 +359,32 @@ def test_report_unknown_mode(capsys, tiny_corpus, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("modes", ["root,root", "light,root,light", ",", ""])
+def test_report_repeated_or_empty_modes(capsys, tiny_corpus, tmp_path, modes):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("السفير\tالسفارة\tSimilar\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "--modes", modes,
+    )
+    assert code == 1
+    assert out == ""
+    assert "--modes" in err
+
+
+def test_report_repeated_modes_in_config_file(capsys, tiny_corpus, tmp_path):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("السفير\tالسفارة\tSimilar\n", encoding="utf-8")
+    config = tmp_path / "semspace.conf"
+    config.write_text("modes = light, light\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "--config", str(config),
+    )
+    assert code == 1
+    assert "repeated" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])
     assert exc_info.value.code == 0
+

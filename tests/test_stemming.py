@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semspace import stemming
 from semspace.corpus import normalize
 from semspace.errors import RuleFormatError
 from semspace.stemming import (
-    AffixTable,
     Pattern,
     decompose,
     default_tables,
@@ -192,7 +194,7 @@ def test_length_guard(tables, mini_paragraphs):
     affixes, patterns = tables
     for token in _fixture_vocabulary(mini_paragraphs):
         stem = light_stem(token, affixes)
-        assert len(stem.output) >= affixes.min_stem_len or stem.output == token
+        assert len(stem.output) >= stemming.MIN_STEM_LEN or stem.output == token
         root = root_stem(token, affixes, patterns)
         if root.pattern is not None:
             assert 3 <= len(root.output) <= 4
@@ -216,12 +218,38 @@ def test_reconstruction(tables, mini_paragraphs):
         assert root_stem(token, affixes, patterns).reconstruct() == token
 
 
+# --- properties over affix-wrapped tokens ------------------------------------
+
+_LETTERS = "".join(chr(c) for c in range(0x0621, 0x064B) if c != 0x0640)  # Arabic letters, no tatweel
+
+
+def _wrapped_token(data, affixes) -> str:
+    """A random core between random stacks of the shipped front and back affixes."""
+    def stack(entries):
+        return "".join(data.draw(st.lists(st.sampled_from(entries), max_size=3)))
+
+    front = stack(affixes.antefixes + affixes.prefixes)
+    back = stack(affixes.suffixes + affixes.postfixes)
+    return front + data.draw(st.text(alphabet=_LETTERS, max_size=6)) + back
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_stemming_properties_on_stacked_affixes(tables, data):
+    affixes, patterns = tables
+    token = _wrapped_token(data, affixes)
+    light = light_stem(token, affixes)
+    root = root_stem(token, affixes, patterns)
+    assert light.reconstruct() == token
+    assert root.reconstruct() == token
+    assert light_stem(light.output, affixes).output == light.output
+    # root classes are coarser: the root of a token is the root of its light stem
+    assert root_stem(light.output, affixes, patterns).output == root.output
+    assert len(light.output) >= stemming.MIN_STEM_LEN or light.output == token
+    assert len(root.output) >= stemming.MIN_STEM_LEN or root.output == token
+
+
 # --- rule data loading -------------------------------------------------------
-
-def test_affix_table_rejects_small_min_len():
-    with pytest.raises(RuleFormatError):
-        AffixTable(("ا",), (), (), (), min_stem_len=1)
-
 
 def test_pattern_rejects_bad_positions():
     with pytest.raises(RuleFormatError):
