@@ -94,7 +94,6 @@ class CooccurrenceMatrix:
 class SvdFactors:
     U: np.ndarray  # m x n, orthonormal columns
     sigma: np.ndarray  # length n, non-increasing
-    V: np.ndarray  # c x n, orthonormal columns
 
     @property
     def n(self) -> int:
@@ -141,17 +140,14 @@ def build_matrix(paragraphs: list[Paragraph], config: StemmerConfig) -> Cooccurr
     with no rows or no columns. Each distinct token is stemmed once.
     """
     vocabulary = Vocabulary()
-    row_of: dict[str, int | None] = {}  # token -> matrix row, None when dropped
+    row_of: dict[str, int] = {}  # token -> matrix row
     cells: list[int] = []  # row * n_paragraphs + paragraph, one per occurrence
     n = len(paragraphs)
     for j, paragraph in enumerate(paragraphs):
         for token in paragraph.tokens:
             if token not in row_of:
-                stemmed = config.stem_token(token)
-                row_of[token] = vocabulary.add(stemmed) if stemmed else None
-            i = row_of[token]
-            if i is not None:
-                cells.append(i * n + j)
+                row_of[token] = vocabulary.add(config.stem_token(token))
+            cells.append(row_of[token] * n + j)
     if not paragraphs or not len(vocabulary):
         raise EmptyCorpusError("empty corpus")
     counts = np.zeros((len(vocabulary), n))
@@ -161,9 +157,9 @@ def build_matrix(paragraphs: list[Paragraph], config: StemmerConfig) -> Cooccurr
 
 
 def factorize(matrix: CooccurrenceMatrix) -> SvdFactors:
-    """Full (thin) SVD of the dense form of the count matrix."""
-    U, sigma, V = _svd.jacobi_svd(matrix.to_dense())
-    return SvdFactors(U=U, sigma=sigma, V=V)
+    """Left singular vectors and singular values of the dense count matrix."""
+    U, sigma, _ = _svd.jacobi_svd(matrix.to_dense())
+    return SvdFactors(U=U, sigma=sigma)
 
 
 def truncate(

@@ -26,10 +26,6 @@ class SimilarityResult:
     measure: str
     value: float | None  # None marks an undefined measure
 
-    @property
-    def defined(self) -> bool:
-        return self.value is not None
-
 
 def _checked(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.float64)
@@ -45,15 +41,27 @@ def _checked(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _shift(*vectors: np.ndarray) -> int:
+    """Exponent of the power of two that brings the largest entry into [0.5, 1).
+
+    Such a scale is exact, so in-range inputs keep every bit, while sums of
+    squares of the scaled entries neither overflow nor fall below 0.25.
+    """
+    return -math.frexp(max(float(np.abs(v).max()) for v in vectors))[1]
+
+
 def euclidean(a, b) -> float:
     """Square root of the summed squared component differences."""
     a, b = _checked(a, b)
-    return float(math.sqrt(float(np.sum((a - b) ** 2))))
+    d = a - b
+    shift = _shift(d)
+    return float(np.ldexp(math.sqrt(float(np.sum(np.ldexp(d, shift) ** 2))), -shift))
 
 
 def cosine(a, b) -> float:
     """Dot product over the product of norms, clamped to [-1, 1]."""
     a, b = _checked(a, b)
+    a, b = np.ldexp(a, _shift(a)), np.ldexp(b, _shift(b))
     norm_a = float(np.dot(a, a))
     norm_b = float(np.dot(b, b))
     if norm_a == 0.0 or norm_b == 0.0:
@@ -65,6 +73,8 @@ def cosine(a, b) -> float:
 def jaccard(a, b) -> float:
     """Extended Jaccard (Tanimoto): dot / (|a|^2 + |b|^2 - dot)."""
     a, b = _checked(a, b)
+    shift = _shift(a, b)
+    a, b = np.ldexp(a, shift), np.ldexp(b, shift)
     dot = float(np.dot(a, b))
     norm_a = float(np.dot(a, a))
     norm_b = float(np.dot(b, b))
@@ -81,6 +91,7 @@ def pearson(a, b) -> float:
     vectors.
     """
     a, b = _checked(a, b)
+    a, b = np.ldexp(a, _shift(a)), np.ldexp(b, _shift(b))
     m = a.shape[0]
     if m < 2:
         raise ValueError("undefined correlation for dimension < 2")

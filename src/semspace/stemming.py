@@ -14,7 +14,7 @@ the light stemmer's.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
 
@@ -252,7 +252,6 @@ class StemmerConfig:
     affixes: AffixTable | None = None
     patterns: PatternTable | None = None
     rules_fingerprint: str = ""
-    stopwords: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -270,22 +269,19 @@ class StemmerConfig:
             return light_stem(token, self.affixes)
         return StemResult(token, token, KIND_STEM, Stripped(), token)
 
-    def stem_token(self, token: str) -> str | None:
-        """Reduced form of a normalized token; None drops it (stopword)."""
-        if token in self.stopwords:
-            return None
+    def stem_token(self, token: str) -> str:
+        """Reduced form of a normalized token: the row it indexes."""
         return self.stem(token).output
 
 
-def make_config(mode: str, rules_dir: Path | None = None, stopwords: frozenset[str] = frozenset()) -> StemmerConfig:
+def make_config(mode: str, rules_dir: Path | None = None) -> StemmerConfig:
     """Build a StemmerConfig from a rules directory (the shipped one by default)."""
     if mode == MODE_NONE:
-        return StemmerConfig(mode=mode, stopwords=stopwords)
+        return StemmerConfig(mode=mode)
     rules = rules_dir if rules_dir is not None else default_rules_dir()
     return StemmerConfig(
         mode=mode,
         affixes=load_affix_table(rules),
         patterns=load_pattern_table(rules) if mode == MODE_ROOT else None,
         rules_fingerprint=rules_fingerprint(rules),
-        stopwords=stopwords,
     )

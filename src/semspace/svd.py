@@ -1,27 +1,30 @@
 """Dense singular value decomposition, implemented here rather than delegated.
 
-The factorization runs in four steps:
+Only the left singular vectors and the singular values are computed: the
+word space is rows of U, and nothing reads the paragraph side. The
+factorization runs in four steps:
 
 1. Identical columns are merged: c copies of a column become one column
    scaled by sqrt(c). This leaves X @ X.T, and so U and sigma, unchanged.
 2. The merged matrix is factored by a Householder QR with column pivoting
    (Businger & Golub, 1965), and R is cut at its numerical rank r, read off
    its non-increasing diagonal.
-3. A one-sided Jacobi iteration runs on the r columns of R.T, the
-   preconditioned form of Drmac & Veselic (SIAM J. Matrix Anal. Appl. 29(4),
-   2008): plane rotations orthogonalize the columns, their norms are the
-   singular values, the accumulated rotations carried through Q give U, and
-   the normalized columns, un-permuted and un-merged, give V. The working
-   matrix is kept transposed, so a rotation touches whole rows, and its rows
-   sit in pair slots of a fixed round-robin schedule (a zero spare row pads
-   an odd r): each round's disjoint pairs are adjacent, rotated together by
-   one batched 2 x 2 matmul, and moved to the next round's slots by one
-   fixed row permutation. The schedule never varies, so results are
-   bit-reproducible. Pairs whose norms sit at roundoff level relative to the
-   matrix are excluded from the convergence measure.
-4. Directions with no singular value get sigma 0. U is completed from the
-   columns of the Householder Q beyond r, and V from the Householder Q of
-   its own live columns.
+3. The transposed r rows of R are factored by a second pivoted QR,
+   R[:r].T[:, p2] = Q2 @ R2, the preconditioning of Drmac & Veselic (SIAM
+   J. Matrix Anal. Appl. 29(4), 2008). A one-sided Jacobi iteration then
+   rotates the r x r rows of R2 until they are orthogonal: row i ends as
+   sigma_i * y_i.T, so the normalized rows, transposed and put back in the
+   order p2, are the left singular vectors of R[:r], and Q[:, :r] carries
+   them to U. No rotation is accumulated. The rows sit in pair slots of a
+   fixed round-robin schedule (a zero spare row pads an odd r): each round's
+   disjoint pairs are adjacent, rotated together by one batched 2 x 2
+   matmul, and moved to the next round's slots by one fixed row
+   permutation. The schedule never varies, so results are
+   bit-reproducible. Pairs whose norms sit at roundoff level relative to
+   the matrix are excluded from the convergence measure.
+4. Directions with no singular value get sigma 0. Within the first r
+   columns, U is completed from the Householder Q of its own live columns;
+   beyond r, from the columns of the first Householder Q.
 """
 
 from __future__ import annotations
@@ -101,45 +104,39 @@ def householder_qr(
     return Q, R, perm
 
 
-def _merge_duplicate_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct columns of X in first-seen order, each scaled by sqrt(copies).
-
-    Returns the merged matrix, the merged index of every original column and
-    the number of copies of every merged column.
-    """
+def _merge_duplicate_columns(X: np.ndarray) -> np.ndarray:
+    """Distinct columns of X in first-seen order, each scaled by sqrt(copies)."""
     seen: dict[bytes, int] = {}
-    group = np.array([seen.setdefault(X[:, j].tobytes(), len(seen)) for j in range(X.shape[1])])
-    copies = np.bincount(group)
+    group = [seen.setdefault(X[:, j].tobytes(), len(seen)) for j in range(X.shape[1])]
     if len(seen) == X.shape[1]:
-        return X, group, copies
+        return X
     first = np.unique(group, return_index=True)[1]
-    return X[:, first] * np.sqrt(copies), group, copies
+    return X[:, first] * np.sqrt(np.bincount(group))
 
 
-def _jacobi_rows(G: np.ndarray, width: int, max_sweeps: int, tol: float) -> None:
-    """Rotate the rows of G in place until their first `width` entries are orthogonal.
+def _jacobi_rows(G: np.ndarray, max_sweeps: int, tol: float) -> int:
+    """Rotate the rows of G in place until they are orthogonal; return the sweeps.
 
-    G holds the working matrix in its first `width` columns and the rotations
-    to accumulate (started as an identity) in the rest. The rows sit in pair
-    slots, so a round rotates all of its pairs with one batched 2 x 2 matmul
-    and moves them to the next round's slots with one take.
+    The rows sit in pair slots, so a round rotates all of its pairs with one
+    batched 2 x 2 matmul and moves them to the next round's slots with one
+    take.
     """
     n, w = G.shape
     if n < 2:
-        return
+        return 0
     home, step = _pair_slots(n)
     m = len(home)
-    dead_level = (_MACHINE_EPS * np.linalg.norm(G[:, :width])) ** 2
+    dead_level = (_MACHINE_EPS * np.linalg.norm(G)) ** 2
 
     slots, spare = np.zeros((m, w)), np.empty((m, w))
     slots[home[:n]] = G
     rot = np.empty((m // 2, 2, 2))
     off = float("inf")
-    for _ in range(max_sweeps):
+    for sweep in range(1, max_sweeps + 1):
         off = 0.0
         for _ in range(m - 1):
             pairs = slots.reshape(m // 2, 2, w)
-            Bp, Bq = pairs[:, 0, :width], pairs[:, 1, :width]
+            Bp, Bq = pairs[:, 0], pairs[:, 1]
             app = np.einsum("ij,ij->i", Bp, Bp)
             aqq = np.einsum("ij,ij->i", Bq, Bq)
             apq = np.einsum("ij,ij->i", Bp, Bq)
@@ -165,7 +162,7 @@ def _jacobi_rows(G: np.ndarray, width: int, max_sweeps: int, tol: float) -> None
             np.take(spare, step, axis=0, out=slots, mode="clip")
         if off <= tol:
             G[:] = slots[home[:n]]
-            return
+            return sweep
     raise ConvergenceError(
         f"one-sided Jacobi did not converge in {max_sweeps} sweeps "
         f"(off-diagonal residual {off:.3e})",
@@ -177,13 +174,15 @@ def jacobi_svd(
     X: np.ndarray,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     tol: float = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor X (m x c) into U, sigma, V with X = U @ diag(sigma) @ V.T.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Left singular vectors and singular values of X (m x c), and the sweeps run.
 
-    U is m x n and V is c x n with orthonormal columns, n = min(m, c), and
-    sigma is non-increasing. Ties keep their pre-sort order, and each column
-    of U has its largest-magnitude entry non-negative, so equal inputs give
-    bit-identical factors.
+    U is m x n with orthonormal columns, n = min(m, c), sigma is
+    non-increasing, and U.T @ X has mutually orthogonal rows with norms
+    sigma, so X = U @ U.T @ X. Ties keep their pre-sort order, and each
+    column of U has its largest-magnitude entry non-negative, so equal
+    inputs give bit-identical factors. The third item is the number of
+    Jacobi sweeps to convergence.
 
     Raises ConvergenceError (carrying the achieved off-diagonal residual)
     if the sweep budget is exhausted.
@@ -191,22 +190,20 @@ def jacobi_svd(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("expected a non-empty 2-d matrix")
-    m, c = X.shape
-    n = min(m, c)
+    n = min(X.shape)
 
-    merged, group, copies = _merge_duplicate_columns(X)
-    Q, R, perm = householder_qr(merged, q_cols=n)
+    merged = _merge_duplicate_columns(X)
+    Q, R, _ = householder_qr(merged, q_cols=n)
     diag = np.abs(np.diag(R))
     rank = int(np.count_nonzero(diag > diag[0] * max(merged.shape) * _MACHINE_EPS))
 
-    # Jacobi on the rows of R[:rank] (the columns of R.T) ends with
-    # W @ R[:rank] = B = diag(sigma) @ Z.T, W orthogonal, so up to the cut
-    # merged[:, perm] = (Q[:, :rank] @ W.T) @ diag(sigma) @ Z.T.
-    width = merged.shape[1]
-    G = np.hstack([R[:rank], np.eye(rank)])
+    # R[:rank].T[:, p2] = Q2 @ R2, and Jacobi turns the rows of R2 into
+    # B = W @ R2 = diag(sigma) @ Z.T, W orthogonal, so up to the cut
+    # merged[:, perm] = Q[:, :rank] @ Y @ diag(sigma) @ (Q2 @ W.T).T with
+    # Y[p2] = Z. U needs only Y, so W is never formed.
+    _, B, p2 = householder_qr(R[:rank].T)
     del R
-    _jacobi_rows(G, width, max_sweeps, tol)
-    B, W = G[:, :width], G[:, width:]
+    sweeps = _jacobi_rows(B, max_sweeps, tol)
 
     sigma = np.sqrt(np.einsum("ij,ij->i", B, B))
     order = np.argsort(-sigma, kind="stable")
@@ -215,17 +212,14 @@ def jacobi_svd(
     live = int(np.count_nonzero(alive))
     sigma[~alive] = 0.0
 
+    Y = np.empty((rank, rank))
+    Y[p2, :live] = (B[order[:live]] / sigma[:live, None]).T
+    if live < rank:
+        Y[:, live:] = householder_qr(Y[:, :live], q_cols=rank)[0][:, live:]
     U = Q  # its columns beyond the rank complete U
-    U[:, :rank] = Q[:, :rank] @ W[order].T
-    Z = np.empty((width, live))
-    Z[perm] = (B[order[:live]] / sigma[:live, None]).T
-    V = np.empty((c, n))
-    V[:, :live] = Z[group] / np.sqrt(copies[group])[:, None]
-    if live < n:
-        V[:, live:] = householder_qr(V[:, :live], q_cols=n)[0][:, live:]
+    U[:, :rank] = Q[:, :rank] @ Y
 
     rows = np.argmax(np.abs(U), axis=0)
     flip = U[rows, np.arange(n)] < 0
     U[:, flip] = -U[:, flip]
-    V[:, flip] = -V[:, flip]
-    return U, sigma, V
+    return U, sigma, sweeps

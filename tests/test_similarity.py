@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semspace.similarity import (
     MEASURE_ORDER,
@@ -175,6 +177,34 @@ def test_measures_symmetric(func):
     for _ in range(50):
         a, b = rng.normal(size=(2, 5))
         assert func(a, b) == pytest.approx(func(b, a), abs=1e-15)
+
+
+# --- metric axioms, property-based --------------------------------------------
+
+@st.composite
+def vector_triples(draw):
+    """Three finite vectors of one dimension in 2..12. Entries stay within
+    1e300 so that every distance between them is representable."""
+    dim = draw(st.integers(2, 12))
+    entries = st.lists(st.floats(-1e300, 1e300), min_size=dim, max_size=dim)
+    return tuple(np.array(draw(entries)) for _ in range(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_triples())
+def test_metric_axioms(triple):
+    x, y, z = triple
+    forward = {r.measure: r.value for r in measure_all(x, y)}
+    assert forward == {r.measure: r.value for r in measure_all(y, x)}
+    same = {r.measure: r.value for r in measure_all(x, x.copy())}
+    assert same["euclidean"] == 0.0
+    for name in ("cosine", "pearson", "jaccard"):
+        assert same[name] is None or same[name] == pytest.approx(1.0, abs=1e-12)
+    for name in ("cosine", "pearson"):
+        assert forward[name] is None or -1.0 <= forward[name] <= 1.0
+    assert forward["jaccard"] is None or -1 / 3 - 1e-12 <= forward["jaccard"] <= 1.0 + 1e-12
+    slack = 1e-12 * max(np.abs(x).max(), np.abs(y).max(), np.abs(z).max())
+    assert euclidean(x, z) <= forward["euclidean"] + euclidean(y, z) + slack
 
 
 # --- measure_all -------------------------------------------------------------

@@ -12,7 +12,6 @@ from semspace.stemming import (
     light_stem,
     load_affix_table,
     load_pattern_table,
-    make_config,
     root_stem,
 )
 
@@ -269,9 +268,3 @@ def test_load_rejects_malformed_pattern_line(tmp_path):
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(RuleFormatError):
         load_affix_table(tmp_path)
-
-
-def test_stopwords_drop_tokens(tables):
-    config = make_config("light", stopwords=frozenset({"في"}))
-    assert config.stem_token("في") is None
-    assert config.stem_token("العراقية") == "عراقي"

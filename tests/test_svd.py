@@ -4,13 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semspace.errors import ConvergenceError
+from semspace.lsa import build_matrix
 from semspace.svd import _pair_slots, householder_qr, jacobi_svd
 
 from oracles import singular_values_via_augmented, singular_values_via_gram
 
 
-def reconstruction_error(X, U, s, V):
-    return np.linalg.norm(X - (U * s) @ V.T)
+def projection_error(X, U):
+    """Norm of the part of X outside the span of U's columns."""
+    return np.linalg.norm(X - U @ (U.T @ X))
+
+
+def row_gram_error(X, U, s):
+    """Largest entry of P @ P.T - diag(s**2) for P = U.T @ X.
+
+    Zero exactly when the rows of P are mutually orthogonal with norms s.
+    With V = P.T / s this is diag(s) @ (V.T @ V - I) @ diag(s), so an
+    orthonormality error e of V shows here as at most e * s[0]**2.
+    """
+    P = U.T @ X
+    return np.abs(P @ P.T - np.diag(s * s)).max()
 
 
 def orthonormality_error(M):
@@ -18,17 +31,19 @@ def orthonormality_error(M):
 
 
 def test_identity_matrix():
-    U, s, V = jacobi_svd(np.eye(2))
+    U, s, _ = jacobi_svd(np.eye(2))
     assert np.allclose(s, [1.0, 1.0])
-    assert np.allclose((U * s) @ V.T, np.eye(2), atol=1e-12)
+    assert np.allclose(U @ (U.T @ np.eye(2)), np.eye(2), atol=1e-12)
+    assert row_gram_error(np.eye(2), U, s) <= 1e-12
 
 
 def test_rank_one_rectangle():
     # eigenvalues of X^T X are 25 and 0, so sigma = (5, 0)
     X = np.array([[3.0, 0.0], [4.0, 0.0]])
-    U, s, V = jacobi_svd(X)
+    U, s, _ = jacobi_svd(X)
     assert np.allclose(s, [5.0, 0.0], atol=1e-12)
-    assert reconstruction_error(X, U, s, V) <= 1e-12
+    assert projection_error(X, U) <= 1e-12
+    assert row_gram_error(X, U, s) <= 1e-12 * s[0] ** 2
     assert orthonormality_error(U) <= 1e-12
 
 
@@ -46,13 +61,13 @@ def test_matches_gram_oracle_on_random_integers():
     for _ in range(30):
         m, c = rng.integers(1, 13, size=2)
         X = rng.integers(0, 10, size=(m, c)).astype(float)
-        U, s, V = jacobi_svd(X)
+        U, s, _ = jacobi_svd(X)
         oracle = singular_values_via_gram(X)
         scale = max(float(s[0]), 1.0)
         assert np.abs(s - oracle).max() <= 1e-8 * scale
-        assert reconstruction_error(X, U, s, V) <= 1e-8 * max(np.linalg.norm(X), 1e-30)
+        assert projection_error(X, U) <= 1e-8 * max(np.linalg.norm(X), 1e-30)
         assert orthonormality_error(U) <= 1e-8
-        assert orthonormality_error(V) <= 1e-8
+        assert row_gram_error(X, U, s) <= 1e-8 * scale ** 2
 
 
 def test_rank_deficient_duplicate_columns():
@@ -60,26 +75,26 @@ def test_rank_deficient_duplicate_columns():
     X = rng.integers(0, 6, size=(8, 5)).astype(float)
     X[:, 4] = X[:, 0]
     X[:, 3] = X[:, 1]
-    U, s, V = jacobi_svd(X)
+    U, s, _ = jacobi_svd(X)
     assert s[3] <= 1e-10 * s[0] and s[4] <= 1e-10 * s[0]
-    assert reconstruction_error(X, U, s, V) <= 1e-10 * np.linalg.norm(X)
+    assert projection_error(X, U) <= 1e-10 * np.linalg.norm(X)
     assert orthonormality_error(U) <= 1e-10
-    assert orthonormality_error(V) <= 1e-10
+    assert row_gram_error(X, U, s) <= 1e-10 * s[0] ** 2
 
 
 def test_zero_matrix():
-    U, s, V = jacobi_svd(np.zeros((3, 2)))
+    U, s, _ = jacobi_svd(np.zeros((3, 2)))
     assert np.all(s == 0)
     assert orthonormality_error(U) <= 1e-12
-    assert orthonormality_error(V) <= 1e-12
+    assert row_gram_error(np.zeros((3, 2)), U, s) <= 1e-12
 
 
 def test_single_row_and_column():
-    U, s, V = jacobi_svd(np.array([[3.0, 4.0]]))
+    _, s, _ = jacobi_svd(np.array([[3.0, 4.0]]))
     assert np.allclose(s, [5.0])
-    U, s, V = jacobi_svd(np.array([[3.0], [4.0]]))
+    _, s, _ = jacobi_svd(np.array([[3.0], [4.0]]))
     assert np.allclose(s, [5.0])
-    U, s, V = jacobi_svd(np.array([[-7.0]]))
+    _, s, _ = jacobi_svd(np.array([[-7.0]]))
     assert np.allclose(s, [7.0])
 
 
@@ -87,7 +102,7 @@ def test_sign_convention_largest_entry_non_negative():
     rng = np.random.default_rng(17)
     for _ in range(10):
         X = rng.normal(size=(7, 5))
-        U, s, V = jacobi_svd(X)
+        U, _, _ = jacobi_svd(X)
         for j in range(U.shape[1]):
             i = np.argmax(np.abs(U[:, j]))
             assert U[i, j] >= 0
@@ -96,17 +111,18 @@ def test_sign_convention_largest_entry_non_negative():
 def test_deterministic():
     rng = np.random.default_rng(23)
     X = rng.integers(0, 8, size=(9, 6)).astype(float)
-    U1, s1, V1 = jacobi_svd(X.copy())
-    U2, s2, V2 = jacobi_svd(X.copy())
-    assert np.array_equal(U1, U2) and np.array_equal(s1, s2) and np.array_equal(V1, V2)
+    U1, s1, sweeps1 = jacobi_svd(X.copy())
+    U2, s2, sweeps2 = jacobi_svd(X.copy())
+    assert np.array_equal(U1, U2) and np.array_equal(s1, s2) and sweeps1 == sweeps2
 
 
 def test_wide_matrix_transposed_internally():
     rng = np.random.default_rng(29)
     X = rng.integers(0, 9, size=(4, 11)).astype(float)
-    U, s, V = jacobi_svd(X)
-    assert U.shape == (4, 4) and V.shape == (11, 4) and s.shape == (4,)
-    assert reconstruction_error(X, U, s, V) <= 1e-10 * np.linalg.norm(X)
+    U, s, _ = jacobi_svd(X)
+    assert U.shape == (4, 4) and s.shape == (4,)
+    assert projection_error(X, U) <= 1e-10 * np.linalg.norm(X)
+    assert row_gram_error(X, U, s) <= 1e-10 * s[0] ** 2
 
 
 def test_convergence_error_carries_residual():
@@ -164,13 +180,13 @@ def test_rank_below_min_dimension_is_completed(shape):
     rng = np.random.default_rng(47)
     m, c = shape
     X = rng.integers(-3, 4, size=(m, 3)).astype(float) @ rng.integers(-3, 4, size=(3, c))
-    U, s, V = jacobi_svd(X)
+    U, s, _ = jacobi_svd(X)
     n = min(m, c)
-    assert U.shape == (m, n) and V.shape == (c, n)
+    assert U.shape == (m, n) and s.shape == (n,)
     assert np.count_nonzero(s) == 3
     assert orthonormality_error(U) <= 1e-12
-    assert orthonormality_error(V) <= 1e-12
-    assert reconstruction_error(X, U, s, V) <= 1e-12 * np.linalg.norm(X)
+    assert row_gram_error(X, U, s) <= 1e-12 * s[0] ** 2
+    assert projection_error(X, U) <= 1e-12 * np.linalg.norm(X)
 
 
 def test_small_singular_values_survive_the_rank_cut():
@@ -178,10 +194,11 @@ def test_small_singular_values_survive_the_rank_cut():
     left, _ = np.linalg.qr(rng.normal(size=(7, 4)))
     right, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     expected = np.array([1.0, 1e-4, 1e-8, 1e-12])
-    U, s, V = jacobi_svd((left * expected) @ right.T)
+    X = (left * expected) @ right.T
+    U, s, _ = jacobi_svd(X)
     assert np.abs(s - expected).max() <= 1e-14
     assert orthonormality_error(U) <= 1e-12
-    assert orthonormality_error(V) <= 1e-12
+    assert row_gram_error(X, U, s) <= 1e-12 * s[0] ** 2
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -204,14 +221,14 @@ def test_odd_rank_count_matrix_with_duplicate_columns():
     rng = np.random.default_rng(59)
     X = rng.poisson(0.4, size=(48, 33)).astype(float)
     X = np.column_stack([X, X[:, [0, 5, 5, 12, 20, 32]]])[:, rng.permutation(39)]
-    U, s, V = jacobi_svd(X)
+    U, s, sweeps = jacobi_svd(X)
     assert np.count_nonzero(s) == 33
     assert np.abs(s - singular_values_via_augmented(X)).max() <= 1e-8 * s[0]
-    assert reconstruction_error(X, U, s, V) <= 1e-12 * s[0]
+    assert projection_error(X, U) <= 1e-12 * s[0]
     assert orthonormality_error(U) <= 1e-12
-    assert orthonormality_error(V) <= 1e-12
-    U2, s2, V2 = jacobi_svd(X.copy())
-    assert np.array_equal(U, U2) and np.array_equal(s, s2) and np.array_equal(V, V2)
+    assert row_gram_error(X, U, s) <= 1e-12 * s[0] ** 2
+    U2, s2, sweeps2 = jacobi_svd(X.copy())
+    assert np.array_equal(U, U2) and np.array_equal(s, s2) and sweeps == sweeps2
 
 
 @st.composite
@@ -231,16 +248,43 @@ def count_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(count_matrices())
 def test_svd_properties_with_duplicate_columns_and_zero_rows(X):
-    U, s, V = jacobi_svd(X)
+    U, s, sweeps = jacobi_svd(X)
     n = min(X.shape)
-    assert U.shape == (X.shape[0], n) and s.shape == (n,) and V.shape == (X.shape[1], n)
+    assert U.shape == (X.shape[0], n) and s.shape == (n,)
     scale = max(float(s[0]), 1.0)
     assert np.abs(s - singular_values_via_augmented(X)).max() <= 1e-8 * scale
-    assert reconstruction_error(X, U, s, V) <= 1e-8 * scale
+    assert projection_error(X, U) <= 1e-8 * scale
     assert orthonormality_error(U) <= 1e-8
-    assert orthonormality_error(V) <= 1e-8
+    assert row_gram_error(X, U, s) <= 1e-8 * scale ** 2
     assert (s >= 0).all() and (np.diff(s) <= 0).all()
     largest = U[np.argmax(np.abs(U), axis=0), np.arange(n)]
     assert (largest >= 0).all()
-    U2, s2, V2 = jacobi_svd(np.asfortranarray(X))
-    assert np.array_equal(U, U2) and np.array_equal(s, s2) and np.array_equal(V, V2)
+    U2, s2, sweeps2 = jacobi_svd(np.asfortranarray(X))
+    assert np.array_equal(U, U2) and np.array_equal(s, s2) and sweeps == sweeps2
+
+
+def test_rank_above_live_count_completes_u_within_the_rank():
+    # A Kahan matrix keeps its column order under pivoting, so the QR sees
+    # full rank 60, yet its smallest singular value falls below the
+    # eps-relative cut: 59 singular values survive, and the 60th left
+    # singular vector comes from completing the live ones within the rank.
+    n, c = 60, 0.5
+    s = np.sqrt(1.0 - c * c)
+    K = (s ** np.arange(n))[:, None] * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    K *= 1.0 - 100.0 * np.finfo(float).eps * np.arange(n)
+    X = np.vstack([K, np.zeros((10, n))])
+    _, R, perm = householder_qr(X)
+    diag = np.abs(np.diag(R))
+    assert np.array_equal(perm, np.arange(n)) and diag[-1] > diag[0] * 70 * np.finfo(float).eps
+    U, s, _ = jacobi_svd(X)
+    assert U.shape == (70, 60) and np.count_nonzero(s) == 59
+    assert orthonormality_error(U) <= 1e-12
+    assert projection_error(X, U) <= 1e-12 * s[0]
+    assert np.abs(s - singular_values_via_augmented(X)).max() <= 1e-12 * s[0]
+
+
+@pytest.mark.parametrize("mode", ["root", "light"])
+def test_fixture_matrices_converge_within_ten_sweeps(mode, mini_paragraphs, root_config, light_config):
+    config = root_config if mode == "root" else light_config
+    _, _, sweeps = jacobi_svd(build_matrix(mini_paragraphs, config).to_dense())
+    assert 1 <= sweeps <= 10
