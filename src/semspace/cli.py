@@ -240,7 +240,7 @@ def _build_parser() -> _Parser:
 
     p_build = sub.add_parser("build", help="build and persist a word space")
     p_build.add_argument("--mode", choices=MODES, required=True)
-    p_build.add_argument("-k", type=int, default=None, help="dimensions to keep (default min(300, n))")
+    p_build.add_argument("-k", type=int, default=None, help="dimensions to keep, at most the rank (default min(300, rank))")
     p_build.add_argument("--scaling", choices=SCALINGS, default=None)
     p_build.add_argument("--rules", default=None)
     p_build.add_argument("--config", default=None)
@@ -261,7 +261,7 @@ def _build_parser() -> _Parser:
     p_report.add_argument("--corpus", required=True)
     p_report.add_argument("--pairs", required=True)
     p_report.add_argument("--modes", default=None, help="comma-separated subset of root,light,none")
-    p_report.add_argument("-k", type=int, default=None)
+    p_report.add_argument("-k", type=int, default=None, help="dimensions to keep, at most the smallest rank over --modes")
     p_report.add_argument("--scaling", choices=SCALINGS, default=None)
     p_report.add_argument("--format", choices=("tsv", "markdown"), default=None)
     p_report.add_argument("--rules", default=None)

@@ -18,7 +18,7 @@ from .lsa import (
     SCALING_U,
     SemanticSpace,
     build_matrix,
-    default_k,
+    factorize,
     space_fingerprint,
     space_from_matrix,
     word_vector,
@@ -140,22 +140,26 @@ def run_comparison(
     rules_dir: Path | None = None,
     unit_length: bool = False,
 ) -> ComparisonReport:
-    """Build one space per requested stemmer over the same corpus and score every pair."""
+    """Build one space per requested stemmer over the same corpus and score every pair.
+
+    Every space keeps the same k, by default min(300, smallest rank over the modes).
+    """
     corpus = load_corpus(corpus_dir)
     paragraphs = segment_corpus(corpus)
     stats = corpus_stats(corpus, paragraphs)
 
     configs = [make_config(mode, rules_dir) for mode in modes]
     matrices = [build_matrix(paragraphs, config) for config in configs]
+    factored = [factorize(matrix) for matrix in matrices]
     if k is None:
-        k = min(default_k(matrix) for matrix in matrices)  # one k for every mode
+        k = min(300, *(factors.n for factors in factored))  # one k for every mode
 
     rules_fp = next((c.rules_fingerprint for c in configs if c.rules_fingerprint), "")
     corpus_fp = space_fingerprint(rules_fp, stats)
 
     rows: list[ReportRow] = []
-    for config, matrix in zip(configs, matrices):
-        space = space_from_matrix(matrix, stats, config, k, scaling)
+    for config, matrix, factors in zip(configs, matrices, factored):
+        space = space_from_matrix(matrix, factors, stats, config, k, scaling)
         rows.extend(_evaluate_pair(space, config, pair, unit_length) for pair in pairs)
     return ComparisonReport(
         rows=rows,

@@ -92,12 +92,13 @@ class CooccurrenceMatrix:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    U: np.ndarray  # m x n, orthonormal columns
-    sigma: np.ndarray  # length n, non-increasing
+    U: np.ndarray  # m x r, orthonormal columns, r the numerical rank
+    sigma: np.ndarray  # length min(m, c), non-increasing, zero beyond r
 
     @property
     def n(self) -> int:
-        return int(self.sigma.shape[0])
+        """The numerical rank r, the most dimensions a space can keep."""
+        return int(self.U.shape[1])
 
 
 @dataclass(frozen=True)
@@ -189,27 +190,22 @@ def truncate(
     )
 
 
-def default_k(matrix: CooccurrenceMatrix) -> int:
-    """The k used when none is given: min(300, n), n = min(words, paragraphs)."""
-    return min(300, min(matrix.shape))
-
-
 def space_from_matrix(
     matrix: CooccurrenceMatrix,
+    factors: SvdFactors,
     stats: CorpusStats,
     config: StemmerConfig,
     k: int | None,
     scaling: str,
 ) -> SemanticSpace:
-    """Factor a count matrix built with `config` and truncate it to k
-    (default_k when k is None), recording the space's provenance."""
-    factors = factorize(matrix)
+    """Truncate the factors of a count matrix built with `config` to k
+    (min(300, rank) when k is None), recording the space's provenance."""
     provenance = Provenance(
         stemmer_mode=config.mode,
         rules_fingerprint=config.rules_fingerprint,
         space_fingerprint=space_fingerprint(config.rules_fingerprint, stats),
     )
-    return truncate(factors, default_k(matrix) if k is None else k, scaling,
+    return truncate(factors, min(300, factors.n) if k is None else k, scaling,
                     matrix.vocabulary, provenance, n_columns=matrix.shape[1])
 
 
@@ -222,9 +218,11 @@ def build_space(
 ) -> SemanticSpace:
     """Matrix construction, factorization and truncation in one step.
 
-    When k is None the default min(300, n) is used.
+    When k is None the default min(300, rank) is used; a k above the rank
+    raises ValueError.
     """
-    return space_from_matrix(build_matrix(paragraphs, config), stats, config, k, scaling)
+    matrix = build_matrix(paragraphs, config)
+    return space_from_matrix(matrix, factorize(matrix), stats, config, k, scaling)
 
 
 def word_vector(space: SemanticSpace, surface: str, config: StemmerConfig) -> np.ndarray:
@@ -309,6 +307,8 @@ def load_space(path: str | Path) -> SemanticSpace:
     rules_fp = reader.take_str()
     space_fp = reader.take_str()
     m, n_columns, k = struct.unpack("<QQQ", reader.take(24))
+    if not 1 <= k <= m:
+        raise SpaceFormatError(f"space keeps k={k} dimensions, outside 1..{m}")
     (scaling_tag,) = struct.unpack("<B", reader.take(1))
     if scaling_tag not in _TAG_SCALINGS:
         raise SpaceFormatError(f"unknown scaling tag {scaling_tag}")

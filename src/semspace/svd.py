@@ -1,8 +1,9 @@
 """Dense singular value decomposition, implemented here rather than delegated.
 
 Only the left singular vectors and the singular values are computed: the
-word space is rows of U, and nothing reads the paragraph side. The
-factorization runs in four steps:
+word space is rows of U, and nothing reads the paragraph side. U keeps only
+the columns with a nonzero singular value; no basis of the null space is
+made up. The factorization runs in three steps:
 
 1. Identical columns are merged: c copies of a column become one column
    scaled by sqrt(c). This leaves X @ X.T, and so U and sigma, unchanged.
@@ -22,9 +23,6 @@ factorization runs in four steps:
    permutation. The schedule never varies, so results are
    bit-reproducible. Pairs whose norms sit at roundoff level relative to
    the matrix are excluded from the convergence measure.
-4. Directions with no singular value get sigma 0. Within the first r
-   columns, U is completed from the Householder Q of its own live columns;
-   beyond r, from the columns of the first Householder Q.
 """
 
 from __future__ import annotations
@@ -58,22 +56,19 @@ def _pair_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
     return home, step
 
 
-def householder_qr(
-    A: np.ndarray, q_cols: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-pivoted QR of an m x c matrix: A[:, perm] == Q @ R.
 
     Each step moves the remaining column of largest norm to the front, so
-    |diag R| is non-increasing. Q is m x q_cols with orthonormal columns
-    (q_cols defaults to min(m, c) and may be up to m), and R is q_cols x c
-    upper triangular.
+    |diag R| is non-increasing. Q is m x min(m, c) with orthonormal columns,
+    and R is min(m, c) x c upper triangular.
     """
     A = np.array(A, dtype=np.float64, order="C")
     m, c = A.shape
-    q_cols = min(m, c) if q_cols is None else q_cols
+    n = min(m, c)
     perm = np.arange(c)
     reflectors: list[np.ndarray | None] = []
-    for k in range(min(m, c)):
+    for k in range(n):
         tail = A[k:, k:]
         j = k + int(np.argmax(np.einsum("ij,ij->j", tail, tail)))
         if j != k:
@@ -88,15 +83,11 @@ def householder_qr(
             continue
         v = x.copy()
         v[0] += np.copysign(norm_x, x[0]) if x[0] != 0 else norm_x
-        norm_v = np.linalg.norm(v)
-        if norm_v == 0.0:
-            reflectors.append(None)
-            continue
-        v /= norm_v
+        v /= np.linalg.norm(v)
         A[k:, k:] -= np.outer(v, 2.0 * (v @ A[k:, k:]))
         reflectors.append(v)
-    R = np.triu(A[:q_cols, :])
-    Q = np.eye(m, q_cols)
+    R = np.triu(A[:n, :])
+    Q = np.eye(m, n)
     for k in reversed(range(len(reflectors))):
         v = reflectors[k]
         if v is not None:
@@ -177,9 +168,10 @@ def jacobi_svd(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Left singular vectors and singular values of X (m x c), and the sweeps run.
 
-    U is m x n with orthonormal columns, n = min(m, c), sigma is
-    non-increasing, and U.T @ X has mutually orthogonal rows with norms
-    sigma, so X = U @ U.T @ X. Ties keep their pre-sort order, and each
+    sigma has length min(m, c), is non-increasing, and is zero beyond the
+    numerical rank r = count_nonzero(sigma). U is m x r with orthonormal
+    columns, and U.T @ X has mutually orthogonal rows with norms sigma[:r],
+    so X = U @ U.T @ X. Ties keep their pre-sort order, and each
     column of U has its largest-magnitude entry non-negative, so equal
     inputs give bit-identical factors. The third item is the number of
     Jacobi sweeps to convergence.
@@ -190,10 +182,9 @@ def jacobi_svd(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("expected a non-empty 2-d matrix")
-    n = min(X.shape)
 
     merged = _merge_duplicate_columns(X)
-    Q, R, _ = householder_qr(merged, q_cols=n)
+    Q, R, _ = householder_qr(merged)
     diag = np.abs(np.diag(R))
     rank = int(np.count_nonzero(diag > diag[0] * max(merged.shape) * _MACHINE_EPS))
 
@@ -207,19 +198,17 @@ def jacobi_svd(
 
     sigma = np.sqrt(np.einsum("ij,ij->i", B, B))
     order = np.argsort(-sigma, kind="stable")
-    sigma = np.r_[sigma[order], np.zeros(n - rank)]
+    sigma = np.r_[sigma[order], np.zeros(min(X.shape) - rank)]
     alive = sigma > sigma[0] * _MACHINE_EPS * 10
     live = int(np.count_nonzero(alive))
     sigma[~alive] = 0.0
 
-    Y = np.empty((rank, rank))
-    Y[p2, :live] = (B[order[:live]] / sigma[:live, None]).T
-    if live < rank:
-        Y[:, live:] = householder_qr(Y[:, :live], q_cols=rank)[0][:, live:]
-    U = Q  # its columns beyond the rank complete U
-    U[:, :rank] = Q[:, :rank] @ Y
+    Y = np.empty((rank, live))
+    Y[p2] = (B[order[:live]] / sigma[:live, None]).T
+    U = Q[:, :rank] @ Y
+    del Q
 
     rows = np.argmax(np.abs(U), axis=0)
-    flip = U[rows, np.arange(n)] < 0
+    flip = U[rows, np.arange(live)] < 0
     U[:, flip] = -U[:, flip]
     return U, sigma, sweeps

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from semspace.cli import main
-from semspace.lsa import load_space
+from semspace.lsa import Provenance, SemanticSpace, Vocabulary, load_space, save_space
 
 
 @pytest.fixture()
@@ -155,6 +156,35 @@ def test_build_default_k(capsys, tiny_corpus, tmp_path):
     assert space.k == min(300, len(space.vocabulary), space.n_columns) == 6
 
 
+@pytest.fixture()
+def rank_two_corpus(tmp_path):
+    """Three light-stemmed rows, three paragraphs, two of them equal: rank 2."""
+    root = tmp_path / "rank2"
+    root.mkdir()
+    (root / "doc.txt").write_text("السفير الوزير\n\nالسفير الوزير\n\nالمدينة\n", encoding="utf-8")
+    return root
+
+
+def test_build_default_k_is_the_rank(capsys, rank_two_corpus, tmp_path):
+    space_file = tmp_path / "space.bin"
+    code, out, err = run(capsys, "build", "--mode", "light", str(rank_two_corpus), "-o", str(space_file))
+    assert code == 0
+    space = load_space(space_file)
+    assert (len(space.vocabulary), space.n_columns) == (3, 3)
+    assert space.k == 2
+    assert np.count_nonzero(space.sigma) == 2
+
+
+def test_build_k_above_the_rank_is_usage_error(capsys, rank_two_corpus, tmp_path):
+    space_file = tmp_path / "space.bin"
+    code, out, err = run(
+        capsys, "build", "--mode", "light", "-k", "3", str(rank_two_corpus), "-o", str(space_file)
+    )
+    assert code == 1
+    assert "k must be in 1..2" in err
+    assert not space_file.exists()
+
+
 def test_build_and_sim(capsys, tiny_corpus, tmp_path):
     space_file = tmp_path / "space.bin"
     code, out, err = run(
@@ -203,6 +233,24 @@ def test_sim_corrupt_space_is_data_error(capsys, tmp_path):
     bad.write_bytes(b"not a space file at all")
     code, out, err = run(capsys, "sim", "--space", str(bad), "اب", "جد")
     assert code == 4
+
+
+def test_sim_space_with_no_dimensions_is_data_error(capsys, tmp_path):
+    # a well-formed, checksummed file whose header says k = 0
+    space = SemanticSpace(
+        k=0,
+        scaling="u",
+        vocabulary=Vocabulary(["اب", "جد"]),
+        sigma=np.empty(0),
+        word_vectors=np.empty((2, 0)),
+        provenance=Provenance("none", "", "fp"),
+        n_columns=2,
+    )
+    space_file = tmp_path / "empty.bin"
+    save_space(space, space_file)
+    code, out, err = run(capsys, "sim", "--space", str(space_file), "اب", "جد")
+    assert code == 4
+    assert "outside 1..2" in err
 
 
 def test_sim_warns_on_differing_rules(capsys, tiny_corpus, tmp_path):

@@ -152,6 +152,17 @@ def test_run_comparison_default_k_is_minimum_over_modes(tmp_path):
     assert [row.oov for row in report.rows] == [(), ()]
 
 
+def test_run_comparison_default_k_is_the_smallest_rank(tmp_path):
+    (tmp_path / "doc.txt").write_text(
+        "السفير المدينة\n\nالسفارة المدينة\n\nالوزير\n\nالوزير\n", encoding="utf-8"
+    )
+    pair = WordPair("السفير", "السفارة", "Similar")
+    report = run_comparison(tmp_path, [pair], modes=("root", "light"), k=None)
+    # root: 3 rows, rank 2 (سفر and مد share paragraphs); light: 4 rows, rank 3
+    assert report.metadata.k == 2
+    assert [row.oov for row in report.rows] == [(), ()]
+
+
 def test_run_comparison_empty_corpus(tmp_path, all_pairs):
     with pytest.raises(EmptyCorpusError):
         run_comparison(tmp_path, all_pairs, modes=("light",), k=2)

@@ -6,11 +6,13 @@ from semspace.errors import (
     EmptyCorpusError,
     OutOfVocabularyError,
     SpaceChecksumError,
+    SpaceFormatError,
     SpaceTruncatedError,
     SpaceVersionError,
 )
 from semspace.lsa import (
     Provenance,
+    SemanticSpace,
     SvdFactors,
     Vocabulary,
     build_matrix,
@@ -116,6 +118,13 @@ def test_truncate_usigma_scaling():
     plain = truncate(factors, 2, "u", vocab, PROV)
     scaled = truncate(factors, 2, "usigma", vocab, PROV)
     assert np.allclose(scaled.word_vectors, plain.word_vectors * factors.sigma[:2])
+
+
+def test_factors_n_is_the_rank(mini_paragraphs, root_config):
+    # the bundled corpus has rank 93 of 205 paragraphs
+    factors = factorize(build_matrix(mini_paragraphs, root_config))
+    assert factors.n == np.count_nonzero(factors.sigma) == factors.U.shape[1] == 93
+    assert factors.sigma.shape == (205,)
 
 
 def test_truncate_k_out_of_range():
@@ -225,6 +234,15 @@ def test_version_mismatch_detected(tmp_path, light_space):
     payload[8:12] = struct.pack("<I", 99)
     _rewrite_with_checksum(path, bytes(payload))
     with pytest.raises(SpaceVersionError):
+        load_space(path)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_space_dimension_outside_one_to_vocabulary_size_rejected(tmp_path, k):
+    space = SemanticSpace(k, "u", Vocabulary(["اب", "جد"]), np.ones(k), np.ones((2, k)), PROV, 2)
+    path = tmp_path / "space.bin"
+    save_space(space, path)
+    with pytest.raises(SpaceFormatError, match="outside 1..2"):
         load_space(path)
 
 
