@@ -9,20 +9,28 @@ made up. The factorization runs in three steps:
    scaled by sqrt(c). This leaves X @ X.T, and so U and sigma, unchanged.
 2. The merged matrix is factored by a Householder QR with column pivoting
    (Businger & Golub, 1965), and R is cut at its numerical rank r, read off
-   its non-increasing diagonal.
+   its non-increasing diagonal. The QR is blocked as LAPACK's dgeqp3 is
+   (Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput. 19(5), 1998): pivots
+   come from downdated column norms, and the rest of the matrix is updated
+   by one matmul per 32-column panel. Q is kept as one block reflector per
+   panel (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10(1), 1989).
 3. The transposed r rows of R are factored by a second pivoted QR,
    R[:r].T[:, p2] = Q2 @ R2, the preconditioning of Drmac & Veselic (SIAM
-   J. Matrix Anal. Appl. 29(4), 2008). A one-sided Jacobi iteration then
-   rotates the r x r rows of R2 until they are orthogonal: row i ends as
-   sigma_i * y_i.T, so the normalized rows, transposed and put back in the
-   order p2, are the left singular vectors of R[:r], and Q[:, :r] carries
-   them to U. No rotation is accumulated. The rows sit in pair slots of a
-   fixed round-robin schedule (a zero spare row pads an odd r): each round's
-   disjoint pairs are adjacent, rotated together by one batched 2 x 2
-   matmul, and moved to the next round's slots by one fixed row
-   permutation. The schedule never varies, so results are
-   bit-reproducible. Pairs whose norms sit at roundoff level relative to
-   the matrix are excluded from the convergence measure.
+   J. Matrix Anal. Appl. 29(4), 2008); only R2 and p2 are kept. A one-sided
+   Jacobi iteration then rotates the r x r rows of R2 until they are
+   orthogonal: row i ends as sigma_i * y_i.T, so the normalized rows,
+   transposed and put back in the order p2, are the left singular vectors
+   of R[:r], and applying the first QR's block reflectors to them, padded
+   with zero rows, gives U. No rotation is accumulated. The rows sit in
+   pair slots of a fixed round-robin schedule (a zero spare row pads an odd
+   r): each round's disjoint pairs are adjacent, rotated together by one
+   batched 2 x 2 matmul, and moved to the next round's slots by one fixed
+   row permutation. The squared row norms are computed once per sweep and
+   updated by each rotation (as in LAPACK's dgesvj), so a round computes
+   only the pairs' inner products. The schedule never varies, so results
+   are bit-reproducible on the same numpy and BLAS build and thread count.
+   Pairs whose norms sit at roundoff level relative to the matrix are
+   excluded from the convergence measure.
 """
 
 from __future__ import annotations
@@ -35,6 +43,13 @@ _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_SWEEPS = 60
+
+_PANEL = 32  # columns per block reflector of householder_qr
+# A downdated squared column norm below this share of its last computed value
+# is recomputed: the downdate's relative error grows as the inverse share
+# (Drmac & Bujanovic, ACM TOMS 35(2), 2008). LAPACK's sqrt(eps) keeps half the
+# digits, too few to order columns whose norms differ by 100 ulps.
+_NORM_RECOMPUTE = 0.02
 
 
 def _pair_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -56,43 +71,74 @@ def _pair_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
     return home, step
 
 
-def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-pivoted QR of an m x c matrix: A[:, perm] == Q @ R.
+def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Column-pivoted QR of an m x c matrix: A[:, perm] == Q @ R; Q is not formed.
 
-    Each step moves the remaining column of largest norm to the front, so
-    |diag R| is non-increasing. Q is m x min(m, c) with orthonormal columns,
-    and R is min(m, c) x c upper triangular.
+    Returns (R, perm, reflectors). Each step moves the remaining column of
+    largest norm to the front, so |diag R| is non-increasing; R is
+    min(m, c) x c upper triangular. Q is the product of one block reflector
+    I - V @ T @ V.T on rows k0 and below per panel of _PANEL columns, listed
+    as (k0, V, T) for `apply_q`. As in LAPACK's dlaqps, the trailing columns
+    are updated once per panel, and a panel ends early when a downdated norm
+    must be recomputed from its updated column.
     """
-    A = np.array(A, dtype=np.float64, order="C")
+    A = np.array(A, dtype=np.float64, order="F")
     m, c = A.shape
     n = min(m, c)
     perm = np.arange(c)
-    reflectors: list[np.ndarray | None] = []
-    for k in range(n):
-        tail = A[k:, k:]
-        j = k + int(np.argmax(np.einsum("ij,ij->j", tail, tail)))
-        if j != k:
-            A[:, [k, j]] = A[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
-        if k == m - 1:
-            break
-        x = A[k:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            reflectors.append(None)
-            continue
-        v = x.copy()
-        v[0] += np.copysign(norm_x, x[0]) if x[0] != 0 else norm_x
-        v /= np.linalg.norm(v)
-        A[k:, k:] -= np.outer(v, 2.0 * (v @ A[k:, k:]))
-        reflectors.append(v)
-    R = np.triu(A[:n, :])
-    Q = np.eye(m, n)
-    for k in reversed(range(len(reflectors))):
-        v = reflectors[k]
-        if v is not None:
-            Q[k:, :] -= np.outer(v, 2.0 * (v @ Q[k:, :]))
-    return Q, R, perm
+    norms = np.linalg.norm(A, axis=0)
+    exact = norms.copy()  # each column's norm when it was last computed, not downdated
+    reflectors = []
+    k0 = 0
+    while k0 < n:
+        nb = min(_PANEL, n - k0)
+        V, T, F = np.zeros((m - k0, nb)), np.zeros((nb, nb)), np.zeros((c - k0, nb))
+        # The panel's pending update of columns k0 and up is A -= V @ F.T.
+        for i in range(nb):
+            k = k0 + i
+            j = k + int(np.argmax(norms[k:]))
+            if j != k:
+                A[:, [k, j]] = A[:, [j, k]]
+                F[[i, j - k0]] = F[[j - k0, i]]
+                for a in (perm, norms, exact):
+                    a[[k, j]] = a[[j, k]]
+            x = A[k:, k]
+            x -= V[i:, :i] @ F[i, :i]
+            v = V[i:, i]
+            v[0] = 1.0
+            tail = np.linalg.norm(x[1:])
+            tau = 0.0
+            if tail != 0.0:
+                beta = -np.copysign(np.hypot(x[0], tail), x[0])
+                tau = (beta - x[0]) / beta
+                v[1:] = x[1:] / (x[0] - beta)
+                x[0] = beta
+            aux = -tau * (V[i:, :i].T @ v)
+            F[i + 1 :, i] = tau * (A[k:, k + 1 :].T @ v) + F[i + 1 :, :i] @ aux
+            T[:i, i], T[i, i] = T[:i, :i] @ aux, tau
+            A[k, k + 1 :] -= V[i, : i + 1] @ F[i + 1 :, : i + 1].T
+            # downdate the norms by row k
+            rest = norms[k + 1 :]
+            ratio = np.divide(np.abs(A[k, k + 1 :]), rest, out=np.zeros_like(rest), where=rest > 0)
+            left = np.maximum(0.0, (1.0 + ratio) * (1.0 - ratio))
+            lost = left * rest**2 <= _NORM_RECOMPUTE * exact[k + 1 :] ** 2
+            stale = k + 1 + np.flatnonzero(lost & (rest > 0))
+            rest *= np.sqrt(left)
+            if stale.size:
+                break
+        k = k0 + i + 1
+        A[k:, k:] -= V[k - k0 :, : i + 1] @ F[k - k0 :, : i + 1].T
+        norms[stale] = exact[stale] = np.linalg.norm(A[k:, stale], axis=0)
+        reflectors.append((k0, V[:, : i + 1].copy(), T[: i + 1, : i + 1].copy()))
+        k0 = k
+    return np.triu(A[:n]), perm, reflectors
+
+
+def apply_q(reflectors: list, C: np.ndarray) -> np.ndarray:
+    """Overwrite C (float64, m rows) with Q @ C, Q given by `householder_qr`'s reflectors."""
+    for k0, V, T in reversed(reflectors):
+        C[k0:] -= V @ (T @ (V.T @ C[k0:]))
+    return C
 
 
 def _merge_duplicate_columns(X: np.ndarray) -> np.ndarray:
@@ -125,12 +171,14 @@ def _jacobi_rows(G: np.ndarray, max_sweeps: int, tol: float) -> int:
     off = float("inf")
     for sweep in range(1, max_sweeps + 1):
         off = 0.0
+        # Squared row norms, exact at the start of the sweep and updated by
+        # each rotation; they move slots with the rows. The sweep that ends
+        # the iteration rotates nothing, so its norms stay exact.
+        norms = np.einsum("ij,ij->i", slots, slots)
         for _ in range(m - 1):
             pairs = slots.reshape(m // 2, 2, w)
-            Bp, Bq = pairs[:, 0], pairs[:, 1]
-            app = np.einsum("ij,ij->i", Bp, Bp)
-            aqq = np.einsum("ij,ij->i", Bq, Bq)
-            apq = np.einsum("ij,ij->i", Bp, Bq)
+            app, aqq = norms[0::2], norms[1::2]
+            apq = np.einsum("ij,ij->i", pairs[:, 0], pairs[:, 1])
             live = (app > dead_level) & (aqq > dead_level)
             rel = np.where(live, np.abs(apq) / np.sqrt(np.where(live, app * aqq, 1.0)), 0.0)
             off = max(off, float(rel.max()))
@@ -140,6 +188,7 @@ def _jacobi_rows(G: np.ndarray, max_sweeps: int, tol: float) -> int:
                 # step's indices are always in range.
                 np.take(slots, step, axis=0, out=spare, mode="clip")
                 slots, spare = spare, slots
+                norms = norms[step]
                 continue
             tau = (aqq - app) / (2.0 * np.where(active, apq, 1.0))
             t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
@@ -151,6 +200,9 @@ def _jacobi_rows(G: np.ndarray, max_sweeps: int, tol: float) -> int:
             rot[:, 1, 0] = sin_t
             np.matmul(rot, pairs, out=spare.reshape(m // 2, 2, w))
             np.take(spare, step, axis=0, out=slots, mode="clip")
+            app -= t * apq  # app and aqq are views into norms
+            aqq += t * apq
+            norms = norms[step]
         if off <= tol:
             G[:] = slots[home[:n]]
             return sweep
@@ -184,15 +236,16 @@ def jacobi_svd(
         raise ValueError("expected a non-empty 2-d matrix")
 
     merged = _merge_duplicate_columns(X)
-    Q, R, _ = householder_qr(merged)
+    R, _, reflectors = householder_qr(merged)
     diag = np.abs(np.diag(R))
     rank = int(np.count_nonzero(diag > diag[0] * max(merged.shape) * _MACHINE_EPS))
 
     # R[:rank].T[:, p2] = Q2 @ R2, and Jacobi turns the rows of R2 into
     # B = W @ R2 = diag(sigma) @ Z.T, W orthogonal, so up to the cut
     # merged[:, perm] = Q[:, :rank] @ Y @ diag(sigma) @ (Q2 @ W.T).T with
-    # Y[p2] = Z. U needs only Y, so W is never formed.
-    _, B, p2 = householder_qr(R[:rank].T)
+    # Y[p2] = Z. U needs only Y, so neither Q2 nor W is formed, and Q is
+    # applied to Y padded with zero rows.
+    B, p2, _ = householder_qr(R[:rank].T)
     del R
     sweeps = _jacobi_rows(B, max_sweeps, tol)
 
@@ -203,10 +256,9 @@ def jacobi_svd(
     live = int(np.count_nonzero(alive))
     sigma[~alive] = 0.0
 
-    Y = np.empty((rank, live))
+    Y = np.zeros((X.shape[0], live))
     Y[p2] = (B[order[:live]] / sigma[:live, None]).T
-    U = Q[:, :rank] @ Y
-    del Q
+    U = apply_q(reflectors, Y)
 
     rows = np.argmax(np.abs(U), axis=0)
     flip = U[rows, np.arange(live)] < 0
