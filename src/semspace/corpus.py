@@ -12,6 +12,7 @@ Normalization rules (versioned here, the single source of truth):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,24 +25,20 @@ _TATWEEL = {0x0640: None}
 _FOLDS = {ord("أ"): "ا", ord("إ"): "ا", ord("آ"): "ا", ord("ى"): "ي"}
 _CLEAN_TABLE = {**_DIACRITICS, **_TATWEEL, **_FOLDS}
 
-_ARABIC_FIRST = 0x0621
-_ARABIC_LAST = 0x064A
+_NON_ARABIC = re.compile(r"[^\u0621-\u064A]+")
+_NON_ARABIC_OR_SPACE = re.compile(r"[^\u0621-\u064A\s]+")
 
 
 def normalize(raw: str) -> str:
     """Normalize one raw token. Returns '' when nothing Arabic survives."""
-    cleaned = raw.translate(_CLEAN_TABLE)
-    return "".join(ch for ch in cleaned if _ARABIC_FIRST <= ord(ch) <= _ARABIC_LAST)
+    return _NON_ARABIC.sub("", raw.translate(_CLEAN_TABLE))
 
 
 def tokenize(text: str) -> list[Token]:
     """Split on Unicode whitespace, normalize each piece, drop the empties."""
-    tokens = []
-    for piece in text.split():
-        norm = normalize(piece)
-        if norm:
-            tokens.append(norm)
-    return tokens
+    # Regex \s and str.isspace agree on every code point, so dropping the
+    # non-Arabic letters first leaves the same pieces for split() to return.
+    return _NON_ARABIC_OR_SPACE.sub("", text.translate(_CLEAN_TABLE)).split()
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,8 @@ class Vocabulary:
     """Dense, insertion-ordered token <-> row-index bijection."""
 
     def __init__(self, tokens: list[str] | None = None):
-        self._index: dict[str, int] = {}
-        self._tokens: list[str] = []
-        for token in tokens or []:
-            self.add(token)
+        self._tokens: list[str] = list(dict.fromkeys(tokens or []))
+        self._index: dict[str, int] = {token: i for i, token in enumerate(self._tokens)}
 
     def add(self, token: str) -> int:
         idx = self._index.get(token)
@@ -268,6 +266,9 @@ def save_space(space: SemanticSpace, path: str | Path) -> None:
     Path(path).write_bytes(payload + checksum)
 
 
+_LENGTH = struct.Struct("<I")
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -282,9 +283,19 @@ class _Reader:
         self.pos += size
         return chunk
 
-    def take_str(self) -> str:
-        (length,) = struct.unpack("<I", self.take(4))
-        return self.take(length).decode("utf-8")
+    def take_strs(self, count: int) -> list[str]:
+        """`count` length-prefixed UTF-8 strings, read in one pass."""
+        data, pos, out = self.data, self.pos, []
+        for _ in range(count):
+            end = pos + 4 + (_LENGTH.unpack_from(data, pos)[0] if pos + 4 <= len(data) else 0)
+            if end > len(data):  # take raises, naming the length prefix or the word that is cut
+                self.pos = pos
+                self.take(4)
+                self.take(end - pos - 4)
+            out.append(data[pos + 4: end].decode("utf-8"))
+            pos = end
+        self.pos = pos
+        return out
 
 
 def load_space(path: str | Path) -> SemanticSpace:
@@ -304,15 +315,16 @@ def load_space(path: str | Path) -> SemanticSpace:
     (mode_tag,) = struct.unpack("<B", reader.take(1))
     if mode_tag not in _TAG_MODES:
         raise SpaceFormatError(f"unknown stemmer tag {mode_tag}")
-    rules_fp = reader.take_str()
-    space_fp = reader.take_str()
+    rules_fp, space_fp = reader.take_strs(2)
     m, n_columns, k = struct.unpack("<QQQ", reader.take(24))
     if not 1 <= k <= m:
         raise SpaceFormatError(f"space keeps k={k} dimensions, outside 1..{m}")
     (scaling_tag,) = struct.unpack("<B", reader.take(1))
     if scaling_tag not in _TAG_SCALINGS:
         raise SpaceFormatError(f"unknown scaling tag {scaling_tag}")
-    vocabulary = Vocabulary([reader.take_str() for _ in range(m)])
+    vocabulary = Vocabulary(reader.take_strs(m))
+    if len(vocabulary) < m:
+        raise SpaceFormatError(f"space vocabulary repeats {m - len(vocabulary)} of its {m} words")
     sigma = np.frombuffer(reader.take(8 * k), dtype="<f8").copy()
     vectors = np.frombuffer(reader.take(8 * m * k), dtype="<f8").copy().reshape(m, k)
     if reader.pos != len(payload):

@@ -1,19 +1,22 @@
 """Two interchangeable Arabic stemmers over shared, versioned rule data.
 
 The light stemmer strips antefixes and prefixes from the front and
-postfixes and suffixes from the back, longest match first, repeating until
-nothing matches and never leaving fewer than ``MIN_STEM_LEN`` (2) letters,
-so stemming is idempotent on its own output. The root stemmer applies the
-identical stripping and then matches the residual against same-length
-templates to extract a 3- or 4-letter root, falling back to the residual
-when nothing matches. Because both stemmers share one stripping pass, the
+postfixes and suffixes from the back, repeating until nothing matches and
+never leaving fewer than ``MIN_STEM_LEN`` (2) letters, so stemming is
+idempotent on its own output. Each table is ordered longest first, a region
+tries its own table before its neighbour's, and the first entry that fits
+wins. The root stemmer applies the identical stripping and then matches the
+residual against same-length templates to extract a 3- or 4-letter root,
+falling back to the residual when nothing matches. Because both stemmers share one stripping pass, the
 equivalence classes of the root stemmer are always at least as coarse as
 the light stemmer's.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import re
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -37,21 +40,22 @@ def default_rules_dir() -> Path:
     return Path(str(files("semspace") / "data" / "rules"))
 
 
-def _read_entries(path: Path) -> list[str]:
-    """One entry per line; '#' starts a comment; blank lines ignored."""
-    entries: list[str] = []
-    seen = set()
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or line in seen:
-            continue
-        seen.add(line)
-        entries.append(line)
-    return entries
+def _read_rules(rules_dir: Path) -> dict[str, bytes]:
+    """The bytes of each rule file present in `rules_dir`, by name."""
+    return {name: (rules_dir / name).read_bytes() for name in RULE_FILES if (rules_dir / name).is_file()}
 
 
-def _longest_first(entries: list[str]) -> tuple[str, ...]:
-    return tuple(sorted(entries, key=lambda e: -len(e)))  # stable: file order breaks ties
+def _rule_text(rules: dict[str, bytes], rules_dir: Path, name: str) -> str:
+    if name not in rules:
+        raise RuleFormatError(f"missing rule file: {rules_dir / name}")
+    return rules[name].decode("utf-8")
+
+
+def _longest_first(text: str) -> tuple[str, ...]:
+    """A table's entries, one per line ('#' starts a comment), without blanks
+    or repeats, longest first; file order breaks ties."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return tuple(sorted(dict.fromkeys(line for line in lines if line), key=len, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -131,20 +135,24 @@ class Decomposition:
     postfix: str | None
 
 
+@functools.lru_cache
+def _region_pattern(affixes: tuple[str, ...], front: bool) -> re.Pattern:
+    """Strips a region in one match: alternatives are tried in table order,
+    so the first entry that fits wins, and the lookahead keeps MIN_STEM_LEN
+    letters. A back region matches the reversed word."""
+    alternatives = "|".join(re.escape(a if front else a[::-1]) for a in affixes)
+    return re.compile(f"(?:(?:{alternatives})(?=.{{{MIN_STEM_LEN}}}))*", re.DOTALL)
+
+
 def _strip_region(word: str, affixes: tuple[str, ...], front: bool) -> tuple[str | None, str]:
     """Strip from one end of `word` until no entry of `affixes` fits, taking
     the first that does (callers pass each table longest-first, in priority
     order); returns the stripped letters, or None, and the rest."""
-    rest = word
-    while True:
-        for affix in affixes:
-            if len(rest) - len(affix) >= MIN_STEM_LEN and (rest.startswith(affix) if front else rest.endswith(affix)):
-                rest = rest[len(affix):] if front else rest[: -len(affix)]
-                break
-        else:
-            break
-    stripped = word[: len(word) - len(rest)] if front else word[len(rest):]
-    return stripped or None, rest
+    if front:
+        n = _region_pattern(affixes, True).match(word).end()
+        return word[:n] or None, word[n:]
+    n = len(word) - _region_pattern(affixes, False).match(word[::-1]).end()
+    return word[n:] or None, word[:n]
 
 
 def _strip_affixes(token: str, table: AffixTable) -> tuple[Stripped, str]:
@@ -191,12 +199,9 @@ def decompose(token: str, table: AffixTable, patterns: PatternTable) -> Decompos
     return Decomposition(s.antefix, s.prefix, result.output, s.suffix, s.postfix)
 
 
-def load_affix_table(rules_dir: Path) -> AffixTable:
+def _affix_table(rules: dict[str, bytes], rules_dir: Path) -> AffixTable:
     def longest(name: str) -> tuple[str, ...]:
-        path = rules_dir / name
-        if not path.is_file():
-            raise RuleFormatError(f"missing rule file: {path}")
-        return _longest_first(_read_entries(path))
+        return _longest_first(_rule_text(rules, rules_dir, name))
 
     return AffixTable(
         antefixes=longest("antefixes.txt"),
@@ -206,12 +211,10 @@ def load_affix_table(rules_dir: Path) -> AffixTable:
     )
 
 
-def load_pattern_table(rules_dir: Path) -> PatternTable:
+def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> PatternTable:
     path = rules_dir / "patterns.txt"
-    if not path.is_file():
-        raise RuleFormatError(f"missing rule file: {path}")
     patterns = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_rule_text(rules, rules_dir, "patterns.txt").splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -227,21 +230,33 @@ def load_pattern_table(rules_dir: Path) -> PatternTable:
     return PatternTable(tuple(patterns))
 
 
-def rules_fingerprint(rules_dir: Path) -> str:
-    """Stable hash of the rule files, for provenance tracking."""
+def _fingerprint(rules: dict[str, bytes]) -> str:
     digest = hashlib.sha256()
     for name in RULE_FILES:
-        path = rules_dir / name
         digest.update(name.encode("utf-8"))
         digest.update(b"\x00")
-        digest.update(path.read_bytes() if path.is_file() else b"")
+        digest.update(rules.get(name, b""))
         digest.update(b"\x00")
     return digest.hexdigest()
 
 
+def load_affix_table(rules_dir: Path) -> AffixTable:
+    return _affix_table(_read_rules(rules_dir), rules_dir)
+
+
+def load_pattern_table(rules_dir: Path) -> PatternTable:
+    return _pattern_table(_read_rules(rules_dir), rules_dir)
+
+
+def rules_fingerprint(rules_dir: Path) -> str:
+    """Stable hash of the rule files, for provenance tracking."""
+    return _fingerprint(_read_rules(rules_dir))
+
+
 def default_tables() -> tuple[AffixTable, PatternTable]:
-    rules = default_rules_dir()
-    return load_affix_table(rules), load_pattern_table(rules)
+    rules_dir = default_rules_dir()
+    rules = _read_rules(rules_dir)
+    return _affix_table(rules, rules_dir), _pattern_table(rules, rules_dir)
 
 
 @dataclass(frozen=True)
@@ -278,10 +293,11 @@ def make_config(mode: str, rules_dir: Path | None = None) -> StemmerConfig:
     """Build a StemmerConfig from a rules directory (the shipped one by default)."""
     if mode == MODE_NONE:
         return StemmerConfig(mode=mode)
-    rules = rules_dir if rules_dir is not None else default_rules_dir()
+    rules_dir = rules_dir if rules_dir is not None else default_rules_dir()
+    rules = _read_rules(rules_dir)  # parsed and hashed from the same bytes
     return StemmerConfig(
         mode=mode,
-        affixes=load_affix_table(rules),
-        patterns=load_pattern_table(rules) if mode == MODE_ROOT else None,
-        rules_fingerprint=rules_fingerprint(rules),
+        affixes=_affix_table(rules, rules_dir),
+        patterns=_pattern_table(rules, rules_dir) if mode == MODE_ROOT else None,
+        rules_fingerprint=_fingerprint(rules),
     )

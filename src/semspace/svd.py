@@ -35,6 +35,8 @@ made up. The factorization runs in three steps:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError
@@ -98,20 +100,23 @@ def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
             k = k0 + i
             j = k + int(np.argmax(norms[k:]))
             if j != k:
-                A[:, [k, j]] = A[:, [j, k]]
-                F[[i, j - k0]] = F[[j - k0, i]]
+                A[:, k], A[:, j] = A[:, j].copy(), A[:, k].copy()
+                F[i], F[j - k0] = F[j - k0].copy(), F[i].copy()
                 for a in (perm, norms, exact):
-                    a[[k, j]] = a[[j, k]]
+                    a[k], a[j] = a[j], a[k]
             x = A[k:, k]
-            x -= V[i:, :i] @ F[i, :i]
+            if i:
+                x -= V[i:, :i] @ F[i, :i]
             v = V[i:, i]
             v[0] = 1.0
-            tail = np.linalg.norm(x[1:])
+            # numpy's bits: Python floats, its own 1-d norm formula, np.hypot (not math.hypot)
+            tail = math.sqrt(x[1:] @ x[1:])
             tau = 0.0
             if tail != 0.0:
-                beta = -np.copysign(np.hypot(x[0], tail), x[0])
-                tau = (beta - x[0]) / beta
-                v[1:] = x[1:] / (x[0] - beta)
+                x0 = float(x[0])
+                beta = -math.copysign(float(np.hypot(x0, tail)), x0)
+                tau = (beta - x0) / beta
+                v[1:] = x[1:] / (x0 - beta)
                 x[0] = beta
             aux = -tau * (V[i:, :i].T @ v)
             F[i + 1 :, i] = tau * (A[k:, k + 1 :].T @ v) + F[i + 1 :, :i] @ aux

@@ -3,6 +3,49 @@ library's own algorithms so the two sides of each check cannot share a bug."""
 
 import numpy as np
 
+_CLEAN_TABLE = {
+    **{cp: None for cp in range(0x064B, 0x0653)},  # diacritics
+    0x0640: None,  # tatweel
+    **{ord("أ"): "ا", ord("إ"): "ا", ord("آ"): "ا", ord("ى"): "ي"},
+}
+
+
+def normalize(raw):
+    """The corpus normalization one character at a time: fold, then keep only
+    the Arabic letter block U+0621..U+064A."""
+    cleaned = raw.translate(_CLEAN_TABLE)
+    return "".join(ch for ch in cleaned if 0x0621 <= ord(ch) <= 0x064A)
+
+
+def tokenize(text):
+    """Split on str.isspace whitespace, normalize each piece, drop the empties."""
+    return [token for token in map(normalize, text.split()) if token]
+
+
+def strip_region(word, affixes, front, min_stem_len=2):
+    """Strip from one end of `word` by trying `affixes` one at a time, the
+    first that fits and leaves min_stem_len letters winning, until none fits."""
+    rest = word
+    while True:
+        for affix in affixes:
+            if len(rest) - len(affix) >= min_stem_len and (rest.startswith(affix) if front else rest.endswith(affix)):
+                rest = rest[len(affix):] if front else rest[: -len(affix)]
+                break
+        else:
+            break
+    stripped = word[: len(word) - len(rest)] if front else word[len(rest):]
+    return stripped or None, rest
+
+
+def strip_affixes(token, table):
+    """(antefix, prefix, suffix, postfix, residual): each region exhausted in
+    word order, a region trying its own table before its neighbour's."""
+    antefix, rest = strip_region(token, table.antefixes, front=True)
+    prefix, rest = strip_region(rest, table.prefixes + table.antefixes, front=True)
+    postfix, rest = strip_region(rest, table.postfixes, front=False)
+    suffix, rest = strip_region(rest, table.suffixes + table.postfixes, front=False)
+    return antefix, prefix, suffix, postfix, rest
+
 
 def jacobi_eigenvalues(S, max_sweeps=100, floor=0.0):
     """Eigenvalues of a symmetric matrix by classical two-sided Jacobi rotations.

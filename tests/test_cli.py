@@ -253,6 +253,27 @@ def test_sim_space_with_no_dimensions_is_data_error(capsys, tmp_path):
     assert "outside 1..2" in err
 
 
+def test_sim_space_that_repeats_a_word_is_data_error(capsys, tmp_path):
+    import hashlib
+
+    space = SemanticSpace(
+        k=2,
+        scaling="u",
+        vocabulary=Vocabulary(["اب", "جد", "هو"]),
+        sigma=np.ones(2),
+        word_vectors=np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]),
+        provenance=Provenance("none", "", "fp"),
+        n_columns=3,
+    )
+    space_file = tmp_path / "repeated.bin"
+    save_space(space, space_file)
+    payload = space_file.read_bytes()[:-8].replace("جد".encode(), "اب".encode(), 1)
+    space_file.write_bytes(payload + hashlib.sha256(payload).digest()[:8])
+    code, out, err = run(capsys, "sim", "--space", str(space_file), "اب", "هو")
+    assert code == 4
+    assert "repeats" in err
+
+
 def test_sim_warns_on_differing_rules(capsys, tiny_corpus, tmp_path):
     from semspace.stemming import default_rules_dir
 

@@ -11,6 +11,8 @@ from semspace.corpus import (
 )
 from semspace.errors import CorpusReadError
 
+import oracles
+
 ARABIC_FIRST, ARABIC_LAST = 0x0621, 0x064A
 
 
@@ -55,6 +57,19 @@ def test_tokenize_strips_punctuation_and_diacritics():
 
 def test_tokenize_drops_fully_foreign_tokens():
     assert tokenize("كلمة 42 word كلمتان") == ["كلمة", "كلمتان"]
+
+
+@pytest.mark.parametrize("plane", range(17))
+def test_normalize_and_tokenize_match_the_reference_on_every_code_point(plane):
+    # Each code point sits between the one-letter words ك and ب: inside a
+    # word for normalize, as a separator for tokenize. The cases are joined by
+    # newlines, which both sides drop or split on, and every case starts and
+    # ends with letters both keep, so the joined results are equal exactly
+    # when the results of every case are.
+    points = range(plane << 16, (plane + 1) << 16)
+    text = "\n".join("ك" + chr(c) + "ب" for c in points if not 0xD800 <= c <= 0xDFFF)
+    assert normalize(text) == oracles.normalize(text)
+    assert tokenize(text) == oracles.tokenize(text)
 
 
 def _doc(text):

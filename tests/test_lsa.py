@@ -246,6 +246,18 @@ def test_space_dimension_outside_one_to_vocabulary_size_rejected(tmp_path, k):
         load_space(path)
 
 
+def test_repeated_word_rejected(tmp_path):
+    vectors = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    space = SemanticSpace(2, "u", Vocabulary(["اب", "جد", "هو"]), np.ones(2), vectors, PROV, 3)
+    path = tmp_path / "space.bin"
+    save_space(space, path)
+    # the second word overwritten by the first: the same length, so the layout holds
+    payload = path.read_bytes()[:-8].replace("جد".encode(), "اب".encode(), 1)
+    _rewrite_with_checksum(path, payload)
+    with pytest.raises(SpaceFormatError, match="repeats 1 of its 3 words"):
+        load_space(path)
+
+
 def test_tiny_file_rejected(tmp_path):
     path = tmp_path / "space.bin"
     path.write_bytes(b"short")

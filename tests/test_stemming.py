@@ -6,6 +6,7 @@ from semspace import stemming
 from semspace.corpus import normalize
 from semspace.errors import RuleFormatError
 from semspace.stemming import (
+    AffixTable,
     Pattern,
     decompose,
     default_tables,
@@ -14,6 +15,8 @@ from semspace.stemming import (
     load_pattern_table,
     root_stem,
 )
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +249,41 @@ def test_stemming_properties_on_stacked_affixes(tables, data):
     assert root_stem(light.output, affixes, patterns).output == root.output
     assert len(light.output) >= stemming.MIN_STEM_LEN or light.output == token
     assert len(root.output) >= stemming.MIN_STEM_LEN or root.output == token
+
+
+def _strip_matches_reference(token, affixes):
+    stripped, residual = stemming._strip_affixes(token, affixes)
+    assert (stripped.antefix, stripped.prefix, stripped.suffix, stripped.postfix, residual) == (
+        oracles.strip_affixes(token, affixes)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_strip_matches_reference_on_shipped_affixes(tables, data):
+    affixes, _ = tables
+    _strip_matches_reference(_wrapped_token(data, affixes), affixes)
+
+
+_REGEX_LETTERS = ".*+?()[\\|\nاب"  # regex syntax, a newline and two plain letters
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_strip_matches_reference_on_tables_of_regex_syntax(data):
+    # Entries that are prefixes and suffixes of one another, in any order.
+    words = st.text(alphabet=_REGEX_LETTERS, min_size=1, max_size=4)
+    entries = {}
+    for word in data.draw(st.lists(words, min_size=1, max_size=4)):
+        cut = data.draw(st.integers(0, len(word)))
+        entries.update(dict.fromkeys(e for e in (word, word[:cut], word[cut:]) if e))
+    entries = list(entries)
+    tables = [tuple(data.draw(st.permutations(entries))[: data.draw(st.integers(0, len(entries)))])
+              for _ in range(4)]
+    affixes = AffixTable(*tables)
+    pieces = st.lists(st.sampled_from(entries), max_size=3).map("".join)
+    token = data.draw(pieces) + data.draw(st.text(alphabet=_REGEX_LETTERS, max_size=4)) + data.draw(pieces)
+    _strip_matches_reference(token, affixes)
 
 
 # --- rule data loading -------------------------------------------------------
