@@ -9,6 +9,7 @@ variable supplies a default rules directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .lsa import SCALINGS, SCALING_U, build_space, load_space, save_space, word_
 from .similarity import MEASURE_ORDER, format_value, measure_all, unit_vector
 from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, MODES, make_config
 
-_CONFIG_KEYS = {"mode", "k", "scaling", "rules", "format", "normalize", "modes"}
+_CONFIG_KEYS = {"k", "scaling", "rules", "format", "normalize", "modes"}
 _SWITCH_VALUES = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 
@@ -33,13 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class UsageError(Exception):
-    pass
-
-
 @dataclass
 class RunConfig:
-    mode: str | None = None
     modes: tuple[str, ...] | None = None
     k: int | None = None
     scaling: str = SCALING_U
@@ -49,20 +45,18 @@ class RunConfig:
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
-            raise UsageError("k must be >= 1")
-        if self.mode is not None and self.mode not in MODES:
-            raise UsageError(f"mode must be root, light or none, got {self.mode!r}")
+            raise ValueError("k must be >= 1")
         if self.modes == ():
-            raise UsageError("--modes names no mode")
+            raise ValueError("--modes names no mode")
         for i, mode in enumerate(self.modes or ()):
             if mode not in MODES:
-                raise UsageError(f"unknown mode in --modes: {mode!r}")
+                raise ValueError(f"unknown mode in --modes: {mode!r}")
             if mode in self.modes[:i]:
-                raise UsageError(f"mode {mode!r} repeated in --modes")
+                raise ValueError(f"mode {mode!r} repeated in --modes")
         if self.scaling not in SCALINGS:
-            raise UsageError(f"scaling must be one of {', '.join(SCALINGS)}")
+            raise ValueError(f"scaling must be one of {', '.join(SCALINGS)}")
         if self.format not in ("tsv", "markdown"):
-            raise UsageError("format must be tsv or markdown")
+            raise ValueError("format must be tsv or markdown")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -70,23 +64,23 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     """Merge flags, config file and environment into one RunConfig."""
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = _read_config_file(args.config) if args.config else {}
 
     def pick(flag_name: str, key: str, default):
         flag = getattr(args, flag_name, None)
@@ -102,17 +96,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         try:
             k = int(k)
         except ValueError:
-            raise UsageError(f"k must be an integer, got {k!r}") from None
+            raise ValueError(f"k must be an integer, got {k!r}") from None
     normalize_flag = pick("normalize", "normalize", False)
     if isinstance(normalize_flag, str):
         if normalize_flag.lower() not in _SWITCH_VALUES:
-            raise UsageError(f"normalize must be one of {', '.join(_SWITCH_VALUES)}, got {normalize_flag!r}")
+            raise ValueError(f"normalize must be one of {', '.join(_SWITCH_VALUES)}, got {normalize_flag!r}")
         normalize_flag = _SWITCH_VALUES[normalize_flag.lower()]
     modes = pick("modes", "modes", None)
     if isinstance(modes, str):
         modes = tuple(part.strip() for part in modes.split(",") if part.strip())
     return RunConfig(
-        mode=pick("mode", "mode", None),
         modes=modes,
         k=k,
         scaling=pick("scaling", "scaling", SCALING_U),
@@ -128,13 +121,6 @@ def _warn_skipped(skipped: list[tuple[str, str]]) -> bool:
     return bool(skipped)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_bytes(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_stats(args) -> int:
     corpus = load_corpus(args.corpus_dir)
     partial = _warn_skipped(corpus.skipped)
@@ -142,7 +128,7 @@ def _cmd_stats(args) -> int:
         print(f"warning: no documents found under {args.corpus_dir}", file=sys.stderr)
     stats = corpus_stats(corpus)
     lines = "".join(f"{name}\t{value}\n" for name, value in stats.rows())
-    _emit(lines, getattr(args, "output", None))
+    sys.stdout.write(lines)
     return EXIT_IO if partial else 0
 
 
@@ -163,7 +149,7 @@ def _cmd_stem(args) -> int:
             if value
         )
         out_lines.append(f"{result.original}\t{result.output}\t{result.kind}\t{parts or '-'}")
-    _emit("".join(line + "\n" for line in out_lines), getattr(args, "output", None))
+    sys.stdout.write("".join(line + "\n" for line in out_lines))
     return 0
 
 
@@ -173,7 +159,7 @@ def _cmd_build(args) -> int:
     partial = _warn_skipped(corpus.skipped)
     paragraphs = segment_corpus(corpus)
     stats = corpus_stats(corpus, paragraphs)
-    stemmer = make_config(config.mode or MODE_NONE, config.rules_dir)
+    stemmer = make_config(args.mode, config.rules_dir)
     space = build_space(paragraphs, stats, stemmer, k=config.k, scaling=config.scaling)
     save_space(space, args.output)
     print(
@@ -201,7 +187,7 @@ def _cmd_sim(args) -> int:
         vec_a, vec_b = unit_vector(vec_a), unit_vector(vec_b)
     header = "\t".join(MEASURE_ORDER)
     values = "\t".join(format_value(r) for r in measure_all(vec_a, vec_b))
-    _emit(f"{header}\n{values}\n", getattr(args, "output", None))
+    sys.stdout.write(f"{header}\n{values}\n")
     return 0
 
 
@@ -218,10 +204,15 @@ def _cmd_report(args) -> int:
         unit_length=config.normalize,
     )
     partial = _warn_skipped(report.skipped)
-    _emit(render_report(report, config.format), getattr(args, "output", None))
+    text = render_report(report, config.format)
+    if args.output:
+        Path(args.output).write_bytes(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
     return EXIT_IO if partial else 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="semspace", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"semspace {__version__}")
@@ -277,9 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"semspace: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"semspace: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,7 +45,6 @@ def tokenize(text: str) -> list[Token]:
 class RawDocument:
     id: str
     text: str
-    source: str
     category: str | None = None
 
 
@@ -58,7 +57,6 @@ class Paragraph:
 
 @dataclass
 class Corpus:
-    root: str
     documents: list[RawDocument] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)  # (path, reason)
 
@@ -94,7 +92,7 @@ def load_corpus(root: str | Path) -> Corpus:
     if not root.is_dir():
         raise CorpusReadError(f"not a readable directory: {root}")
     paths = sorted(root.rglob("*.txt"), key=lambda p: p.relative_to(root).as_posix())
-    corpus = Corpus(root=str(root))
+    corpus = Corpus()
     for path in paths:
         rel = path.relative_to(root)
         if len(rel.parts) > 2:
@@ -113,14 +111,7 @@ def load_corpus(root: str | Path) -> Corpus:
             corpus.skipped.append((str(path), "empty file"))
             continue
         category = rel.parts[0] if len(rel.parts) > 1 else None
-        corpus.documents.append(
-            RawDocument(
-                id=rel.as_posix()[: -len(".txt")],
-                text=text,
-                source=str(path),
-                category=category,
-            )
-        )
+        corpus.documents.append(RawDocument(id=rel.as_posix()[: -len(".txt")], text=text, category=category))
     return corpus
 
 

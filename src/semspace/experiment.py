@@ -75,8 +75,6 @@ def load_pairs(path: str | Path) -> list[WordPair]:
         if len(cols) < 3 or len(cols) > 5:
             raise PairFormatError(f"{path}:{lineno}: expected 3 to 5 tab-separated columns, got {len(cols)}")
         word_a, word_b, label = (c.strip() for c in cols[:3])
-        if label not in LABELS:
-            raise PairFormatError(f"{path}:{lineno}: label must be Similar or Different, got {label!r}")
         gloss = cols[3].strip() if len(cols) > 3 and cols[3].strip() else None
         translit = cols[4].strip() if len(cols) > 4 and cols[4].strip() else None
         try:
@@ -233,5 +231,6 @@ def _render_markdown(report: ComparisonReport) -> str:
         lines.append("| " + " | ".join(_HEADER) + " |")
         lines.append("|" + "---|" * len(_HEADER))
         for row in rows:
-            lines.append("| " + " | ".join(cell or "-" for cell in _row_cells(row)) + " |")
+            cells = ((cell or "-").replace("|", "\\|") for cell in _row_cells(row))
+            lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"

@@ -57,18 +57,12 @@ class Vocabulary:
     def index_of(self, token: str) -> int | None:
         return self._index.get(token)
 
-    def token_at(self, index: int) -> str:
-        return self._tokens[index]
-
     @property
     def tokens(self) -> list[str]:
         return list(self._tokens)
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self._tokens == other._tokens

@@ -99,11 +99,6 @@ class Pattern:
 
 
 @dataclass(frozen=True)
-class PatternTable:
-    patterns: tuple[Pattern, ...]
-
-
-@dataclass(frozen=True)
 class Stripped:
     antefix: str | None = None
     prefix: str | None = None
@@ -176,15 +171,15 @@ def light_stem(token: str, table: AffixTable) -> StemResult:
     return StemResult(token, residual, KIND_STEM, stripped, residual)
 
 
-def _match_root(residual: str, patterns: PatternTable) -> tuple[str, str] | None:
-    for pattern in patterns.patterns:
+def _match_root(residual: str, patterns: tuple[Pattern, ...]) -> tuple[str, str] | None:
+    for pattern in patterns:
         root = pattern.match(residual)
         if root is not None:
             return root, pattern.template
     return None
 
 
-def root_stem(token: str, table: AffixTable, patterns: PatternTable) -> StemResult:
+def root_stem(token: str, table: AffixTable, patterns: tuple[Pattern, ...]) -> StemResult:
     stripped, residual = _strip_affixes(token, table)
     matched = _match_root(residual, patterns)
     if matched is None:
@@ -193,7 +188,7 @@ def root_stem(token: str, table: AffixTable, patterns: PatternTable) -> StemResu
     return StemResult(token, root, KIND_ROOT, stripped, residual, pattern=template)
 
 
-def decompose(token: str, table: AffixTable, patterns: PatternTable) -> Decomposition:
+def decompose(token: str, table: AffixTable, patterns: tuple[Pattern, ...]) -> Decomposition:
     result = root_stem(token, table, patterns)
     s = result.stripped
     return Decomposition(s.antefix, s.prefix, result.output, s.suffix, s.postfix)
@@ -211,7 +206,7 @@ def _affix_table(rules: dict[str, bytes], rules_dir: Path) -> AffixTable:
     )
 
 
-def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> PatternTable:
+def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, ...]:
     path = rules_dir / "patterns.txt"
     patterns = []
     for lineno, raw in enumerate(_rule_text(rules, rules_dir, "patterns.txt").splitlines(), start=1):
@@ -227,7 +222,7 @@ def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> PatternTable:
         except ValueError:
             raise RuleFormatError(f"{path}:{lineno}: positions must be integers") from None
         patterns.append(Pattern(template, positions))
-    return PatternTable(tuple(patterns))
+    return tuple(patterns)
 
 
 def _fingerprint(rules: dict[str, bytes]) -> str:
@@ -240,32 +235,13 @@ def _fingerprint(rules: dict[str, bytes]) -> str:
     return digest.hexdigest()
 
 
-def load_affix_table(rules_dir: Path) -> AffixTable:
-    return _affix_table(_read_rules(rules_dir), rules_dir)
-
-
-def load_pattern_table(rules_dir: Path) -> PatternTable:
-    return _pattern_table(_read_rules(rules_dir), rules_dir)
-
-
-def rules_fingerprint(rules_dir: Path) -> str:
-    """Stable hash of the rule files, for provenance tracking."""
-    return _fingerprint(_read_rules(rules_dir))
-
-
-def default_tables() -> tuple[AffixTable, PatternTable]:
-    rules_dir = default_rules_dir()
-    rules = _read_rules(rules_dir)
-    return _affix_table(rules, rules_dir), _pattern_table(rules, rules_dir)
-
-
 @dataclass(frozen=True)
 class StemmerConfig:
     """How tokens are reduced before they index matrix rows."""
 
     mode: str = MODE_NONE
     affixes: AffixTable | None = None
-    patterns: PatternTable | None = None
+    patterns: tuple[Pattern, ...] | None = None
     rules_fingerprint: str = ""
 
     def __post_init__(self):
@@ -301,3 +277,9 @@ def make_config(mode: str, rules_dir: Path | None = None) -> StemmerConfig:
         patterns=_pattern_table(rules, rules_dir) if mode == MODE_ROOT else None,
         rules_fingerprint=_fingerprint(rules),
     )
+
+
+def default_tables() -> tuple[AffixTable, tuple[Pattern, ...]]:
+    """The shipped affix and pattern tables."""
+    config = make_config(MODE_ROOT)
+    return config.affixes, config.patterns

@@ -362,6 +362,19 @@ def test_config_file_unknown_key(capsys, tiny_corpus, tmp_path):
     assert "unknown key" in err
 
 
+def test_config_file_mode_key_is_unknown(capsys, tiny_corpus, tmp_path):
+    space_file = tmp_path / "space.bin"
+    run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
+    config = tmp_path / "semspace.conf"
+    config.write_text("mode = root\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "sim", "--space", str(space_file), "--config", str(config), "السفير", "السفارة"
+    )
+    assert code == 1  # the stemmer comes from --mode or the space, never the file
+    assert out == ""
+    assert "unknown key 'mode'" in err
+
+
 # --- report ------------------------------------------------------------------------
 
 def test_report_tiny_corpus(capsys, tiny_corpus, tmp_path):

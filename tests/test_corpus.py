@@ -73,7 +73,7 @@ def test_normalize_and_tokenize_match_the_reference_on_every_code_point(plane):
 
 
 def _doc(text):
-    return RawDocument(id="d", text=text, source="d.txt")
+    return RawDocument(id="d", text=text)
 
 
 def test_segment_single_blank_separator():
@@ -196,7 +196,7 @@ def test_stats_empty_corpus(tmp_path):
 def test_stats_row_names():
     from semspace.corpus import Corpus
 
-    stats = corpus_stats(Corpus(root=""))
+    stats = corpus_stats(Corpus())
     names = [name for name, _ in stats.rows()]
     assert names == [
         "Number of Documents",

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from semspace.errors import EmptyCorpusError, PairFormatError
 from semspace.experiment import (
     ComparisonReport,
     ReportMetadata,
+    ReportRow,
     WordPair,
     bundled_corpus_path,
     bundled_pairs_path,
@@ -198,6 +200,15 @@ def test_render_single_row_columns(fixture_report):
 def test_render_markdown_matches_golden(fixture_report):
     rendered = render_report(fixture_report, "markdown")
     assert rendered.encode("utf-8") == GOLDEN.read_bytes()
+
+
+def test_render_markdown_escapes_pipes_in_cells():
+    pair = WordPair("السفارة", "السفير", "Different", gloss="ambassador|embassy")
+    row = ReportRow(pair, "root", (), oov=("السفارة",))
+    report = ComparisonReport(rows=[row], metadata=ReportMetadata(5, "u", "r" * 8, "c" * 8), modes=("root",))
+    table_row = render_report(report, "markdown").splitlines()[-1]
+    assert "| ambassador\\|embassy |" in table_row
+    assert len(re.split(r"(?<!\\)\|", table_row)) == 10  # 8 cells between 9 unescaped bars
 
 
 def test_render_deterministic(fixture_report):

@@ -148,7 +148,7 @@ def test_truncate_eckart_young():
 
 def test_word_vector_verbatim_row(mini_paragraphs, mini_stats):
     space = build_space(mini_paragraphs, mini_stats, NONE_CONFIG, k=10)
-    token = space.vocabulary.token_at(5)
+    token = space.vocabulary.tokens[5]
     vec = word_vector(space, token, NONE_CONFIG)
     assert np.array_equal(vec, space.word_vectors[5])
 

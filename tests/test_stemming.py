@@ -11,8 +11,7 @@ from semspace.stemming import (
     decompose,
     default_tables,
     light_stem,
-    load_affix_table,
-    load_pattern_table,
+    make_config,
     root_stem,
 )
 
@@ -152,7 +151,7 @@ def test_default_postfixes_contain_us_pronoun(tables):
 
 def test_default_pattern_faeel_positions(tables):
     _, patterns = tables
-    matches = [p for p in patterns.patterns if p.template == "فعيل"]
+    matches = [p for p in patterns if p.template == "فعيل"]
     assert len(matches) == 1
     assert matches[0].root_positions == (0, 1, 3)
     assert matches[0].match("سفير") == "سفر"
@@ -298,11 +297,13 @@ def test_pattern_rejects_bad_positions():
 
 
 def test_load_rejects_malformed_pattern_line(tmp_path):
+    for name in ("antefixes.txt", "prefixes.txt", "suffixes.txt", "postfixes.txt"):
+        (tmp_path / name).write_text("", encoding="utf-8")  # so the error can only come from patterns.txt
     (tmp_path / "patterns.txt").write_text("فعل\t0,1\t2\n", encoding="utf-8")
-    with pytest.raises(RuleFormatError):
-        load_pattern_table(tmp_path)
+    with pytest.raises(RuleFormatError, match="patterns.txt:1"):
+        make_config("root", tmp_path)
 
 
 def test_load_rejects_missing_file(tmp_path):
-    with pytest.raises(RuleFormatError):
-        load_affix_table(tmp_path)
+    with pytest.raises(RuleFormatError, match="missing rule file"):
+        make_config("light", tmp_path)
