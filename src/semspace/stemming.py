@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -90,12 +91,8 @@ class Pattern:
 
     def match(self, residual: str) -> str | None:
         """The extracted root, or None when a literal position disagrees."""
-        if len(residual) != len(self.template):
-            return None
-        for i, ch in enumerate(self.template):
-            if i not in self.root_positions and residual[i] != ch:
-                return None
-        return "".join(residual[i] for i in self.root_positions)
+        matched = _root_matcher((self,))(residual)
+        return None if matched is None else matched[0]
 
 
 @dataclass(frozen=True)
@@ -171,20 +168,34 @@ def light_stem(token: str, table: AffixTable) -> StemResult:
     return StemResult(token, residual, KIND_STEM, stripped, residual)
 
 
-def _match_root(residual: str, patterns: tuple[Pattern, ...]) -> tuple[str, str] | None:
-    for pattern in patterns:
-        root = pattern.match(residual)
-        if root is not None:
-            return root, pattern.template
-    return None
+@functools.lru_cache
+def _root_matcher(patterns: tuple[Pattern, ...]) -> Callable[[str], tuple[str, str] | None]:
+    """Matches a residual against all templates with one compiled alternation
+    in file order, so the first template that fits wins. Each alternative is
+    one group: root positions match any letter and the others their own."""
+    alternatives = (
+        "".join("." if i in p.root_positions else re.escape(ch) for i, ch in enumerate(p.template))
+        for p in patterns
+    )
+    regex = re.compile("|".join(f"({a})" for a in alternatives) or "(?!)", re.DOTALL)
+
+    def match(residual: str) -> tuple[str, str] | None:
+        found = regex.fullmatch(residual)
+        if found is None:
+            return None
+        pattern = patterns[found.lastindex - 1]
+        return "".join(residual[i] for i in pattern.root_positions), pattern.template
+
+    return match
 
 
 def root_stem(token: str, table: AffixTable, patterns: tuple[Pattern, ...]) -> StemResult:
+    return _root_stem(token, table, _root_matcher(patterns))
+
+
+def _root_stem(token: str, table: AffixTable, match_root: Callable[[str], tuple[str, str] | None]) -> StemResult:
     stripped, residual = _strip_affixes(token, table)
-    matched = _match_root(residual, patterns)
-    if matched is None:
-        return StemResult(token, residual, KIND_ROOT, stripped, residual)
-    root, template = matched
+    root, template = match_root(residual) or (residual, None)
     return StemResult(token, root, KIND_ROOT, stripped, residual, pattern=template)
 
 
@@ -255,10 +266,14 @@ class StemmerConfig:
     def stem(self, token: str) -> StemResult:
         """The full stemming result for one token; mode none keeps it whole."""
         if self.mode == MODE_ROOT:
-            return root_stem(token, self.affixes, self.patterns)
+            return _root_stem(token, self.affixes, self._match_root)
         if self.mode == MODE_LIGHT:
             return light_stem(token, self.affixes)
         return StemResult(token, token, KIND_STEM, Stripped(), token)
+
+    @functools.cached_property
+    def _match_root(self) -> Callable[[str], tuple[str, str] | None]:
+        return _root_matcher(self.patterns)
 
     def stem_token(self, token: str) -> str:
         """Reduced form of a normalized token: the row it indexes."""

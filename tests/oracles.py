@@ -47,6 +47,43 @@ def strip_affixes(token, table):
     return antefix, prefix, suffix, postfix, rest
 
 
+def match_root(residual, patterns):
+    """(root, template) of the first same-length template whose literal
+    positions all agree with `residual`, one character at a time, or None."""
+    for pattern in patterns:
+        template, positions = pattern.template, pattern.root_positions
+        if len(residual) == len(template) and all(
+            i in positions or residual[i] == ch for i, ch in enumerate(template)
+        ):
+            return "".join(residual[i] for i in positions), template
+    return None
+
+
+def jacobi_rows(G, tol=1e-14, max_sweeps=60):
+    """One-sided Jacobi on the rows of G in the serial cyclic order (p, q),
+    p < q, each rotation applied where the two rows stand, so row i ends as
+    the image of input row i. Returns (rows, sweeps); the last sweep rotates
+    nothing."""
+    G = np.array(G, dtype=np.float64)
+    n = len(G)
+    for sweep in range(1, max_sweeps + 1):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                app, aqq, apq = G[p] @ G[p], G[q] @ G[q], G[p] @ G[q]
+                if abs(apq) <= tol * np.sqrt(app * aqq):
+                    continue
+                rotated = True
+                tau = (aqq - app) / (2.0 * apq)
+                t = 1.0 if tau == 0.0 else np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                G[p], G[q] = c * G[p] - s * G[q], s * G[p] + c * G[q]
+        if not rotated:
+            return G, sweep
+    raise AssertionError("reference Jacobi did not converge")
+
+
 def jacobi_eigenvalues(S, max_sweeps=100, floor=0.0):
     """Eigenvalues of a symmetric matrix by classical two-sided Jacobi rotations.
 

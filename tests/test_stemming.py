@@ -8,6 +8,7 @@ from semspace.errors import RuleFormatError
 from semspace.stemming import (
     AffixTable,
     Pattern,
+    Stripped,
     decompose,
     default_tables,
     light_stem,
@@ -224,14 +225,16 @@ def test_reconstruction(tables, mini_paragraphs):
 _LETTERS = "".join(chr(c) for c in range(0x0621, 0x064B) if c != 0x0640)  # Arabic letters, no tatweel
 
 
-def _wrapped_token(data, affixes) -> str:
-    """A random core between random stacks of the shipped front and back affixes."""
+def _wrapped_token(data, affixes, core=None) -> str:
+    """A core, random unless given, between random stacks of the shipped
+    front and back affixes."""
     def stack(entries):
         return "".join(data.draw(st.lists(st.sampled_from(entries), max_size=3)))
 
     front = stack(affixes.antefixes + affixes.prefixes)
-    back = stack(affixes.suffixes + affixes.postfixes)
-    return front + data.draw(st.text(alphabet=_LETTERS, max_size=6)) + back
+    if core is None:
+        core = data.draw(st.text(alphabet=_LETTERS, max_size=6))
+    return front + core + stack(affixes.suffixes + affixes.postfixes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -283,6 +286,57 @@ def test_strip_matches_reference_on_tables_of_regex_syntax(data):
     pieces = st.lists(st.sampled_from(entries), max_size=3).map("".join)
     token = data.draw(pieces) + data.draw(st.text(alphabet=_REGEX_LETTERS, max_size=4)) + data.draw(pieces)
     _strip_matches_reference(token, affixes)
+
+
+def _filled(data, pattern, alphabet, keep_literals=True) -> str:
+    """The pattern's template with random letters at its root positions and,
+    unless keep_literals, at each literal position half of the time."""
+    def letter(i, ch):
+        if i in pattern.root_positions or (not keep_literals and data.draw(st.booleans())):
+            return data.draw(st.sampled_from(alphabet))
+        return ch
+
+    return "".join(letter(i, ch) for i, ch in enumerate(pattern.template))
+
+
+def _root_matches_reference(config, token):
+    result = config.stem(token)
+    antefix, prefix, suffix, postfix, residual = oracles.strip_affixes(token, config.affixes)
+    root, template = oracles.match_root(residual, config.patterns) or (residual, None)
+    assert (result.output, result.kind, result.stripped, result.residual, result.pattern) == (
+        root, stemming.KIND_ROOT, Stripped(antefix, prefix, suffix, postfix), residual, template,
+    )
+
+
+def test_root_stem_matches_reference_on_the_vocabulary(root_config, mini_paragraphs):
+    for token in _fixture_vocabulary(mini_paragraphs):
+        _root_matches_reference(root_config, token)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_root_stem_matches_reference_on_wrapped_template_cores(root_config, data):
+    # a filled-in template makes most residuals fit some template
+    pattern = data.draw(st.sampled_from(root_config.patterns))
+    core = _filled(data, pattern, _LETTERS) if data.draw(st.booleans()) else None
+    _root_matches_reference(root_config, _wrapped_token(data, root_config.affixes, core))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_root_match_matches_reference_on_templates_of_regex_syntax(data):
+    patterns = []
+    for template in data.draw(st.lists(st.text(alphabet=_REGEX_LETTERS, min_size=3, max_size=5), min_size=1, max_size=6)):
+        k = data.draw(st.integers(3, min(4, len(template))))
+        positions = data.draw(st.sets(st.integers(0, len(template) - 1), min_size=k, max_size=k))
+        patterns.append(Pattern(template, tuple(sorted(positions))))
+    patterns = tuple(patterns)
+    residual = _filled(data, data.draw(st.sampled_from(patterns)), _REGEX_LETTERS, keep_literals=False)
+    expected = oracles.match_root(residual, patterns)
+    result = root_stem(residual, AffixTable((), (), (), ()), patterns)
+    assert (result.output, result.pattern) == (expected or (residual, None))
+    for pattern in patterns:
+        assert pattern.match(residual) == (oracles.match_root(residual, (pattern,)) or (None,))[0]
 
 
 # --- rule data loading -------------------------------------------------------

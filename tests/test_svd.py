@@ -1,14 +1,18 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semspace.corpus import load_corpus, segment_corpus
 from semspace.errors import ConvergenceError
 from semspace.lsa import build_matrix
 from semspace import svd
-from semspace.svd import _pair_slots, apply_q, householder_qr, jacobi_svd
+from semspace.svd import _jacobi_rows, apply_q, householder_qr, jacobi_svd
 
-from oracles import singular_values_via_augmented, singular_values_via_gram
+from oracles import jacobi_rows, singular_values_via_augmented, singular_values_via_gram
 
 
 def projection_error(X, U):
@@ -189,6 +193,21 @@ def test_householder_qr_recomputes_norms_that_lost_their_digits():
     assert pivoted_qr_error(R) <= 1e-12
 
 
+@pytest.mark.parametrize("rank", [5, 32, 33, 40])
+def test_householder_qr_stops_at_the_rank(rank):
+    # the stop falls inside the first panel, at its end, just past it, and
+    # inside the second
+    rng = np.random.default_rng(73)
+    A = rng.normal(size=(80, rank)) @ rng.normal(size=(rank, 70))
+    R, perm, reflectors = householder_qr(A)
+    assert R.shape == (rank, 70) and sum(V.shape[1] for _, V, _ in reflectors) == rank
+    Q = apply_q(reflectors, np.eye(80, rank))
+    assert orthonormality_error(Q) <= 1e-12
+    assert np.abs(Q @ R - A[:, perm]).max() <= 1e-12 * np.abs(A).max()
+    R, perm, reflectors = householder_qr(np.zeros((4, 3)))
+    assert R.shape == (0, 3) and reflectors == []
+
+
 def test_jacobi_svd_runs_both_qrs_through_the_module_name(monkeypatch):
     # perfbench/traced.py times svd.householder_qr by wrapping this name;
     # a QR reached any other way would drop out of that per-layer metric.
@@ -243,19 +262,41 @@ def test_small_singular_values_survive_the_rank_cut():
     assert row_gram_error(X, U, s) <= 1e-12 * s[0] ** 2
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 94])
 def test_pair_slots_pair_each_row_pair_once_and_return_home(n):
-    home, step = _pair_slots(n)
-    m = len(home)
-    assert m == n + n % 2 and sorted(home) == list(range(m))
-    occupant = np.empty(m, dtype=int)
-    occupant[home] = np.arange(m)
-    met = []
-    for _ in range(m - 1):
-        met += [(min(p, q), max(p, q)) for p, q in occupant.reshape(-1, 2) if max(p, q) < n]
-        occupant = occupant[step]
-    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
-    assert np.array_equal(occupant[home], np.arange(m))
+    # _jacobi_rows' odd-even schedule: n rows in m slots (a spare pads an odd
+    # n); rounds alternate between pairing the slots from 0 and from 1, up to
+    # m - lo, and each pair swaps its two rows. A sweep of m rounds meets
+    # every pair once and reverses the rows, so two sweeps bring them home.
+    m = n + n % 2
+    occupant = np.arange(m)
+    for sweep in (1, 2):
+        met = []
+        for lo in (0, 1) * (m // 2):
+            pairs = occupant[lo : m - lo].reshape(-1, 2)
+            met += [(min(p, q), max(p, q)) for p, q in pairs if max(p, q) < n]
+            pairs[:] = pairs[:, ::-1]
+        assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert np.array_equal(occupant, np.arange(m)[::-1] if sweep == 1 else np.arange(m))
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (8, 8), (6, 9), (3, 3)], ids=["odd", "even", "wide", "three"])
+@pytest.mark.parametrize("noise, sweeps", [(0.0, 1), (1e-8, 2), (1e-4, 3)])
+def test_jacobi_rows_end_where_they_started(shape, noise, sweeps):
+    # Rows near orthogonality turn by small angles, so whatever the order of
+    # rotations, row i ends near input row i: against a serial Jacobi that
+    # never moves a row, a wrong un-permute after an odd or an even number
+    # of sweeps shows at the size of the rows.
+    n, w = shape
+    rng = np.random.default_rng(n * 100 + w)
+    Q, _ = np.linalg.qr(rng.normal(size=(w, n)))
+    G = np.linspace(1.0, 2.0, n)[:, None] * Q.T + noise * rng.normal(size=(n, w))
+    B = G.copy()
+    assert _jacobi_rows(B, 60, 1e-14) == sweeps
+    if noise == 0.0:
+        assert np.array_equal(B, G)
+    reference, _ = jacobi_rows(G)
+    assert np.abs(B - reference).max() <= 1e-12
 
 
 def test_odd_rank_count_matrix_with_duplicate_columns():
@@ -328,4 +369,20 @@ def test_rank_above_live_count_keeps_only_live_columns():
 def test_fixture_matrices_converge_within_ten_sweeps(mode, mini_paragraphs, root_config, light_config):
     config = root_config if mode == "root" else light_config
     _, _, sweeps = jacobi_svd(build_matrix(mini_paragraphs, config).to_dense())
+    assert 1 <= sweeps <= 8  # both take 8; ten is the 240-paragraph case's bound below
+
+
+def test_seeded_240_paragraph_light_matrix_converges_within_ten_sweeps(tmp_path, light_config):
+    # the full-rank 472 x 240 matrix of the benchmark's scale-build workload
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_gen", root / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    data = root / "src" / "semspace" / "data"
+    gen.write_corpus(tmp_path, data / "mini_corpus", data / "rules", 5, paragraphs=240, tokens=25,
+                     lexicon_size=6 * 240, paragraphs_per_doc=20)
+    X = build_matrix(segment_corpus(load_corpus(tmp_path)), light_config).to_dense()
+    U, s, sweeps = jacobi_svd(X)
+    assert X.shape == (472, 240) and U.shape == (472, 240)
     assert 1 <= sweeps <= 10
+    assert np.abs(s - np.linalg.svd(X, compute_uv=False)).max() <= 1e-12 * s[0]
