@@ -59,7 +59,9 @@ class RunConfig:
             raise ValueError("format must be tsv or markdown")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, command: str, used: set[str]) -> dict[str, str]:
+    """The file's `key = value` lines; a key must be one of `used`, the
+    config keys that `command` has an option for."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -74,13 +76,16 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in used:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is not used by {command}")
         values[key] = value
     return values
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     """Merge flags, config file and environment into one RunConfig."""
-    file_values = _read_config_file(args.config) if args.config else {}
+    used = _CONFIG_KEYS.intersection(vars(args))  # the keys among the subcommand's option dests
+    file_values = _read_config_file(args.config, args.command, used) if args.config else {}
 
     def pick(flag_name: str, key: str, default):
         flag = getattr(args, flag_name, None)

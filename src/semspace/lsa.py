@@ -44,7 +44,7 @@ class Vocabulary:
 
     def __init__(self, tokens: list[str] | None = None):
         self._tokens: list[str] = list(dict.fromkeys(tokens or []))
-        self._index: dict[str, int] = {token: i for i, token in enumerate(self._tokens)}
+        self._index: dict[str, int] = dict(zip(self._tokens, range(len(self._tokens))))
 
     def add(self, token: str) -> int:
         idx = self._index.get(token)
@@ -106,7 +106,7 @@ class SemanticSpace:
     scaling: str
     vocabulary: Vocabulary
     sigma: np.ndarray  # first k singular values
-    word_vectors: np.ndarray  # m x k
+    word_vectors: np.ndarray  # m x k, row i for vocabulary token i; load_space gives a read-only view
     provenance: Provenance
     n_columns: int = 0  # paragraph count of the source matrix
 
@@ -264,65 +264,88 @@ _LENGTH = struct.Struct("<I")
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    """Reads the payload's fields in order, from `pos` up to `end` of `data`;
+    the checksum's 8 bytes follow `end`."""
 
-    def take(self, size: int) -> bytes:
-        if self.pos + size > len(self.data):
+    def __init__(self, data: bytes, pos: int, end: int):
+        self.data = data
+        self.pos = pos
+        self.end = end
+
+    def skip(self, size: int) -> int:
+        """Move past the next `size` bytes; returns the offset where they start."""
+        if self.pos + size > self.end:
             raise SpaceTruncatedError(
                 f"truncated space file: needed {size} bytes at offset {self.pos}"
             )
-        chunk = self.data[self.pos: self.pos + size]
+        start = self.pos
         self.pos += size
-        return chunk
+        return start
 
-    def take_strs(self, count: int) -> list[str]:
-        """`count` length-prefixed UTF-8 strings, read in one pass."""
-        data, pos, out = self.data, self.pos, []
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self.skip(struct.calcsize(fmt)))
+
+    def floats(self, count: int) -> np.ndarray:
+        """The next `count` little-endian float64s, as a read-only view of `data`."""
+        return np.frombuffer(self.data, dtype="<f8", count=count, offset=self.skip(8 * count))
+
+    def strs(self, count: int) -> list[str]:
+        """`count` length-prefixed UTF-8 strings: one pass slices them out,
+        then they are decoded."""
+        data, pos, end, spans = self.data, self.pos, self.end, []
+        unpack, append = _LENGTH.unpack_from, spans.append
         for _ in range(count):
-            end = pos + 4 + (_LENGTH.unpack_from(data, pos)[0] if pos + 4 <= len(data) else 0)
-            if end > len(data):  # take raises, naming the length prefix or the word that is cut
+            # pos <= end and the checksum follows end, so there are 4 bytes to unpack
+            stop = pos + 4 + unpack(data, pos)[0]
+            if stop > end:  # skip raises, naming the length prefix or the string that is cut
                 self.pos = pos
-                self.take(4)
-                self.take(end - pos - 4)
-            out.append(data[pos + 4: end].decode("utf-8"))
-            pos = end
+                self.skip(4)
+                self.skip(stop - pos - 4)
+            append(data[pos + 4: stop])
+            pos = stop
         self.pos = pos
-        return out
+        try:
+            return list(map(bytes.decode, spans))
+        except UnicodeDecodeError as exc:
+            raise SpaceFormatError(f"text in space file is not UTF-8: {exc.reason}") from None
 
 
 def load_space(path: str | Path) -> SemanticSpace:
-    """Read a space written by save_space; round-trips bit-exactly."""
-    blob = Path(path).read_bytes()
+    """Read a space written by save_space; round-trips bit-exactly.
+
+    The file is read once: sigma and the word vectors are read-only views
+    of its bytes.
+    """
+    with open(path, "rb") as file:
+        blob = file.read()
     if len(blob) < len(_MAGIC) + 8:
         raise SpaceTruncatedError("file too short to be a space file")
-    payload, checksum = blob[:-8], blob[-8:]
-    if hashlib.sha256(payload).digest()[:8] != checksum:
+    end = len(blob) - 8  # the payload; the checksum follows it
+    if hashlib.sha256(memoryview(blob)[:end]).digest()[:8] != blob[end:]:
         raise SpaceChecksumError("space file checksum mismatch")
-    reader = _Reader(payload)
-    if reader.take(len(_MAGIC)) != _MAGIC:
+    if not blob.startswith(_MAGIC):
         raise SpaceFormatError("not a space file (bad magic)")
-    (version,) = struct.unpack("<I", reader.take(4))
+    reader = _Reader(blob, len(_MAGIC), end)
+    (version,) = reader.unpack("<I")
     if version != _FORMAT_VERSION:
         raise SpaceVersionError(f"unsupported space format version {version}")
-    (mode_tag,) = struct.unpack("<B", reader.take(1))
+    (mode_tag,) = reader.unpack("<B")
     if mode_tag not in _TAG_MODES:
         raise SpaceFormatError(f"unknown stemmer tag {mode_tag}")
-    rules_fp, space_fp = reader.take_strs(2)
-    m, n_columns, k = struct.unpack("<QQQ", reader.take(24))
+    rules_fp, space_fp = reader.strs(2)
+    m, n_columns, k = reader.unpack("<QQQ")
     if not 1 <= k <= m:
         raise SpaceFormatError(f"space keeps k={k} dimensions, outside 1..{m}")
-    (scaling_tag,) = struct.unpack("<B", reader.take(1))
+    (scaling_tag,) = reader.unpack("<B")
     if scaling_tag not in _TAG_SCALINGS:
         raise SpaceFormatError(f"unknown scaling tag {scaling_tag}")
-    vocabulary = Vocabulary(reader.take_strs(m))
+    vocabulary = Vocabulary(reader.strs(m))
     if len(vocabulary) < m:
         raise SpaceFormatError(f"space vocabulary repeats {m - len(vocabulary)} of its {m} words")
-    sigma = np.frombuffer(reader.take(8 * k), dtype="<f8").copy()
-    vectors = np.frombuffer(reader.take(8 * m * k), dtype="<f8").copy().reshape(m, k)
-    if reader.pos != len(payload):
-        raise SpaceFormatError(f"{len(payload) - reader.pos} trailing bytes in space file")
+    sigma = reader.floats(k)
+    vectors = reader.floats(m * k).reshape(m, k)
+    if reader.pos != end:
+        raise SpaceFormatError(f"{end - reader.pos} trailing bytes in space file")
     return SemanticSpace(
         k=int(k),
         scaling=_TAG_SCALINGS[scaling_tag],

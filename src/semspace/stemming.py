@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -42,8 +43,17 @@ def default_rules_dir() -> Path:
 
 
 def _read_rules(rules_dir: Path) -> dict[str, bytes]:
-    """The bytes of each rule file present in `rules_dir`, by name."""
-    return {name: (rules_dir / name).read_bytes() for name in RULE_FILES if (rules_dir / name).is_file()}
+    """The bytes of each rule file present in `rules_dir`, by name. Each is
+    opened once; a name that is absent, a directory, or under a path that is
+    not a directory is left out."""
+    rules = {}
+    for name in RULE_FILES:
+        try:
+            with open(os.path.join(rules_dir, name), "rb") as file:
+                rules[name] = file.read()
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            pass
+    return rules
 
 
 def _rule_text(rules: dict[str, bytes], rules_dir: Path, name: str) -> str:

@@ -1,6 +1,8 @@
 """Independent brute-force oracles, kept deliberately separate from the
 library's own algorithms so the two sides of each check cannot share a bug."""
 
+import math
+
 import numpy as np
 
 _CLEAN_TABLE = {
@@ -156,6 +158,59 @@ def euclidean_by_summation(a, b):
     for x, y in zip(a, b):
         total += (x - y) * (x - y)
     return total ** 0.5
+
+
+def _shift(*vectors):
+    """Exponent of the power of two that brings the largest entry of all `vectors` into [0.5, 1)."""
+    return -math.frexp(max(float(np.abs(v).max()) for v in vectors))[1]
+
+
+def _apart_euclidean(a, b):
+    d = a - b
+    shift = _shift(d)
+    return float(np.ldexp(math.sqrt(float(np.sum(np.ldexp(d, shift) ** 2))), -shift))
+
+
+def _apart_cosine(a, b):
+    a, b = np.ldexp(a, _shift(a)), np.ldexp(b, _shift(b))
+    norm_a, norm_b = float(np.dot(a, a)), float(np.dot(b, b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return None
+    return max(-1.0, min(1.0, float(np.dot(a, b)) / math.sqrt(norm_a * norm_b)))
+
+
+def _apart_jaccard(a, b):
+    shift = _shift(a, b)
+    a, b = np.ldexp(a, shift), np.ldexp(b, shift)
+    dot, norm_a, norm_b = float(np.dot(a, b)), float(np.dot(a, a)), float(np.dot(b, b))
+    if norm_a == 0.0 and norm_b == 0.0:
+        return None
+    return dot / (norm_a + norm_b - dot)
+
+
+def _apart_pearson(a, b):
+    a, b = np.ldexp(a, _shift(a)), np.ldexp(b, _shift(b))
+    m = a.shape[0]
+    if m < 2:
+        return None
+    sum_a, sum_b = float(np.sum(a)), float(np.sum(b))
+    spread_a = m * float(np.dot(a, a)) - sum_a * sum_a
+    spread_b = m * float(np.dot(b, b)) - sum_b * sum_b
+    if spread_a <= m * float(np.dot(a, a)) * 1e-13 or spread_b <= m * float(np.dot(b, b)) * 1e-13:
+        return None
+    value = (m * float(np.dot(a, b)) - sum_a * sum_b) / math.sqrt(spread_a * spread_b)
+    return max(-1.0, min(1.0, value))
+
+
+def measures_apart(a, b):
+    """The four similarity measures of two finite float64 vectors, each
+    scaled and multiplied on its own; None where a measure is undefined."""
+    return {
+        "cosine": _apart_cosine(a, b),
+        "euclidean": _apart_euclidean(a, b),
+        "pearson": _apart_pearson(a, b),
+        "jaccard": _apart_jaccard(a, b),
+    }
 
 
 def count_occurrences(paragraph_tokens, stem):

@@ -274,6 +274,21 @@ def test_sim_space_that_repeats_a_word_is_data_error(capsys, tmp_path):
     assert "repeats" in err
 
 
+def test_sim_space_with_text_that_is_not_utf8_is_data_error(capsys, tiny_corpus, tmp_path):
+    import hashlib
+
+    space_file = tmp_path / "space.bin"
+    run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
+    first_word = load_space(space_file).vocabulary.tokens[0]
+    payload = bytearray(space_file.read_bytes()[:-8])
+    payload[payload.index(first_word.encode())] = 0xFF
+    space_file.write_bytes(bytes(payload) + hashlib.sha256(payload).digest()[:8])
+    code, out, err = run(capsys, "sim", "--space", str(space_file), "السفير", "السفارة")
+    assert code == 4
+    assert out == ""
+    assert "not UTF-8" in err
+
+
 def test_sim_warns_on_differing_rules(capsys, tiny_corpus, tmp_path):
     from semspace.stemming import default_rules_dir
 
@@ -373,6 +388,28 @@ def test_config_file_mode_key_is_unknown(capsys, tiny_corpus, tmp_path):
     assert code == 1  # the stemmer comes from --mode or the space, never the file
     assert out == ""
     assert "unknown key 'mode'" in err
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("stem", "k = 4\nmodes = root\n", "k"),
+    ("stem", "format = bogus\n", "format"),
+    ("sim", "k = 4\n", "k"),
+    ("build", "normalize = on\n", "normalize"),
+], ids=["stem-k", "stem-format", "sim-k", "build-normalize"])
+def test_config_file_key_not_used_by_the_subcommand(capsys, tiny_corpus, tmp_path, command, text, key):
+    space_file = tmp_path / "space.bin"
+    run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
+    config = tmp_path / "semspace.conf"
+    config.write_text(text, encoding="utf-8")
+    argv = {
+        "stem": ["stem", "--mode", "light", "السفير"],
+        "sim": ["sim", "--space", str(space_file), "السفير", "السفارة"],
+        "build": ["build", "--mode", "light", str(tiny_corpus), "-o", str(tmp_path / "other.bin")],
+    }[command]
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert f"key {key!r} is not used by {command}" in err
 
 
 # --- report ------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,8 +190,10 @@ def test_save_load_round_trip(tmp_path, light_space):
     assert loaded.vocabulary == light_space.vocabulary
     assert loaded.provenance == light_space.provenance
     assert loaded.n_columns == light_space.n_columns
-    assert np.array_equal(loaded.sigma, light_space.sigma)
-    assert np.array_equal(loaded.word_vectors, light_space.word_vectors)
+    for got, saved in ((loaded.sigma, light_space.sigma), (loaded.word_vectors, light_space.word_vectors)):
+        assert got.shape == saved.shape and got.dtype == np.float64
+        assert got.tobytes() == saved.tobytes()  # bit for bit, -0.0 and NaN included
+        assert not got.flags.writeable  # a view of the file's bytes
 
 
 def test_save_is_deterministic(tmp_path, mini_paragraphs, mini_stats, light_config):
@@ -246,15 +251,48 @@ def test_space_dimension_outside_one_to_vocabulary_size_rejected(tmp_path, k):
         load_space(path)
 
 
+THREE_WORDS = SemanticSpace(2, "u", Vocabulary(["اب", "جد", "هو"]), np.ones(2),
+                            np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]), Provenance("none", "rf", "fp"), 3)
+
+
+def _payload(space):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "space.bin"
+        save_space(space, path)
+        return path.read_bytes()[:-8]
+
+
+THREE_WORDS_PAYLOAD = _payload(THREE_WORDS)
+
+
 def test_repeated_word_rejected(tmp_path):
-    vectors = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    space = SemanticSpace(2, "u", Vocabulary(["اب", "جد", "هو"]), np.ones(2), vectors, PROV, 3)
     path = tmp_path / "space.bin"
-    save_space(space, path)
+    save_space(THREE_WORDS, path)
     # the second word overwritten by the first: the same length, so the layout holds
     payload = path.read_bytes()[:-8].replace("جد".encode(), "اب".encode(), 1)
     _rewrite_with_checksum(path, payload)
     with pytest.raises(SpaceFormatError, match="repeats 1 of its 3 words"):
+        load_space(path)
+
+
+@pytest.mark.parametrize("cut", range(len(THREE_WORDS_PAYLOAD)))
+def test_every_cut_of_the_payload_is_a_truncation(tmp_path, cut):
+    """A payload cut short, under a valid checksum, leaves a field short
+    wherever the cut falls, and the parser says so instead of failing on
+    the bytes it is missing."""
+    path = tmp_path / "space.bin"
+    _rewrite_with_checksum(path, THREE_WORDS_PAYLOAD[:cut])
+    with pytest.raises(SpaceTruncatedError):
+        load_space(path)
+
+
+@pytest.mark.parametrize("text", ["rf", "fp", "اب"])
+def test_text_that_is_not_utf8_is_a_format_error(tmp_path, text):
+    payload = bytearray(THREE_WORDS_PAYLOAD)
+    payload[payload.index(text.encode())] = 0xFF
+    path = tmp_path / "space.bin"
+    _rewrite_with_checksum(path, bytes(payload))
+    with pytest.raises(SpaceFormatError, match="not UTF-8"):
         load_space(path)
 
 

@@ -14,7 +14,7 @@ from semspace.similarity import (
     pearson,
 )
 
-from oracles import euclidean_by_summation
+from oracles import euclidean_by_summation, measures_apart
 
 
 # --- euclidean ---------------------------------------------------------------
@@ -237,6 +237,30 @@ def test_measure_all_matches_individual_calls():
     assert results["euclidean"] == euclidean(a, b)
     assert results["pearson"] == pearson(a, b)
     assert results["jaccard"] == jaccard(a, b)
+
+
+def _bits(value):
+    return None if value is None else value.hex()
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two finite vectors of one dimension in 1..12, each with entries of its
+    own magnitude, subnormal to 1e300, or the second a multiple of the first."""
+    dim = draw(st.integers(1, 12))
+    a, b = (np.array(draw(st.lists(st.floats(-1e300, 1e300), min_size=dim, max_size=dim)))
+            * 2.0 ** -draw(st.integers(0, 900)) for _ in range(2))
+    if draw(st.booleans()):
+        b = a * draw(st.sampled_from([1.0, -1.0, 0.5, 3.0]))
+    return a, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(vector_pairs())
+def test_measure_all_matches_the_measures_computed_apart(pair):
+    a, b = pair
+    shared = {r.measure: _bits(r.value) for r in measure_all(a, b)}
+    assert shared == {name: _bits(value) for name, value in measures_apart(a, b).items()}
 
 
 def test_measure_all_rejects_shape_problems():

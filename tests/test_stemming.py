@@ -361,3 +361,10 @@ def test_load_rejects_malformed_pattern_line(tmp_path):
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(RuleFormatError, match="missing rule file"):
         make_config("light", tmp_path)
+    for name in ("prefixes.txt", "suffixes.txt", "postfixes.txt"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    (tmp_path / "antefixes.txt").mkdir()  # a directory is not a rule file
+    with pytest.raises(RuleFormatError, match="missing rule file: .*antefixes.txt"):
+        make_config("light", tmp_path)
+    with pytest.raises(RuleFormatError, match="missing rule file"):  # nor is a file a rules directory
+        make_config("light", tmp_path / "prefixes.txt")
