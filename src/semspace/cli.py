@@ -1,9 +1,11 @@
 """Command-line entry point: stats, stem, build, sim, report.
 
 Data goes to stdout (or -o), diagnostics to stderr. Exit codes: 0 success,
-1 usage, 2 I/O, 3 numeric, 4 data format. Option precedence is flags over
-config-file values over built-in defaults; the SEMSPACE_RULES environment
-variable supplies a default rules directory.
+1 usage, 2 I/O, 3 numeric, 4 data format. A --config file's values become
+arguments placed before the command line's own and go through the same
+parser, so flags win over the file, the file over built-in defaults, and a
+bad value is a usage error from either source. The SEMSPACE_RULES
+environment variable supplies a default rules directory.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -32,31 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass
-class RunConfig:
-    modes: tuple[str, ...] | None = None
-    k: int | None = None
-    scaling: str = SCALING_U
-    rules_dir: Path | None = None
-    normalize: bool = False
-    format: str = "tsv"
-
-    def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.modes == ():
-            raise ValueError("--modes names no mode")
-        for i, mode in enumerate(self.modes or ()):
-            if mode not in MODES:
-                raise ValueError(f"unknown mode in --modes: {mode!r}")
-            if mode in self.modes[:i]:
-                raise ValueError(f"mode {mode!r} repeated in --modes")
-        if self.scaling not in SCALINGS:
-            raise ValueError(f"scaling must be one of {', '.join(SCALINGS)}")
-        if self.format not in ("tsv", "markdown"):
-            raise ValueError("format must be tsv or markdown")
 
 
 def _read_config_file(path: str, command: str, used: set[str]) -> dict[str, str]:
@@ -82,42 +58,38 @@ def _read_config_file(path: str, command: str, used: set[str]) -> dict[str, str]
     return values
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, config file and environment into one RunConfig."""
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The --config file's values as arguments of the subcommand: `--key=value`
+    (`-k=value`), so a value that starts with '-' stays a value, and for the
+    normalize switch `--normalize` when on, nothing when off."""
     used = _CONFIG_KEYS.intersection(vars(args))  # the keys among the subcommand's option dests
-    file_values = _read_config_file(args.config, args.command, used) if args.config else {}
+    argv = []
+    for key, value in _read_config_file(args.config, args.command, used).items():
+        if key != "normalize":
+            argv.append(f"-k={value}" if key == "k" else f"--{key}={value}")
+        elif value.lower() not in _SWITCH_VALUES:
+            raise ValueError(f"normalize must be one of {', '.join(_SWITCH_VALUES)}, got {value!r}")
+        elif _SWITCH_VALUES[value.lower()]:
+            argv.append("--normalize")
+    return argv
 
-    def pick(flag_name: str, key: str, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return default
 
-    rules = pick("rules", "rules", os.environ.get("SEMSPACE_RULES"))
-    k = pick("k", "k", None)
-    if isinstance(k, str):
-        try:
-            k = int(k)
-        except ValueError:
-            raise ValueError(f"k must be an integer, got {k!r}") from None
-    normalize_flag = pick("normalize", "normalize", False)
-    if isinstance(normalize_flag, str):
-        if normalize_flag.lower() not in _SWITCH_VALUES:
-            raise ValueError(f"normalize must be one of {', '.join(_SWITCH_VALUES)}, got {normalize_flag!r}")
-        normalize_flag = _SWITCH_VALUES[normalize_flag.lower()]
-    modes = pick("modes", "modes", None)
-    if isinstance(modes, str):
-        modes = tuple(part.strip() for part in modes.split(",") if part.strip())
-    return RunConfig(
-        modes=modes,
-        k=k,
-        scaling=pick("scaling", "scaling", SCALING_U),
-        rules_dir=Path(rules) if rules else None,
-        normalize=bool(normalize_flag),
-        format=pick("format", "format", "tsv"),
-    )
+def _rules_dir(args: argparse.Namespace) -> Path | None:
+    rules = args.rules or os.environ.get("SEMSPACE_RULES")
+    return Path(rules) if rules else None
+
+
+def _modes(text: str) -> tuple[str, ...]:
+    """The stemmers a --modes list names, each at most once."""
+    modes = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not modes:
+        raise ValueError("--modes names no mode")
+    for i, mode in enumerate(modes):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode in --modes: {mode!r}")
+        if mode in modes[:i]:
+            raise ValueError(f"mode {mode!r} repeated in --modes")
+    return modes
 
 
 def _warn_skipped(skipped: list[tuple[str, str]]) -> bool:
@@ -138,34 +110,24 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_stem(args) -> int:
-    stemmer = make_config(args.mode, _resolve(args).rules_dir)
+    stemmer = make_config(args.mode, _rules_dir(args))
     out_lines = []
     for word in args.words:
         result = stemmer.stem(word)
-        s = result.stripped
-        parts = ";".join(
-            f"{name}={value}"
-            for name, value in (
-                ("antefix", s.antefix),
-                ("prefix", s.prefix),
-                ("suffix", s.suffix),
-                ("postfix", s.postfix),
-            )
-            if value
-        )
+        # Stripped's fields run in word order: antefix, prefix, suffix, postfix
+        parts = ";".join(f"{name}={value}" for name, value in vars(result.stripped).items() if value)
         out_lines.append(f"{result.original}\t{result.output}\t{result.kind}\t{parts or '-'}")
     sys.stdout.write("".join(line + "\n" for line in out_lines))
     return 0
 
 
 def _cmd_build(args) -> int:
-    config = _resolve(args)
     corpus = load_corpus(args.corpus_dir)
     partial = _warn_skipped(corpus.skipped)
     paragraphs = segment_corpus(corpus)
     stats = corpus_stats(corpus, paragraphs)
-    stemmer = make_config(args.mode, config.rules_dir)
-    space = build_space(paragraphs, stats, stemmer, k=config.k, scaling=config.scaling)
+    stemmer = make_config(args.mode, _rules_dir(args))
+    space = build_space(paragraphs, stats, stemmer, k=args.k, scaling=args.scaling)
     save_space(space, args.output)
     print(
         f"built space: {len(space.vocabulary)} words, {space.n_columns} paragraphs, "
@@ -176,10 +138,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    config = _resolve(args)
     space = load_space(args.space)
     mode = space.provenance.stemmer_mode
-    stemmer = make_config(mode, config.rules_dir)
+    stemmer = make_config(mode, _rules_dir(args))
     if mode != MODE_NONE and stemmer.rules_fingerprint != space.provenance.rules_fingerprint:
         print(
             "warning: rule files differ from the ones this space was built with "
@@ -188,7 +149,7 @@ def _cmd_sim(args) -> int:
         )
     vec_a = word_vector(space, args.word_a, stemmer)
     vec_b = word_vector(space, args.word_b, stemmer)
-    if config.normalize:
+    if args.normalize:
         vec_a, vec_b = unit_vector(vec_a), unit_vector(vec_b)
     header = "\t".join(MEASURE_ORDER)
     values = "\t".join(format_value(r) for r in measure_all(vec_a, vec_b))
@@ -197,19 +158,19 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config = _resolve(args)
+    modes = _modes(args.modes)
     pairs = load_pairs(args.pairs)
     report = run_comparison(
         args.corpus,
         pairs,
-        modes=config.modes or DEFAULT_MODES,
-        k=config.k,
-        scaling=config.scaling,
-        rules_dir=config.rules_dir,
-        unit_length=config.normalize,
+        modes=modes,
+        k=args.k,
+        scaling=args.scaling,
+        rules_dir=_rules_dir(args),
+        unit_length=args.normalize,
     )
     partial = _warn_skipped(report.skipped)
-    text = render_report(report, config.format)
+    text = render_report(report, args.format)
     if args.output:
         Path(args.output).write_bytes(text.encode("utf-8"))
     else:
@@ -237,7 +198,7 @@ def _build_parser() -> _Parser:
     p_build = sub.add_parser("build", help="build and persist a word space")
     p_build.add_argument("--mode", choices=MODES, required=True)
     p_build.add_argument("-k", type=int, default=None, help="dimensions to keep, at most the rank (default min(300, rank))")
-    p_build.add_argument("--scaling", choices=SCALINGS, default=None)
+    p_build.add_argument("--scaling", choices=SCALINGS, default=SCALING_U)
     p_build.add_argument("--rules", default=None)
     p_build.add_argument("--config", default=None)
     p_build.add_argument("corpus_dir")
@@ -247,7 +208,7 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("sim", help="similarity of two words in a space")
     p_sim.add_argument("--space", required=True)
     p_sim.add_argument("--rules", default=None)
-    p_sim.add_argument("--normalize", action="store_true", default=None)
+    p_sim.add_argument("--normalize", action="store_true")
     p_sim.add_argument("--config", default=None)
     p_sim.add_argument("word_a")
     p_sim.add_argument("word_b")
@@ -256,12 +217,12 @@ def _build_parser() -> _Parser:
     p_report = sub.add_parser("report", help="full stemmer-by-measure comparison report")
     p_report.add_argument("--corpus", required=True)
     p_report.add_argument("--pairs", required=True)
-    p_report.add_argument("--modes", default=None, help="comma-separated subset of root,light,none")
+    p_report.add_argument("--modes", default=",".join(DEFAULT_MODES), help="comma-separated subset of root,light,none")
     p_report.add_argument("-k", type=int, default=None, help="dimensions to keep, at most the smallest rank over --modes")
-    p_report.add_argument("--scaling", choices=SCALINGS, default=None)
-    p_report.add_argument("--format", choices=("tsv", "markdown"), default=None)
+    p_report.add_argument("--scaling", choices=SCALINGS, default=SCALING_U)
+    p_report.add_argument("--format", choices=("tsv", "markdown"), default="tsv")
     p_report.add_argument("--rules", default=None)
-    p_report.add_argument("--normalize", action="store_true", default=None)
+    p_report.add_argument("--normalize", action="store_true")
     p_report.add_argument("--config", default=None)
     p_report.add_argument("-o", "--output", default=None)
     p_report.set_defaults(func=_cmd_report)
@@ -270,8 +231,11 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):  # the top level's options all exit, so argv[0] is the subcommand
+            args = parser.parse_args(argv[:1] + _config_argv(args) + argv[1:])
         return args.func(args)
     except ValueError as exc:
         print(f"semspace: error: {exc}", file=sys.stderr)

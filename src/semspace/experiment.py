@@ -66,7 +66,10 @@ def load_pairs(path: str | Path) -> list[WordPair]:
     Lines starting with '#' and blank lines are skipped; duplicates are kept.
     """
     pairs: list[WordPair] = []
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PairFormatError(f"{path}: not UTF-8: {exc.reason}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):

@@ -59,7 +59,10 @@ def _read_rules(rules_dir: Path) -> dict[str, bytes]:
 def _rule_text(rules: dict[str, bytes], rules_dir: Path, name: str) -> str:
     if name not in rules:
         raise RuleFormatError(f"missing rule file: {rules_dir / name}")
-    return rules[name].decode("utf-8")
+    try:
+        return rules[name].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RuleFormatError(f"{rules_dir / name}: not UTF-8: {exc.reason}") from None
 
 
 def _longest_first(text: str) -> tuple[str, ...]:
@@ -96,7 +99,7 @@ class Pattern:
             raise RuleFormatError(f"pattern {self.template!r}: needs 3 or 4 root positions, got {k}")
         if list(self.root_positions) != sorted(set(self.root_positions)):
             raise RuleFormatError(f"pattern {self.template!r}: positions must be strictly increasing")
-        if self.root_positions[-1] >= len(self.template):
+        if self.root_positions[0] < 0 or self.root_positions[-1] >= len(self.template):
             raise RuleFormatError(f"pattern {self.template!r}: position out of range")
 
     def match(self, residual: str) -> str | None:

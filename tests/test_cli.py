@@ -412,6 +412,102 @@ def test_config_file_key_not_used_by_the_subcommand(capsys, tiny_corpus, tmp_pat
     assert f"key {key!r} is not used by {command}" in err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("build", "k", "x"),
+    ("build", "scaling", "bogus"),
+    ("report", "format", "pdf"),
+], ids=["k", "scaling", "format"])
+def test_config_file_value_is_checked_like_its_flag(capsys, tiny_corpus, tmp_path, command, key, value):
+    config = tmp_path / "semspace.conf"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    argv = {
+        "build": ["build", "--mode", "light", str(tiny_corpus), "-o", str(tmp_path / "s.bin")],
+        "report": ["report", "--corpus", str(tiny_corpus), "--pairs", str(tmp_path / "pairs.tsv")],
+    }[command]
+    errors = []
+    for source in (["-k" if key == "k" else f"--{key}", value], ["--config", str(config)]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + source)
+        assert exc_info.value.code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert f"{value!r}" in errors[1]
+    assert not (tmp_path / "s.bin").exists()
+
+
+def test_config_file_bad_value_is_an_error_under_its_flag(capsys, tiny_corpus, tmp_path):
+    config = tmp_path / "semspace.conf"
+    config.write_text("k = x\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["build", "--mode", "light", "--config", str(config), "-k", "2", str(tiny_corpus),
+              "-o", str(tmp_path / "s.bin")])
+    assert exc_info.value.code == 1
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_config_file_builds_the_bytes_of_the_same_flags(capsys, tiny_corpus, tmp_path):
+    config = tmp_path / "semspace.conf"
+    config.write_text("k = 3\nscaling = usigma\n", encoding="utf-8")
+    by_flags, by_file = tmp_path / "flags.bin", tmp_path / "file.bin"
+    assert run(capsys, "build", "--mode", "root", "-k", "3", "--scaling", "usigma",
+               str(tiny_corpus), "-o", str(by_flags))[0] == 0
+    assert run(capsys, "build", "--mode", "root", "--config", str(config),
+               str(tiny_corpus), "-o", str(by_file))[0] == 0
+    assert by_file.read_bytes() == by_flags.read_bytes()
+
+
+def test_config_file_normalize_off_yields_to_the_flag(capsys, tiny_corpus, tmp_path):
+    space_file = tmp_path / "space.bin"
+    run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
+    config = tmp_path / "semspace.conf"
+    config.write_text("normalize = off\n", encoding="utf-8")
+    words = ("السفير", "السفارة")
+    _, unit_out, _ = run(capsys, "sim", "--space", str(space_file), "--normalize", *words)
+    _, raw_out, _ = run(capsys, "sim", "--space", str(space_file), *words)
+    code, out, err = run(
+        capsys, "sim", "--space", str(space_file), "--config", str(config), "--normalize", *words
+    )
+    assert code == 0
+    assert out == unit_out != raw_out
+
+
+def test_config_file_value_that_starts_with_a_dash_is_a_value(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "semspace.conf"
+    config.write_text("rules = -x\n", encoding="utf-8")
+    code, out, err = run(capsys, "stem", "--mode", "light", "--config", str(config), "السفير")
+    assert code == 4
+    assert out == ""
+    assert "missing rule file: -x" in err
+
+
+def test_rule_file_that_is_not_utf8_is_data_error(capsys, tmp_path):
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    for name in ("prefixes", "suffixes", "postfixes"):
+        (rules / f"{name}.txt").write_text("", encoding="utf-8")
+    (rules / "antefixes.txt").write_bytes("ال\n".encode() + b"\xff\n")
+    code, out, err = run(capsys, "stem", "--mode", "light", "--rules", str(rules), "العراقية")
+    assert code == 4
+    assert out == ""
+    assert f"{rules / 'antefixes.txt'}: not UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["build", "report"])
+def test_k_below_one_is_usage_error(capsys, tiny_corpus, tmp_path, command):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("السفير\tالسفارة\tSimilar\n", encoding="utf-8")
+    argv = {
+        "build": ["build", "--mode", "light", "-k", "0", str(tiny_corpus), "-o", str(tmp_path / "s.bin")],
+        "report": ["report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "-k", "-1"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "k must be in 1.." in err
+    assert not (tmp_path / "s.bin").exists()
+
+
 # --- report ------------------------------------------------------------------------
 
 def test_report_tiny_corpus(capsys, tiny_corpus, tmp_path):
@@ -450,6 +546,15 @@ def test_report_bad_pairs_file(capsys, tiny_corpus, tmp_path):
         capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs),
     )
     assert code == 4
+
+
+def test_report_pairs_file_that_is_not_utf8_is_data_error(capsys, tiny_corpus, tmp_path):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_bytes("السفير\tالسفارة\tSimilar\n".encode() + b"\xff\n")
+    code, out, err = run(capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs))
+    assert code == 4
+    assert out == ""
+    assert f"{pairs}: not UTF-8" in err
 
 
 def test_report_warns_on_skipped_file(capsys, tiny_corpus, tmp_path):

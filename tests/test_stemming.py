@@ -348,6 +348,8 @@ def test_pattern_rejects_bad_positions():
         Pattern("فعل", (0, 2, 1))
     with pytest.raises(RuleFormatError):
         Pattern("فعل", (0, 1, 9))
+    with pytest.raises(RuleFormatError, match="position out of range"):
+        Pattern("فعلل", (-1, 0, 1))
 
 
 def test_load_rejects_malformed_pattern_line(tmp_path):
@@ -355,6 +357,15 @@ def test_load_rejects_malformed_pattern_line(tmp_path):
         (tmp_path / name).write_text("", encoding="utf-8")  # so the error can only come from patterns.txt
     (tmp_path / "patterns.txt").write_text("فعل\t0,1\t2\n", encoding="utf-8")
     with pytest.raises(RuleFormatError, match="patterns.txt:1"):
+        make_config("root", tmp_path)
+
+
+@pytest.mark.parametrize("name", ["antefixes.txt", "patterns.txt"])
+def test_load_rejects_rule_file_that_is_not_utf8(tmp_path, name):
+    for other in ("antefixes.txt", "prefixes.txt", "suffixes.txt", "postfixes.txt", "patterns.txt"):
+        (tmp_path / other).write_text("", encoding="utf-8")
+    (tmp_path / name).write_bytes(b"\xff\xfe\n")
+    with pytest.raises(RuleFormatError, match=f"{name}: not UTF-8"):
         make_config("root", tmp_path)
 
 
