@@ -28,17 +28,19 @@ _CONFIG_KEYS = {"k", "scaling", "rules", "format", "normalize", "modes"}
 _SWITCH_VALUES = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 
+class _ParseError(Exception):
+    """argparse's usage error as (parser, message), so that a --config line can be named in it."""
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; usage errors are 1
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    def error(self, message):  # argparse exits 2 from here; main reports it and exits 1
+        raise _ParseError(self, message)
 
 
-def _read_config_file(path: str, command: str, used: set[str]) -> dict[str, str]:
-    """The file's `key = value` lines; a key must be one of `used`, the
-    config keys that `command` has an option for."""
-    values: dict[str, str] = {}
+def _read_config_file(path: str, command: str, used: set[str]) -> dict[str, tuple[int, str]]:
+    """The file's `key = value` lines as key: (line number, value); a key must
+    be one of `used`, the config keys that `command` has an option for."""
+    values: dict[str, tuple[int, str]] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -54,24 +56,30 @@ def _read_config_file(path: str, command: str, used: set[str]) -> dict[str, str]
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key not in used:
             raise ValueError(f"{path}:{lineno}: key {key!r} is not used by {command}")
-        values[key] = value
+        values[key] = (lineno, value)
     return values
 
 
-def _config_argv(args: argparse.Namespace) -> list[str]:
+def _config_argv(parser: _Parser, argv: list[str], args: argparse.Namespace) -> list[str]:
     """The --config file's values as arguments of the subcommand: `--key=value`
     (`-k=value`), so a value that starts with '-' stays a value, and for the
-    normalize switch `--normalize` when on, nothing when off."""
+    normalize switch `--normalize` when on, nothing when off. Each is checked
+    alone with the command line `argv`, so that an error names its line."""
     used = _CONFIG_KEYS.intersection(vars(args))  # the keys among the subcommand's option dests
-    argv = []
-    for key, value in _read_config_file(args.config, args.command, used).items():
-        if key != "normalize":
-            argv.append(f"-k={value}" if key == "k" else f"--{key}={value}")
-        elif value.lower() not in _SWITCH_VALUES:
-            raise ValueError(f"normalize must be one of {', '.join(_SWITCH_VALUES)}, got {value!r}")
-        elif _SWITCH_VALUES[value.lower()]:
-            argv.append("--normalize")
-    return argv
+    config_argv = []
+    for key, (lineno, value) in _read_config_file(args.config, args.command, used).items():
+        if key == "normalize":
+            if value.lower() not in _SWITCH_VALUES:
+                raise ValueError(f"{args.config}:{lineno}: normalize must be one of {', '.join(_SWITCH_VALUES)}, got {value!r}")
+            config_argv += ["--normalize"] if _SWITCH_VALUES[value.lower()] else []
+            continue
+        arg = f"-k={value}" if key == "k" else f"--{key}={value}"
+        try:
+            parser.parse_args(argv[:1] + [arg] + argv[1:])
+        except _ParseError as exc:
+            raise _ParseError(exc.args[0], f"{args.config}:{lineno}: {exc.args[1]}") from None
+        config_argv.append(arg)
+    return config_argv
 
 
 def _rules_dir(args: argparse.Namespace) -> Path | None:
@@ -232,11 +240,15 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "config", None):  # the top level's options all exit, so argv[0] is the subcommand
-            args = parser.parse_args(argv[:1] + _config_argv(args) + argv[1:])
+            args = parser.parse_args(argv[:1] + _config_argv(parser, argv, args) + argv[1:])
         return args.func(args)
+    except _ParseError as exc:
+        failed, message = exc.args
+        failed.print_usage(sys.stderr)
+        failed.exit(EXIT_USAGE, f"{failed.prog}: error: {message}\n")
     except ValueError as exc:
         print(f"semspace: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

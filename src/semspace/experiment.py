@@ -18,7 +18,7 @@ from .lsa import (
     SCALING_U,
     SemanticSpace,
     build_matrix,
-    factorize,
+    factorize_all,
     space_fingerprint,
     space_from_matrix,
     word_vector,
@@ -151,7 +151,7 @@ def run_comparison(
 
     configs = [make_config(mode, rules_dir) for mode in modes]
     matrices = [build_matrix(paragraphs, config) for config in configs]
-    factored = [factorize(matrix) for matrix in matrices]
+    factored = factorize_all(matrices)
     if k is None:
         k = min(300, *(factors.n for factors in factored))  # one k for every mode
 

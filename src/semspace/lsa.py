@@ -155,6 +155,12 @@ def factorize(matrix: CooccurrenceMatrix) -> SvdFactors:
     return SvdFactors(U=U, sigma=sigma)
 
 
+def factorize_all(matrices: list[CooccurrenceMatrix]) -> list[SvdFactors]:
+    """`factorize` of each matrix; those whose ranks agree share one Jacobi loop."""
+    factored = _svd.jacobi_svds([matrix.to_dense() for matrix in matrices])
+    return [SvdFactors(U=U, sigma=sigma) for U, sigma, _ in factored]
+
+
 def truncate(
     factors: SvdFactors,
     k: int,

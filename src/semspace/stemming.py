@@ -249,6 +249,12 @@ def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, .
     return tuple(patterns)
 
 
+@functools.lru_cache(maxsize=16)
+def _parsed_rules(rules_dir: Path, rules: tuple[tuple[str, bytes], ...], root: bool):
+    """The affix table, and for root the patterns, memoized on the rule files' bytes."""
+    return _affix_table(dict(rules), rules_dir), _pattern_table(dict(rules), rules_dir) if root else None
+
+
 def _fingerprint(rules: dict[str, bytes]) -> str:
     digest = hashlib.sha256()
     for name in RULE_FILES:
@@ -299,12 +305,8 @@ def make_config(mode: str, rules_dir: Path | None = None) -> StemmerConfig:
         return StemmerConfig(mode=mode)
     rules_dir = rules_dir if rules_dir is not None else default_rules_dir()
     rules = _read_rules(rules_dir)  # parsed and hashed from the same bytes
-    return StemmerConfig(
-        mode=mode,
-        affixes=_affix_table(rules, rules_dir),
-        patterns=_pattern_table(rules, rules_dir) if mode == MODE_ROOT else None,
-        rules_fingerprint=_fingerprint(rules),
-    )
+    affixes, patterns = _parsed_rules(rules_dir, tuple(rules.items()), mode == MODE_ROOT)
+    return StemmerConfig(mode=mode, affixes=affixes, patterns=patterns, rules_fingerprint=_fingerprint(rules))
 
 
 def default_tables() -> tuple[AffixTable, tuple[Pattern, ...]]:

@@ -30,10 +30,11 @@ made up. The factorization runs in three steps:
    of as many rounds as slots meets every pair once and reverses the rows.
    The squared row norms are computed once per sweep and updated by each
    rotation (as in LAPACK's dgesvj), so a round computes only the pairs'
-   inner products. The schedule never varies, so results are bit-reproducible
-   on the same numpy and BLAS build and thread count. Pairs whose norms sit
-   at roundoff level relative to the matrix are excluded from the
-   convergence measure.
+   inner products. Pairs whose norms sit at roundoff level relative to the
+   matrix are excluded from the convergence measure. The schedule never
+   varies, so results are bit-reproducible on the same numpy and BLAS build
+   and thread count. `jacobi_svds` factors several matrices: R2 factors of
+   one shape (ranks that agree) rotate in one loop, each with its own bits.
 """
 
 from __future__ import annotations
@@ -146,38 +147,44 @@ def _merge_duplicate_columns(X: np.ndarray) -> np.ndarray:
     return X[:, first] * np.sqrt(np.bincount(group))
 
 
-def _jacobi_rows(G: np.ndarray, max_sweeps: int, tol: float) -> int:
-    """Rotate the rows of G in place until they are orthogonal; return the sweeps.
+def _jacobi_rows(stack: np.ndarray, max_sweeps: int, tol: float) -> list[int]:
+    """Rotate the rows of each stack[i] in place until they are orthogonal; return the sweeps of each.
 
-    A round's pairs are one reshaped view of the slots, and its matmul writes
-    them, rotated and swapped, to the other of two buffers.
+    The p problems of the (p, n, w) stack sit in blocks of m slots of one
+    buffer, so a round's numpy calls serve them all: its pairs are one reshaped
+    view of the slots, and its matmul writes them, rotated and swapped, to the
+    other of two buffers. In odd rounds the pair that straddles two blocks is
+    never live and its slots are copied back. A converged problem only swaps.
     """
-    n, w = G.shape
+    p, n, w = stack.shape
     if n < 2:
-        return 0
+        return [0] * p
     m = n + n % 2  # an odd n gets a zero spare row, which never rotates
-    dead_level = (_MACHINE_EPS * np.linalg.norm(G)) ** 2
-
-    rows, out = np.zeros((m, w)), np.empty((m, w))
-    rows[:n] = G
-    rot = np.empty((m // 2, 2, 2))
-    off = float("inf")
+    half = m // 2
+    bufs, norms = np.zeros((2, p * m, w)), np.empty((2, p * m))
+    bufs[0].reshape(p, m, w)[:, :n] = stack
+    # each problem's roundoff level, per pair position; inf where odd rounds straddle blocks
+    dead = np.repeat([(_MACHINE_EPS * np.linalg.norm(G)) ** 2 for G in stack], half)
+    dead_odd = np.where(np.arange(1, p * half) % half, dead[:-1], np.inf)
+    off, rot = np.zeros(p * half), np.empty((p * half, 2, 2))  # off: the sweep's largest rel per position
+    rounds = []  # even, odd: pairs, their rotated slots, the norms in and out, level, rotations, off
+    for lo, level in enumerate((dead, dead_odd)):
+        pairs, swapped = (b[lo : p * m - lo].reshape(-1, 2, w) for b in (bufs[lo], bufs[1 - lo]))
+        app, aqq, new_app, new_aqq = (a[lo + i : p * m - lo : 2] for a in (norms[lo], norms[1 - lo]) for i in (0, 1))
+        rounds.append((pairs, swapped, app, aqq, new_app, new_aqq, level, rot[: len(pairs)], off[: len(pairs)]))
+    ends = [a.reshape(p, m, -1)[:, :: m - 1] for a in (*bufs, *norms[:, :, None])]  # each block's first, last slot
+    sweeps, residual = [0] * p, np.full(p, np.inf)
     for sweep in range(1, max_sweeps + 1):
-        off = 0.0
+        off[:] = 0.0
         # Squared row norms, exact at the start of the sweep and updated by
-        # each rotation; they swap with their rows. The sweep that ends the
-        # iteration rotates nothing, so its norms stay exact.
-        norms = np.einsum("ij,ij->i", rows, rows)
-        for lo in (0, 1) * (m // 2):
-            if lo:
-                out[:: m - 1] = rows[:: m - 1]  # slots 0 and m - 1 sit out
-            pairs = rows[lo : m - lo].reshape(-1, 2, w)
-            swapped = out[lo : m - lo].reshape(-1, 2, w)
-            app, aqq = norms[lo : m - lo : 2], norms[lo + 1 : m - lo : 2]
+        # each rotation; they move with their rows.
+        norms[0] = np.einsum("ij,ij->i", bufs[0], bufs[0])
+        for lo in (0, 1) * half:
+            pairs, swapped, app, aqq, new_app, new_aqq, level, r, seen = rounds[lo]
             apq = np.einsum("ij,ij->i", pairs[:, 0], pairs[:, 1])
-            live = np.minimum(app, aqq) > dead_level
+            live = np.minimum(app, aqq) > level
             rel = np.abs(apq) / np.sqrt(np.where(live, app * aqq, np.inf))
-            off = max(off, float(rel.max(initial=0.0)))
+            np.maximum(seen, rel, out=seen)
             active = rel > tol
             if active.any():
                 tau = (aqq - app) / (2.0 * np.where(active, apq, 1.0))
@@ -185,7 +192,6 @@ def _jacobi_rows(G: np.ndarray, max_sweeps: int, tol: float) -> int:
                 t = np.where(active, np.where(tau == 0.0, 1.0, t), 0.0)
                 cos_t = 1.0 / np.sqrt(1.0 + t * t)
                 sin_t = t * cos_t
-                r = rot[: len(t)]
                 r[:, 0, 0], r[:, 1, 1] = sin_t, -sin_t
                 r[:, 0, 1] = r[:, 1, 0] = cos_t
                 np.matmul(r, pairs, out=swapped)
@@ -193,15 +199,20 @@ def _jacobi_rows(G: np.ndarray, max_sweeps: int, tol: float) -> int:
             else:
                 swapped[:] = pairs[:, ::-1]
                 d = 0.0
-            app[:], aqq[:] = aqq + d, app - d
-            rows, out = out, rows
-        if off <= tol:
-            G[:] = rows[:n] if sweep % 2 == 0 else rows[::-1][:n]
-            return sweep
+            np.add(aqq, d, out=new_app)
+            np.subtract(app, d, out=new_aqq)
+            if lo:  # the blocks' first and last slots sat out
+                ends[0][:], ends[2][:] = ends[1], ends[3]
+        residual = off.reshape(p, half).max(axis=1)
+        for i in np.flatnonzero(residual <= tol):
+            sweeps[i] = sweeps[i] or sweep
+        if all(sweeps):  # an odd sweep count leaves each block reversed
+            stack[:] = bufs[0].reshape(p, m, w)[:, :: -1 if sweep % 2 else 1][:, :n]
+            return sweeps
     raise ConvergenceError(
         f"one-sided Jacobi did not converge in {max_sweeps} sweeps "
-        f"(off-diagonal residual {off:.3e})",
-        residual=off,
+        f"(off-diagonal residual {residual.max():.3e})",
+        residual=float(residual.max()),
     )
 
 
@@ -223,34 +234,53 @@ def jacobi_svd(
     Raises ConvergenceError (carrying the achieved off-diagonal residual)
     if the sweep budget is exhausted.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.size == 0:
-        raise ValueError("expected a non-empty 2-d matrix")
+    return jacobi_svds([X], max_sweeps, tol)[0]
 
-    merged = _merge_duplicate_columns(X)
-    R, _, reflectors = householder_qr(merged)
 
-    # R.T[:, p2] = Q2 @ R2, and Jacobi turns the rows of R2 into
-    # B = W @ R2 = diag(sigma) @ Z.T, W orthogonal, so up to the cut
-    # merged[:, perm] = Q[:, :r] @ Y @ diag(sigma) @ (Q2 @ W.T).T with
-    # Y[p2] = Z. U needs only Y, so neither Q2 nor W is formed; Q is applied
-    # to Y padded with zero rows.
-    B, p2, _ = householder_qr(R.T)
-    del R
-    sweeps = _jacobi_rows(B, max_sweeps, tol)
+def jacobi_svds(
+    Xs: list[np.ndarray],
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    tol: float = DEFAULT_TOL,
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """`jacobi_svd` of each matrix, bit for bit; R2 factors of one shape share
+    one Jacobi loop, and a ConvergenceError from any of them is raised."""
+    fronts = []
+    for X in Xs:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.size == 0:
+            raise ValueError("expected a non-empty 2-d matrix")
+        R, _, reflectors = householder_qr(_merge_duplicate_columns(X))
+        # R.T[:, p2] = Q2 @ R2, and Jacobi turns the rows of R2 into
+        # B = W @ R2 = diag(sigma) @ Z.T, W orthogonal, so up to the cut
+        # merged[:, perm] = Q[:, :r] @ Y @ diag(sigma) @ (Q2 @ W.T).T with
+        # Y[p2] = Z. U needs only Y, so neither Q2 nor W is formed; Q is applied
+        # to Y padded with zero rows.
+        B, p2, _ = householder_qr(R.T)
+        del R
+        fronts.append((X.shape, B, p2, reflectors))
 
-    sigma = np.sqrt(np.einsum("ij,ij->i", B, B))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = np.r_[sigma[order], np.zeros(min(X.shape) - len(B))]
-    alive = sigma > sigma[0] * _MACHINE_EPS * 10
-    live = int(np.count_nonzero(alive))
-    sigma[~alive] = 0.0
+    solved = {}  # R2's shape: its rotated rows and sweeps, in input order
+    for shape in dict.fromkeys(B.shape for _, B, _, _ in fronts):  # no padding: it would move the sums' bits
+        stack = np.stack([B for _, B, _, _ in fronts if B.shape == shape])
+        solved[shape] = list(zip(stack, _jacobi_rows(stack, max_sweeps, tol)))
 
-    Y = np.zeros((X.shape[0], live))
-    Y[p2] = (B[order[:live]] / sigma[:live, None]).T
-    U = apply_q(reflectors, Y)
+    results = []
+    while fronts:  # a front's reflectors go once its U is made
+        shape, R2, p2, reflectors = fronts.pop(0)
+        B, count = solved[R2.shape].pop(0)
+        sigma = np.sqrt(np.einsum("ij,ij->i", B, B))
+        order = np.argsort(-sigma, kind="stable")
+        sigma = np.r_[sigma[order], np.zeros(min(shape) - len(B))]
+        alive = sigma > sigma[0] * _MACHINE_EPS * 10
+        live = int(np.count_nonzero(alive))
+        sigma[~alive] = 0.0
 
-    rows = np.argmax(np.abs(U), axis=0)
-    flip = U[rows, np.arange(live)] < 0
-    U[:, flip] = -U[:, flip]
-    return U, sigma, sweeps
+        Y = np.zeros((shape[0], live))
+        Y[p2] = (B[order[:live]] / sigma[:live, None]).T
+        U = apply_q(reflectors, Y)
+
+        rows = np.argmax(np.abs(U), axis=0)
+        flip = U[rows, np.arange(live)] < 0
+        U[:, flip] = -U[:, flip]
+        results.append((U, sigma, count))
+    return results

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from semspace.cli import main
+from semspace.experiment import bundled_pairs_path
 from semspace.lsa import Provenance, SemanticSpace, Vocabulary, load_space, save_space
 
 
@@ -430,9 +431,29 @@ def test_config_file_value_is_checked_like_its_flag(capsys, tiny_corpus, tmp_pat
             main(argv + source)
         assert exc_info.value.code == 1
         errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1]
+    prefix = f"semspace {command}: error: "
+    assert errors[0].startswith(f"usage: semspace {command} ") and errors[0].count(prefix) == 1
+    assert errors[1] == errors[0].replace(prefix, f"{prefix}{config}:1: ")  # the flag's message, located
     assert f"{value!r}" in errors[1]
     assert not (tmp_path / "s.bin").exists()
+
+
+def test_config_file_bad_values_name_their_file_and_line(capsys, tiny_corpus, tmp_path):
+    space_file = tmp_path / "space.bin"
+    run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
+    config = tmp_path / "semspace.conf"
+    config.write_text("# options\nscaling = u\n\nk = x\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["build", "--mode", "light", "--config", str(config), str(tiny_corpus), "-o", str(tmp_path / "s.bin")])
+    assert exc_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"\nsemspace build: error: {config}:4: argument -k: invalid int value: 'x'\n")
+
+    config.write_text("# options\nnormalize = ture\n", encoding="utf-8")
+    code, out, err = run(capsys, "sim", "--space", str(space_file), "--config", str(config), "السفير", "السفارة")
+    assert code == 1 and out == ""
+    assert err == (f"semspace: error: {config}:2: normalize must be one of "
+                   "1, true, yes, on, 0, false, no, off, got 'ture'\n")
 
 
 def test_config_file_bad_value_is_an_error_under_its_flag(capsys, tiny_corpus, tmp_path):
@@ -537,6 +558,29 @@ def test_report_stdout_when_no_output(capsys, tiny_corpus, tmp_path):
     )
     assert code == 0
     assert out.startswith("# semspace comparison report")
+
+
+def test_report_mode_sections_do_not_depend_on_the_other_modes(capsys, mini_corpus_dir, tmp_path):
+    # the modes' factorizations share one Jacobi loop; each must come out as it does alone
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_bytes(bundled_pairs_path("Similar").read_bytes() + bundled_pairs_path("Different").read_bytes())
+
+    def sections(modes):
+        code, out, err = run(capsys, "report", "--corpus", str(mini_corpus_dir), "--pairs", str(pairs),
+                             "--modes", modes, "-k", "40")
+        assert code == 0
+        by_mode, mode = {}, None
+        for line in out.splitlines(keepends=True):  # each "## stemmer=<mode>\tlabel=<label>" and its rows
+            if line.startswith("## stemmer="):
+                mode = line[len("## stemmer="):].split("\t", 1)[0]
+            if mode:
+                by_mode[mode] = by_mode.get(mode, "") + line
+        return by_mode
+
+    together = sections("root,light,none")
+    assert list(together) == ["root", "light", "none"]
+    for mode in together:
+        assert sections(mode) == {mode: together[mode]}
 
 
 def test_report_bad_pairs_file(capsys, tiny_corpus, tmp_path):

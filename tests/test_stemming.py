@@ -369,6 +369,26 @@ def test_load_rejects_rule_file_that_is_not_utf8(tmp_path, name):
         make_config("root", tmp_path)
 
 
+def test_edited_rule_file_is_parsed_again(tmp_path):
+    # the parsed tables are memoized on the rule files' bytes, which are read on every call
+    shipped = stemming.default_rules_dir()
+    for name in stemming.RULE_FILES:
+        (tmp_path / name).write_bytes((shipped / name).read_bytes())
+    first = make_config("root", tmp_path)
+    again = make_config("root", tmp_path)
+    assert again.patterns is first.patterns and again.affixes is first.affixes
+    (tmp_path / "patterns.txt").write_text("فعل\t0,1,2\n", encoding="utf-8")
+    (tmp_path / "prefixes.txt").write_text("ست\n", encoding="utf-8")
+    edited = make_config("root", tmp_path)
+    assert edited.patterns == (Pattern("فعل", (0, 1, 2)),)
+    assert edited.affixes.prefixes == ("ست",)
+    assert edited.affixes.antefixes == first.affixes.antefixes
+    assert edited.rules_fingerprint != first.rules_fingerprint
+    (tmp_path / "patterns.txt").write_text("فعل\t0,1\n", encoding="utf-8")
+    with pytest.raises(RuleFormatError, match="needs 3 or 4 root positions"):
+        make_config("root", tmp_path)
+
+
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(RuleFormatError, match="missing rule file"):
         make_config("light", tmp_path)

@@ -10,7 +10,7 @@ from semspace.corpus import load_corpus, segment_corpus
 from semspace.errors import ConvergenceError
 from semspace.lsa import build_matrix
 from semspace import svd
-from semspace.svd import _jacobi_rows, apply_q, householder_qr, jacobi_svd
+from semspace.svd import _jacobi_rows, apply_q, householder_qr, jacobi_svd, jacobi_svds
 
 from oracles import jacobi_rows, singular_values_via_augmented, singular_values_via_gram
 
@@ -222,6 +222,8 @@ def test_jacobi_svd_runs_both_qrs_through_the_module_name(monkeypatch):
     X = np.random.default_rng(67).poisson(0.5, size=(30, 20)).astype(float)
     jacobi_svd(X)
     assert len(calls) == 2
+    jacobi_svds([X, X[:, :12], X.T])
+    assert len(calls) == 8
 
 
 def test_duplicate_columns_merge_like_scaled_columns():
@@ -292,11 +294,85 @@ def test_jacobi_rows_end_where_they_started(shape, noise, sweeps):
     Q, _ = np.linalg.qr(rng.normal(size=(w, n)))
     G = np.linspace(1.0, 2.0, n)[:, None] * Q.T + noise * rng.normal(size=(n, w))
     B = G.copy()
-    assert _jacobi_rows(B, 60, 1e-14) == sweeps
+    assert _jacobi_rows(B[None], 60, 1e-14) == [sweeps]
     if noise == 0.0:
         assert np.array_equal(B, G)
     reference, _ = jacobi_rows(G)
     assert np.abs(B - reference).max() <= 1e-12
+
+
+@st.composite
+def jacobi_stacks(draw):
+    """p = 1..4 problems of one shape (n rows, n <= w): orthogonal rows with
+    noise from none to full, some rows zero, so sweep counts differ, and
+    scales far enough apart that one problem's roundoff level would kill
+    another's rows."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 9))
+    w = draw(st.integers(n, 11))
+    problems = []
+    for _ in range(p):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        noise = draw(st.sampled_from([0.0, 1e-10, 1e-4, 1.0]))
+        Q, _ = np.linalg.qr(rng.normal(size=(w, n)))
+        G = np.linspace(1.0, 3.0, n)[:, None] * Q.T + noise * rng.normal(size=(n, w))
+        G *= draw(st.sampled_from([1.0, 1e-9, 1e9]))
+        G[draw(st.lists(st.integers(0, n - 1), max_size=n // 2))] = 0.0
+        problems.append(G)
+    return np.stack(problems)
+
+
+def solve_alone(stack):
+    """Each problem of the stack through _jacobi_rows on its own."""
+    solved = stack.copy()
+    return solved, [_jacobi_rows(G[None], 60, 1e-14)[0] for G in solved]
+
+
+@settings(max_examples=150, deadline=None)
+@given(jacobi_stacks())
+def test_jacobi_rows_stack_gives_each_problem_its_solo_bits(stack):
+    solved, sweeps = solve_alone(stack)
+    assert _jacobi_rows(stack, 60, 1e-14) == sweeps
+    assert np.array_equal(stack, solved)
+
+
+def test_jacobi_rows_stack_with_unequal_sweeps_odd_rows_and_zero_rows():
+    # n = 7 pads each block with a spare slot; the pair that straddles two
+    # blocks in odd rounds must neither rotate nor swap its norms
+    rng = np.random.default_rng(71)
+    Q, _ = np.linalg.qr(rng.normal(size=(9, 7)))
+    stack = np.stack([Q.T, rng.normal(size=(7, 9)), Q.T + 1e-6 * rng.normal(size=(7, 9)),
+                      rng.normal(size=(7, 9))])
+    stack[1, [2, 5]] = 0.0
+    solved, sweeps = solve_alone(stack)
+    assert sweeps[0] == 1 and len(set(sweeps)) >= 3
+    assert _jacobi_rows(stack, 60, 1e-14) == sweeps
+    assert np.array_equal(stack, solved)
+
+
+def test_jacobi_svds_match_jacobi_svd_across_r2_shapes():
+    # two R2 shapes: 20 x 20 (full-rank tall and a rank-20 wide matrix) and 9 x 9
+    rng = np.random.default_rng(73)
+    Xs = [
+        rng.poisson(0.6, size=(40, 20)).astype(float),
+        rng.poisson(0.6, size=(30, 9)).astype(float),
+        rng.normal(size=(20, 6)) @ rng.normal(size=(6, 25)) + rng.normal(size=(20, 25)),
+        rng.poisson(0.6, size=(50, 9)).astype(float),
+    ]
+    batch = jacobi_svds(Xs)
+    assert len(batch) == len(Xs)
+    for X, (U, s, sweeps) in zip(Xs, batch):
+        U1, s1, sweeps1 = jacobi_svd(X)
+        assert np.array_equal(U, U1) and np.array_equal(s, s1) and sweeps == sweeps1
+
+
+def test_jacobi_svds_raises_when_one_member_does_not_converge():
+    # the identity converges in its first sweep; the random matrix does not
+    X = np.random.default_rng(31).normal(size=(12, 12))
+    for Xs in ([np.eye(12), X], [X, np.eye(12)]):
+        with pytest.raises(ConvergenceError) as exc_info:
+            jacobi_svds(Xs, max_sweeps=1)
+        assert exc_info.value.residual > 0
 
 
 def test_odd_rank_count_matrix_with_duplicate_columns():
