@@ -14,31 +14,38 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 from .errors import CorpusReadError
 
 Token = str  # normalized, non-empty, Arabic letters only
 
-_DIACRITICS = {cp: None for cp in range(0x064B, 0x0653)}
-_TATWEEL = {0x0640: None}
-_FOLDS = {ord("أ"): "ا", ord("إ"): "ا", ord("آ"): "ا", ord("ى"): "ي"}
-_CLEAN_TABLE = {**_DIACRITICS, **_TATWEEL, **_FOLDS}
+# Everything outside the letter block U+0621..U+064A goes (rules 1 and 4),
+# and so does the tatweel U+0640 inside it.
+_DROP = re.compile(r"[^\u0621-\u063F\u0641-\u064A]+")
+_DROP_KEEP_SPACE = re.compile(r"[^\u0621-\u063F\u0641-\u064A\s]+")
+_FOLDS = (("أ", "ا"), ("إ", "ا"), ("آ", "ا"), ("ى", "ي"))
 
-_NON_ARABIC = re.compile(r"[^\u0621-\u064A]+")
-_NON_ARABIC_OR_SPACE = re.compile(r"[^\u0621-\u064A\s]+")
+
+def _clean(text: str, drop: re.Pattern) -> str:
+    """Rules 1 to 4: one regex pass drops, then each fold is one str.replace."""
+    text = drop.sub("", text)
+    for letter, folded in _FOLDS:
+        text = text.replace(letter, folded)
+    return text
 
 
 def normalize(raw: str) -> str:
     """Normalize one raw token. Returns '' when nothing Arabic survives."""
-    return _NON_ARABIC.sub("", raw.translate(_CLEAN_TABLE))
+    return _clean(raw, _DROP)
 
 
 def tokenize(text: str) -> list[Token]:
     """Split on Unicode whitespace, normalize each piece, drop the empties."""
     # Regex \s and str.isspace agree on every code point, so dropping the
     # non-Arabic letters first leaves the same pieces for split() to return.
-    return _NON_ARABIC_OR_SPACE.sub("", text.translate(_CLEAN_TABLE)).split()
+    return _clean(text, _DROP_KEEP_SPACE).split()
 
 
 @dataclass(frozen=True)
@@ -122,32 +129,14 @@ def segment_paragraphs(doc: RawDocument) -> list[Paragraph]:
     paragraph is tokenized; paragraphs with no surviving tokens are dropped,
     and indices are assigned contiguously over the kept ones.
     """
-    paragraphs: list[Paragraph] = []
-    block: list[str] = []
-
-    def flush():
-        if not block:
-            return
-        tokens = tokenize(" ".join(block))
-        if tokens:
-            paragraphs.append(Paragraph(doc.id, len(paragraphs), tuple(tokens)))
-        block.clear()
-
-    for line in doc.text.splitlines():
-        if line.strip():
-            block.append(line)
-        else:
-            flush()
-    flush()
-    return paragraphs
+    runs = groupby(doc.text.splitlines(), key=lambda line: bool(line.strip()))
+    tokenized = [tokens for tokens in (tokenize(" ".join(lines)) for kept, lines in runs if kept) if tokens]
+    return [Paragraph(doc.id, index, tuple(tokens)) for index, tokens in enumerate(tokenized)]
 
 
 def segment_corpus(corpus: Corpus) -> list[Paragraph]:
     """All paragraphs of the corpus, in document order."""
-    out: list[Paragraph] = []
-    for doc in corpus.documents:
-        out.extend(segment_paragraphs(doc))
-    return out
+    return [paragraph for doc in corpus.documents for paragraph in segment_paragraphs(doc)]
 
 
 def corpus_stats(corpus: Corpus, paragraphs: list[Paragraph] | None = None) -> CorpusStats:

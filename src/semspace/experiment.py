@@ -17,7 +17,7 @@ from .errors import OutOfVocabularyError, PairFormatError
 from .lsa import (
     SCALING_U,
     SemanticSpace,
-    build_matrix,
+    build_matrices,
     factorize_all,
     space_fingerprint,
     space_from_matrix,
@@ -150,7 +150,7 @@ def run_comparison(
     stats = corpus_stats(corpus, paragraphs)
 
     configs = [make_config(mode, rules_dir) for mode in modes]
-    matrices = [build_matrix(paragraphs, config) for config in configs]
+    matrices = build_matrices(paragraphs, configs)
     factored = factorize_all(matrices)
     if k is None:
         k = min(300, *(factors.n for factors in factored))  # one k for every mode

@@ -46,16 +46,12 @@ class Vocabulary:
         self._tokens: list[str] = list(dict.fromkeys(tokens or []))
         self._index: dict[str, int] = dict(zip(self._tokens, range(len(self._tokens))))
 
-    def add(self, token: str) -> int:
-        idx = self._index.get(token)
-        if idx is None:
-            idx = len(self._tokens)
-            self._index[token] = idx
-            self._tokens.append(token)
-        return idx
-
     def index_of(self, token: str) -> int | None:
         return self._index.get(token)
+
+    def rows_of(self, tokens: list[str]) -> np.ndarray:
+        """The row of each of `tokens`, all in the vocabulary, as an index array."""
+        return np.fromiter(map(self._index.__getitem__, tokens), dtype=np.intp, count=len(tokens))
 
     @property
     def tokens(self) -> list[str]:
@@ -125,28 +121,37 @@ def space_fingerprint(rules_fingerprint: str, stats: CorpusStats) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def build_matrix(paragraphs: list[Paragraph], config: StemmerConfig) -> CooccurrenceMatrix:
-    """Count stemmed-word occurrences per paragraph.
+def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) -> list[CooccurrenceMatrix]:
+    """Count stemmed-word occurrences per paragraph, one matrix per config.
 
     Row order is first occurrence in corpus order; column order follows the
     paragraph list. Raises EmptyCorpusError rather than returning a matrix
-    with no rows or no columns. Each distinct token is stemmed once.
+    with no rows or no columns. The corpus is read once: each distinct token
+    gets an id, each occurrence its token id and column, and each config
+    stems each distinct token once.
     """
-    vocabulary = Vocabulary()
-    row_of: dict[str, int] = {}  # token -> matrix row
-    cells: list[int] = []  # row * n_paragraphs + paragraph, one per occurrence
-    n = len(paragraphs)
-    for j, paragraph in enumerate(paragraphs):
-        for token in paragraph.tokens:
-            if token not in row_of:
-                row_of[token] = vocabulary.add(config.stem_token(token))
-            cells.append(row_of[token] * n + j)
-    if not paragraphs or not len(vocabulary):
+    occurrences = [token for paragraph in paragraphs for token in paragraph.tokens]
+    distinct = Vocabulary(occurrences)
+    if not paragraphs or not len(distinct):
         raise EmptyCorpusError("empty corpus")
-    counts = np.zeros((len(vocabulary), n))
-    np.add.at(counts.reshape(-1), cells, 1.0)
-    counts.flags.writeable = False
-    return CooccurrenceMatrix(vocabulary, counts)
+    n = len(paragraphs)
+    token_ids = distinct.rows_of(occurrences)
+    columns = np.repeat(np.arange(n), [len(paragraph.tokens) for paragraph in paragraphs])
+    matrices = []
+    for config in configs:
+        stems = list(map(config.stem_token, distinct.tokens))
+        vocabulary = Vocabulary(stems)
+        rows = vocabulary.rows_of(stems)
+        counts = np.zeros((len(vocabulary), n))
+        np.add.at(counts.reshape(-1), rows[token_ids] * n + columns, 1.0)  # row * n + column per occurrence
+        counts.flags.writeable = False
+        matrices.append(CooccurrenceMatrix(vocabulary, counts))
+    return matrices
+
+
+def build_matrix(paragraphs: list[Paragraph], config: StemmerConfig) -> CooccurrenceMatrix:
+    """`build_matrices` for one config."""
+    return build_matrices(paragraphs, [config])[0]
 
 
 def factorize(matrix: CooccurrenceMatrix) -> SvdFactors:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import os
 import re
 from collections.abc import Callable
@@ -87,6 +88,23 @@ class AffixTable:
             if len(set(entries)) != len(entries):
                 raise RuleFormatError(f"duplicate entry in {name}")
 
+    @functools.cached_property
+    def matches(self) -> tuple[re.Pattern, re.Pattern]:
+        """The front match, run on a word: the antefix region, then the
+        prefix region. The back match, run on the reversed rest: the postfix
+        region, then the suffix region. Each region is one group."""
+        front = _region(self.antefixes, True) + _region(self.prefixes + self.antefixes, True)
+        back = _region(self.postfixes, False) + _region(self.suffixes + self.postfixes, False)
+        return re.compile(front, re.DOTALL), re.compile(back, re.DOTALL)
+
+
+def _region(affixes: tuple[str, ...], front: bool) -> str:
+    """A region as one group that strips until no entry fits: alternatives are
+    tried in table order, so the first entry that fits wins, and the lookahead
+    keeps MIN_STEM_LEN letters. A back region is spelled for the reversed word."""
+    alternatives = "|".join(re.escape(a if front else a[::-1]) for a in affixes)
+    return f"((?:(?:{alternatives})(?=.{{{MIN_STEM_LEN}}}))*)"
+
 
 @dataclass(frozen=True)
 class Pattern:
@@ -140,26 +158,6 @@ class Decomposition:
     postfix: str | None
 
 
-@functools.lru_cache
-def _region_pattern(affixes: tuple[str, ...], front: bool) -> re.Pattern:
-    """Strips a region in one match: alternatives are tried in table order,
-    so the first entry that fits wins, and the lookahead keeps MIN_STEM_LEN
-    letters. A back region matches the reversed word."""
-    alternatives = "|".join(re.escape(a if front else a[::-1]) for a in affixes)
-    return re.compile(f"(?:(?:{alternatives})(?=.{{{MIN_STEM_LEN}}}))*", re.DOTALL)
-
-
-def _strip_region(word: str, affixes: tuple[str, ...], front: bool) -> tuple[str | None, str]:
-    """Strip from one end of `word` until no entry of `affixes` fits, taking
-    the first that does (callers pass each table longest-first, in priority
-    order); returns the stripped letters, or None, and the rest."""
-    if front:
-        n = _region_pattern(affixes, True).match(word).end()
-        return word[:n] or None, word[n:]
-    n = len(word) - _region_pattern(affixes, False).match(word[::-1]).end()
-    return word[n:] or None, word[:n]
-
-
 def _strip_affixes(token: str, table: AffixTable) -> tuple[Stripped, str]:
     """Strip the four affix regions in word order: antefixes, then prefixes,
     then (from the end) postfixes, then suffixes.
@@ -169,11 +167,14 @@ def _strip_affixes(token: str, table: AffixTable) -> tuple[Stripped, str]:
     it, so the parts concatenate back to the original string exactly and the
     residual carries no strippable affix at all: stemming is idempotent.
     """
-    antefix, rest = _strip_region(token, table.antefixes, front=True)
-    prefix, rest = _strip_region(rest, table.prefixes + table.antefixes, front=True)
-    postfix, rest = _strip_region(rest, table.postfixes, front=False)
-    suffix, rest = _strip_region(rest, table.suffixes + table.postfixes, front=False)
-    return Stripped(antefix, prefix, suffix, postfix), rest
+    front, back = table.matches
+    ahead = front.match(token)
+    rest = token[ahead.end():]
+    behind = back.match(rest[::-1])
+    antefix, prefix = ahead.groups()
+    postfix, suffix = behind.groups()
+    stripped = Stripped(antefix or None, prefix or None, suffix[::-1] or None, postfix[::-1] or None)
+    return stripped, rest[: len(rest) - behind.end()]
 
 
 def light_stem(token: str, table: AffixTable) -> StemResult:
@@ -191,24 +192,21 @@ def _root_matcher(patterns: tuple[Pattern, ...]) -> Callable[[str], tuple[str, s
         for p in patterns
     )
     regex = re.compile("|".join(f"({a})" for a in alternatives) or "(?!)", re.DOTALL)
+    roots = [(operator.itemgetter(*p.root_positions), p.template) for p in patterns]  # 3 or 4 positions: a tuple
 
     def match(residual: str) -> tuple[str, str] | None:
         found = regex.fullmatch(residual)
         if found is None:
             return None
-        pattern = patterns[found.lastindex - 1]
-        return "".join(residual[i] for i in pattern.root_positions), pattern.template
+        letters, template = roots[found.lastindex - 1]
+        return "".join(letters(residual)), template
 
     return match
 
 
 def root_stem(token: str, table: AffixTable, patterns: tuple[Pattern, ...]) -> StemResult:
-    return _root_stem(token, table, _root_matcher(patterns))
-
-
-def _root_stem(token: str, table: AffixTable, match_root: Callable[[str], tuple[str, str] | None]) -> StemResult:
     stripped, residual = _strip_affixes(token, table)
-    root, template = match_root(residual) or (residual, None)
+    root, template = _root_matcher(patterns)(residual) or (residual, None)
     return StemResult(token, root, KIND_ROOT, stripped, residual, pattern=template)
 
 
@@ -285,18 +283,26 @@ class StemmerConfig:
     def stem(self, token: str) -> StemResult:
         """The full stemming result for one token; mode none keeps it whole."""
         if self.mode == MODE_ROOT:
-            return _root_stem(token, self.affixes, self._match_root)
+            return root_stem(token, self.affixes, self.patterns)
         if self.mode == MODE_LIGHT:
             return light_stem(token, self.affixes)
         return StemResult(token, token, KIND_STEM, Stripped(), token)
 
     @functools.cached_property
-    def _match_root(self) -> Callable[[str], tuple[str, str] | None]:
-        return _root_matcher(self.patterns)
+    def stem_token(self) -> Callable[[str], str]:
+        """Reduced form of a normalized token: the row it indexes, that is
+        `stem(token).output`, read from the affix matches' ends alone."""
+        if self.mode == MODE_NONE:
+            return str  # the token itself
+        front, back = self.affixes.matches
+        match_root = _root_matcher(self.patterns) if self.mode == MODE_ROOT else lambda residual: None
 
-    def stem_token(self, token: str) -> str:
-        """Reduced form of a normalized token: the row it indexes."""
-        return self.stem(token).output
+        def stem_token(token: str) -> str:
+            rest = token[front.match(token).end():]
+            residual = rest[: len(rest) - back.match(rest[::-1]).end()]
+            return (match_root(residual) or (residual,))[0]
+
+        return stem_token
 
 
 def make_config(mode: str, rules_dir: Path | None = None) -> StemmerConfig:

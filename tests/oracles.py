@@ -1,7 +1,9 @@
 """Independent brute-force oracles, kept deliberately separate from the
 library's own algorithms so the two sides of each check cannot share a bug."""
 
+import functools
 import math
+import re
 
 import numpy as np
 
@@ -22,6 +24,59 @@ def normalize(raw):
 def tokenize(text):
     """Split on str.isspace whitespace, normalize each piece, drop the empties."""
     return [token for token in map(normalize, text.split()) if token]
+
+
+_NON_ARABIC = re.compile(r"[^\u0621-\u064A]+")
+_NON_ARABIC_OR_SPACE = re.compile(r"[^\u0621-\u064A\s]+")
+
+
+def normalize_translated(raw):
+    """The normalization as one str.translate through the fold table, then
+    one regex pass that drops what lies outside U+0621..U+064A."""
+    return _NON_ARABIC.sub("", raw.translate(_CLEAN_TABLE))
+
+
+def tokenize_translated(text):
+    """tokenize through the same table, keeping whitespace for split()."""
+    return _NON_ARABIC_OR_SPACE.sub("", text.translate(_CLEAN_TABLE)).split()
+
+
+def paragraph_tokens(text):
+    """Token tuples of a document's paragraphs, its line runs collected one
+    line at a time; blank lines end a run and runs without tokens go."""
+    paragraphs, block = [], []
+    for line in text.splitlines() + [""]:
+        if line.strip():
+            block.append(line)
+        elif block:
+            tokens = tokenize_translated(" ".join(block))
+            if tokens:
+                paragraphs.append(tuple(tokens))
+            block = []
+    return paragraphs
+
+
+@functools.lru_cache
+def _region_pattern(affixes, front, min_stem_len=2):
+    alternatives = "|".join(re.escape(a if front else a[::-1]) for a in affixes)
+    return re.compile(f"(?:(?:{alternatives})(?=.{{{min_stem_len}}}))*", re.DOTALL)
+
+
+def _strip_region_by_regex(word, affixes, front):
+    if front:
+        n = _region_pattern(affixes, True).match(word).end()
+        return word[:n] or None, word[n:]
+    n = len(word) - _region_pattern(affixes, False).match(word[::-1]).end()
+    return word[n:] or None, word[:n]
+
+
+def strip_affixes_by_region(token, table):
+    """strip_affixes with one compiled match per region, run four times."""
+    antefix, rest = _strip_region_by_regex(token, table.antefixes, front=True)
+    prefix, rest = _strip_region_by_regex(rest, table.prefixes + table.antefixes, front=True)
+    postfix, rest = _strip_region_by_regex(rest, table.postfixes, front=False)
+    suffix, rest = _strip_region_by_regex(rest, table.suffixes + table.postfixes, front=False)
+    return antefix, prefix, suffix, postfix, rest
 
 
 def strip_region(word, affixes, front, min_stem_len=2):
@@ -211,6 +266,21 @@ def measures_apart(a, b):
         "pearson": _apart_pearson(a, b),
         "jaccard": _apart_jaccard(a, b),
     }
+
+
+def count_matrix(paragraph_tokens, stem):
+    """(row tokens, counts): one matrix, one occurrence at a time, each
+    distinct token stemmed at its first occurrence."""
+    rows, row_of, cells = {}, {}, []
+    n = len(paragraph_tokens)
+    for j, tokens in enumerate(paragraph_tokens):
+        for token in tokens:
+            if token not in row_of:
+                row_of[token] = rows.setdefault(stem(token), len(rows))
+            cells.append(row_of[token] * n + j)
+    counts = np.zeros((len(rows), n))
+    np.add.at(counts.reshape(-1), cells, 1.0)
+    return list(rows), counts
 
 
 def count_occurrences(paragraph_tokens, stem):

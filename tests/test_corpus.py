@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semspace.corpus import (
     RawDocument,
@@ -72,6 +74,23 @@ def test_normalize_and_tokenize_match_the_reference_on_every_code_point(plane):
     assert tokenize(text) == oracles.tokenize(text)
 
 
+# Letters, the alif forms and seats, the diacritics and tatweel, code points
+# just outside the kept block, Arabic-Indic and ASCII digits, Latin, and
+# whitespace of every kind str.split knows (U+200B is not whitespace).
+_TEXT = (
+    "ابتسلمنهويةءؤئ" "أإآاىي" "\u064b\u064e\u0650\u0651\u0652\u0640" "\u0620\u063b\u063f\u0641\u064a"
+    "\u0653\u0654\u0660\u0669\u060c\u061f" "0189abzXY.-"
+    " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u3000\u200b"
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_TEXT, max_size=60))
+def test_normalize_and_tokenize_match_the_translate_oracle(text):
+    assert normalize(text) == oracles.normalize_translated(text)
+    assert tokenize(text) == oracles.tokenize_translated(text)
+
+
 def _doc(text):
     return RawDocument(id="d", text=text)
 
@@ -103,6 +122,14 @@ def test_segment_drops_tokenless_paragraphs():
     paragraphs = segment_paragraphs(_doc("نص عربي\n\n123 abc\n\nنص اخر"))
     assert len(paragraphs) == 2
     assert [p.index for p in paragraphs] == [0, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="اب a.\u064e \t\n\r\x0b\x0c\x1c\x85\u2028", max_size=40))
+def test_segment_matches_the_line_by_line_oracle(text):
+    paragraphs = segment_paragraphs(_doc(text))
+    assert [p.tokens for p in paragraphs] == oracles.paragraph_tokens(text)
+    assert [p.index for p in paragraphs] == list(range(len(paragraphs)))
 
 
 def test_tokenize_idempotent_on_own_output(mini_paragraphs):

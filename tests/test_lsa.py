@@ -1,8 +1,11 @@
+import itertools
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semspace.corpus import Paragraph
 from semspace.errors import (
@@ -18,6 +21,7 @@ from semspace.lsa import (
     SemanticSpace,
     SvdFactors,
     Vocabulary,
+    build_matrices,
     build_matrix,
     build_space,
     factorize,
@@ -26,9 +30,9 @@ from semspace.lsa import (
     truncate,
     word_vector,
 )
-from semspace.stemming import StemmerConfig
+from semspace.stemming import StemmerConfig, make_config
 
-from oracles import count_occurrences
+from oracles import count_matrix, count_occurrences
 
 NONE_CONFIG = StemmerConfig(mode="none")
 PROV = Provenance("none", "", "fp")
@@ -76,6 +80,38 @@ def test_build_matrix_against_counting_oracle(mini_paragraphs, light_config):
         for token, expected in counts.items():
             assert dense[matrix.vocabulary.index_of(token), j] == expected
         assert dense[:, j].sum() == sum(counts.values())
+
+
+_MODE_SETS = [modes for r in (1, 2, 3) for modes in itertools.combinations(("root", "light", "none"), r)]
+
+
+@pytest.mark.parametrize("modes", _MODE_SETS, ids=",".join)
+def test_build_matrices_is_build_matrix_per_mode(mini_paragraphs, modes):
+    configs = [make_config(mode) for mode in modes]
+    tokens = [p.tokens for p in mini_paragraphs]
+    for config, matrix in zip(configs, build_matrices(mini_paragraphs, configs), strict=True):
+        alone = build_matrix(mini_paragraphs, config)
+        rows, counts = count_matrix(tokens, config.stem_token)
+        assert matrix.vocabulary.tokens == alone.vocabulary.tokens == rows
+        assert matrix.shape == alone.shape == counts.shape
+        assert matrix.counts.tobytes() == alone.counts.tobytes() == counts.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["ال" + w for w in ("اب", "ابي", "جد")] + ["اب", "جد", "هو"]), max_size=6),
+                max_size=6))
+def test_build_matrices_match_the_occurrence_oracle(token_lists):
+    # empty paragraphs anywhere, repeats, and light stems that merge tokens
+    paragraphs = [Paragraph("d", i, tuple(tokens)) for i, tokens in enumerate(token_lists)]
+    configs = [make_config("light"), NONE_CONFIG]
+    if not any(token_lists):
+        with pytest.raises(EmptyCorpusError):
+            build_matrices(paragraphs, configs)
+        return
+    for config, matrix in zip(configs, build_matrices(paragraphs, configs), strict=True):
+        rows, counts = count_matrix(token_lists, config.stem_token)
+        assert matrix.vocabulary.tokens == rows
+        assert matrix.counts.tobytes() == counts.tobytes() and not matrix.counts.flags.writeable
 
 
 def test_row_conflation_structure(mini_paragraphs, root_config, light_config):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from semspace.errors import RuleFormatError
 from semspace.stemming import (
     AffixTable,
     Pattern,
+    StemResult,
     Stripped,
     decompose,
     default_tables,
@@ -337,6 +340,46 @@ def test_root_match_matches_reference_on_templates_of_regex_syntax(data):
     assert (result.output, result.pattern) == (expected or (residual, None))
     for pattern in patterns:
         assert pattern.match(residual) == (oracles.match_root(residual, (pattern,)) or (None,))[0]
+
+
+def _stem_matches_region_oracle(config, token):
+    antefix, prefix, suffix, postfix, residual = oracles.strip_affixes_by_region(token, config.affixes)
+    output, kind, template = residual, stemming.KIND_STEM, None
+    if config.mode == "root":
+        kind = stemming.KIND_ROOT
+        output, template = oracles.match_root(residual, config.patterns) or (residual, None)
+    expected = StemResult(token, output, kind, Stripped(antefix, prefix, suffix, postfix), residual, template)
+    assert config.stem(token) == expected
+    assert config.stem_token(token) == output
+
+
+def _seeded_scale_tokens(mini_paragraphs, affixes, seed=3, count=3000):
+    """Bundled-corpus words between seeded stacks of up to two shipped front and back affixes."""
+    rng = random.Random(seed)
+    bases = _fixture_vocabulary(mini_paragraphs)
+
+    def stack(entries):
+        return "".join(rng.choices(entries, k=rng.randint(0, 2)))
+
+    fronts, backs = affixes.antefixes + affixes.prefixes, affixes.suffixes + affixes.postfixes
+    return [stack(fronts) + rng.choice(bases) + stack(backs) for _ in range(count)]
+
+
+@pytest.mark.parametrize("mode", ["root", "light"])
+def test_stem_matches_region_oracle_on_bundled_and_scale_tokens(mode, mini_paragraphs):
+    config = make_config(mode)
+    for token in _fixture_vocabulary(mini_paragraphs) + _seeded_scale_tokens(mini_paragraphs, config.affixes):
+        _stem_matches_region_oracle(config, token)
+
+
+_AFFIX_LETTERS = "".join(sorted({ch for entries in vars(default_tables()[0]).values() for e in entries for ch in e}))
+
+
+@settings(max_examples=500, deadline=None)
+@given(word=st.text(alphabet=_AFFIX_LETTERS + "سفر", min_size=1, max_size=12))
+def test_stem_matches_region_oracle_on_words_over_the_affix_letters(root_config, light_config, word):
+    _stem_matches_region_oracle(root_config, word)
+    _stem_matches_region_oracle(light_config, word)
 
 
 # --- rule data loading -------------------------------------------------------
