@@ -226,10 +226,10 @@ def jacobi_svd(
     sigma has length min(m, c), is non-increasing, and is zero beyond the
     numerical rank r = count_nonzero(sigma). U is m x r with orthonormal
     columns, and U.T @ X has mutually orthogonal rows with norms sigma[:r],
-    so X = U @ U.T @ X. Ties keep their pre-sort order, and each
-    column of U has its largest-magnitude entry non-negative, so equal
-    inputs give bit-identical factors. The third item is the number of
-    Jacobi sweeps to convergence.
+    so X = U @ U.T @ X. Ties keep their pre-sort order, and in each column
+    of U the first entry within 1e-9 (relative) of the largest magnitude is
+    non-negative, so equal inputs give bit-identical factors. The third
+    item is the number of Jacobi sweeps to convergence.
 
     Raises ConvergenceError (carrying the achieved off-diagonal residual)
     if the sweep budget is exhausted.
@@ -279,8 +279,8 @@ def jacobi_svds(
         Y[p2] = (B[order[:live]] / sigma[:live, None]).T
         U = apply_q(reflectors, Y)
 
-        rows = np.argmax(np.abs(U), axis=0)
-        flip = U[rows, np.arange(live)] < 0
-        U[:, flip] = -U[:, flip]
+        mags = np.abs(U)  # near-ties go to the first row, so roundoff cannot pick the sign
+        rows = np.argmax(mags >= (1.0 - 1e-9) * mags.max(axis=0), axis=0)
+        U *= np.where(U[rows, np.arange(live)] < 0, -1.0, 1.0)
         results.append((U, sigma, count))
     return results

@@ -115,6 +115,16 @@ def test_sign_convention_largest_entry_non_negative():
             assert U[i, j] >= 0
 
 
+def test_sign_rule_is_not_decided_by_roundoff_between_tied_entries():
+    # U's second column for [[2, 1], [1, 2]] is (1, -1) / sqrt(2): noise at
+    # 1e-15 decides which entry is the largest, but not which one is made
+    # non-negative, and each column's first entry wins the tie
+    for seed in range(40):
+        noise = 1e-15 * np.random.default_rng(seed).standard_normal((2, 2))
+        U, _, _ = jacobi_svd(np.array([[2.0, 1.0], [1.0, 2.0]]) + noise)
+        assert np.array_equal(np.sign(U), [[1.0, 1.0], [1.0, -1.0]]), seed
+
+
 def test_deterministic():
     rng = np.random.default_rng(23)
     X = rng.integers(0, 8, size=(9, 6)).astype(float)
