@@ -190,7 +190,7 @@ def _jacobi_rows(stack: np.ndarray, max_sweeps: int, tol: float) -> list[int]:
                 tau = (aqq - app) / (2.0 * np.where(active, apq, 1.0))
                 t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
                 t = np.where(active, np.where(tau == 0.0, 1.0, t), 0.0)
-                cos_t = 1.0 / np.sqrt(1.0 + t * t)
+                cos_t = 1.0 / np.hypot(1.0, t)
                 sin_t = t * cos_t
                 r[:, 0, 0], r[:, 1, 1] = sin_t, -sin_t
                 r[:, 0, 1] = r[:, 1, 0] = cos_t

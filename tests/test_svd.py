@@ -76,6 +76,15 @@ def test_matches_gram_oracle_on_random_integers():
         assert row_gram_error(X, U, s) <= 1e-8 * scale ** 2
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_sigma_matches_numpy_to_a_few_ulps_of_sigma1_on_count_matrices(seed):
+    # Sparse Poisson counts, 200 x 100 at full rank. A rotation cosine of
+    # 1 / sqrt(1 + t * t) let sigma drift 7e-15 to 1e-14 from LAPACK here.
+    X = np.random.default_rng(seed).poisson(0.3, size=(200, 100)).astype(float)
+    _, s, _ = jacobi_svd(X)
+    assert np.abs(s - np.linalg.svd(X, compute_uv=False)).max() <= 5e-15 * s[0]
+
+
 def test_rank_deficient_duplicate_columns():
     rng = np.random.default_rng(5)
     X = rng.integers(0, 6, size=(8, 5)).astype(float)
