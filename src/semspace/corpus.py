@@ -21,8 +21,7 @@ from .errors import CorpusReadError
 
 Token = str  # normalized, non-empty, Arabic letters only
 
-# Everything outside the letter block U+0621..U+064A goes (rules 1 and 4),
-# and so does the tatweel U+0640 inside it.
+# rules 1 and 4: all outside the letter block U+0621..U+064A goes, and its tatweel U+0640
 _DROP = re.compile(r"[^\u0621-\u063F\u0641-\u064A]+")
 _DROP_KEEP_SPACE = re.compile(r"[^\u0621-\u063F\u0641-\u064A\s]+")
 _FOLDS = (("أ", "ا"), ("إ", "ا"), ("آ", "ا"), ("ى", "ي"))

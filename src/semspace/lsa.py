@@ -126,9 +126,8 @@ def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) ->
 
     Row order is first occurrence in corpus order; column order follows the
     paragraph list. Raises EmptyCorpusError rather than returning a matrix
-    with no rows or no columns. The corpus is read once: each distinct token
-    gets an id, each occurrence its token id and column, and each config
-    stems each distinct token once.
+    with no rows or no columns. The corpus is read once, for token ids and
+    columns; each config stems each distinct token once.
     """
     occurrences = [token for paragraph in paragraphs for token in paragraph.tokens]
     distinct = Vocabulary(occurrences)

@@ -178,8 +178,7 @@ def _strip_affixes(token: str, table: AffixTable) -> tuple[Stripped, str]:
 
 
 def light_stem(token: str, table: AffixTable) -> StemResult:
-    stripped, residual = _strip_affixes(token, table)
-    return StemResult(token, residual, KIND_STEM, stripped, residual)
+    return StemmerConfig(MODE_LIGHT, table).stem(token)
 
 
 @functools.lru_cache
@@ -205,9 +204,7 @@ def _root_matcher(patterns: tuple[Pattern, ...]) -> Callable[[str], tuple[str, s
 
 
 def root_stem(token: str, table: AffixTable, patterns: tuple[Pattern, ...]) -> StemResult:
-    stripped, residual = _strip_affixes(token, table)
-    root, template = _root_matcher(patterns)(residual) or (residual, None)
-    return StemResult(token, root, KIND_ROOT, stripped, residual, pattern=template)
+    return StemmerConfig(MODE_ROOT, table, patterns).stem(token)
 
 
 def decompose(token: str, table: AffixTable, patterns: tuple[Pattern, ...]) -> Decomposition:
@@ -282,11 +279,16 @@ class StemmerConfig:
 
     def stem(self, token: str) -> StemResult:
         """The full stemming result for one token; mode none keeps it whole."""
-        if self.mode == MODE_ROOT:
-            return root_stem(token, self.affixes, self.patterns)
-        if self.mode == MODE_LIGHT:
-            return light_stem(token, self.affixes)
-        return StemResult(token, token, KIND_STEM, Stripped(), token)
+        if self.mode == MODE_NONE:
+            return StemResult(token, token, KIND_STEM, Stripped(), token)
+        stripped, residual = _strip_affixes(token, self.affixes)
+        root, template = self._match_root(residual) or (residual, None)
+        kind = KIND_ROOT if self.mode == MODE_ROOT else KIND_STEM
+        return StemResult(token, root, kind, stripped, residual, pattern=template)
+
+    @functools.cached_property
+    def _match_root(self) -> Callable[[str], tuple[str, str] | None]:
+        return _root_matcher(self.patterns) if self.mode == MODE_ROOT else lambda residual: None
 
     @functools.cached_property
     def stem_token(self) -> Callable[[str], str]:
@@ -295,7 +297,7 @@ class StemmerConfig:
         if self.mode == MODE_NONE:
             return str  # the token itself
         front, back = self.affixes.matches
-        match_root = _root_matcher(self.patterns) if self.mode == MODE_ROOT else lambda residual: None
+        match_root = self._match_root
 
         def stem_token(token: str) -> str:
             rest = token[front.match(token).end():]
