@@ -21,7 +21,7 @@ from .errors import CorpusReadError
 
 Token = str  # normalized, non-empty, Arabic letters only
 
-# rules 1 and 4: all outside the letter block U+0621..U+064A goes, and its tatweel U+0640
+# rules 1 and 4: drop all outside the letter block U+0621..U+064A, and the tatweel U+0640 in it
 _DROP = re.compile(r"[^\u0621-\u063F\u0641-\u064A]+")
 _DROP_KEEP_SPACE = re.compile(r"[^\u0621-\u063F\u0641-\u064A\s]+")
 _FOLDS = (("أ", "ا"), ("إ", "ا"), ("آ", "ا"), ("ى", "ي"))

@@ -282,9 +282,9 @@ class StemmerConfig:
         if self.mode == MODE_NONE:
             return StemResult(token, token, KIND_STEM, Stripped(), token)
         stripped, residual = _strip_affixes(token, self.affixes)
-        root, template = self._match_root(residual) or (residual, None)
+        output, template = self._match_root(residual) or (residual, None)
         kind = KIND_ROOT if self.mode == MODE_ROOT else KIND_STEM
-        return StemResult(token, root, kind, stripped, residual, pattern=template)
+        return StemResult(token, output, kind, stripped, residual, pattern=template)
 
     @functools.cached_property
     def _match_root(self) -> Callable[[str], tuple[str, str] | None]:
