@@ -9,7 +9,6 @@ report byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib.resources import files
 from pathlib import Path
 
 from .corpus import corpus_stats, load_corpus, segment_corpus
@@ -34,15 +33,6 @@ DEFAULT_MODES = (MODE_ROOT, MODE_LIGHT)
 
 _MODE_TITLES = {MODE_ROOT: "Root stemmer", MODE_LIGHT: "Light stemmer", "none": "No stemmer"}
 _LABEL_TITLES = {LABEL_SIMILAR: "similar words", LABEL_DIFFERENT: "different words"}
-
-
-def bundled_pairs_path(label: str) -> Path:
-    name = "pairs-similar.tsv" if label == LABEL_SIMILAR else "pairs-different.tsv"
-    return Path(str(files("semspace") / "data" / "pairs" / name))
-
-
-def bundled_corpus_path() -> Path:
-    return Path(str(files("semspace") / "data" / "mini_corpus"))
 
 
 @dataclass(frozen=True)

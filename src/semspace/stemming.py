@@ -1,15 +1,17 @@
 """Two interchangeable Arabic stemmers over shared, versioned rule data.
 
-The light stemmer strips antefixes and prefixes from the front and
-postfixes and suffixes from the back, repeating until nothing matches and
-never leaving fewer than ``MIN_STEM_LEN`` (2) letters, so stemming is
-idempotent on its own output. Each table is ordered longest first, a region
-tries its own table before its neighbour's, and the first entry that fits
-wins. The root stemmer applies the identical stripping and then matches the
-residual against same-length templates to extract a 3- or 4-letter root,
-falling back to the residual when nothing matches. Because both stemmers share one stripping pass, the
-equivalence classes of the root stemmer are always at least as coarse as
-the light stemmer's.
+`make_config(mode)` is the one way in: its `stem(token)` gives the full
+`StemResult`, and its `stem_token(token)` the row key alone. The light
+stemmer strips antefixes and prefixes from the front and postfixes and
+suffixes from the back, repeating until nothing matches and never leaving
+fewer than ``MIN_STEM_LEN`` (2) letters, so stemming is idempotent on its
+own output. Each table is ordered longest first, a region tries its own
+table before its neighbour's, and the first entry that fits wins. The root
+stemmer applies the identical stripping and then matches the residual
+against same-length templates to extract a 3- or 4-letter root, falling
+back to the residual when nothing matches. Because both stemmers share one
+stripping pass, the equivalence classes of the root stemmer are always at
+least as coarse as the light stemmer's.
 """
 
 from __future__ import annotations
@@ -120,11 +122,6 @@ class Pattern:
         if self.root_positions[0] < 0 or self.root_positions[-1] >= len(self.template):
             raise RuleFormatError(f"pattern {self.template!r}: position out of range")
 
-    def match(self, residual: str) -> str | None:
-        """The extracted root, or None when a literal position disagrees."""
-        matched = _root_matcher((self,))(residual)
-        return None if matched is None else matched[0]
-
 
 @dataclass(frozen=True)
 class Stripped:
@@ -143,86 +140,53 @@ class StemResult:
     residual: str  # token minus stripped affixes, before any template match
     pattern: str | None = None  # template that produced a root, if any
 
-    def reconstruct(self) -> str:
-        """Re-attach the stripped parts around the residual."""
-        s = self.stripped
-        return (s.antefix or "") + (s.prefix or "") + self.residual + (s.suffix or "") + (s.postfix or "")
 
-
-@dataclass(frozen=True)
-class Decomposition:
-    antefix: str | None
-    prefix: str | None
-    core: str  # root when a template matched, residual otherwise
-    suffix: str | None
-    postfix: str | None
-
-
-def _strip_affixes(token: str, table: AffixTable) -> tuple[Stripped, str]:
+def _strip(front: re.Pattern, back: re.Pattern, token: str) -> tuple[re.Match, re.Match, str]:
     """Strip the four affix regions in word order: antefixes, then prefixes,
-    then (from the end) postfixes, then suffixes.
+    then (from the end) postfixes, then suffixes. Returns the front match,
+    the back match (of the reversed rest) and the residual between them.
 
     Each region is exhausted before the next begins, and once a region has
     started, later front (or back) matches from either list accumulate into
     it, so the parts concatenate back to the original string exactly and the
     residual carries no strippable affix at all: stemming is idempotent.
     """
-    front, back = table.matches
     ahead = front.match(token)
     rest = token[ahead.end():]
     behind = back.match(rest[::-1])
-    antefix, prefix = ahead.groups()
-    postfix, suffix = behind.groups()
-    stripped = Stripped(antefix or None, prefix or None, suffix[::-1] or None, postfix[::-1] or None)
-    return stripped, rest[: len(rest) - behind.end()]
+    return ahead, behind, rest[: len(rest) - behind.end()]
 
 
-def light_stem(token: str, table: AffixTable) -> StemResult:
-    return StemmerConfig(MODE_LIGHT, table).stem(token)
+_Templates = tuple[re.Pattern, tuple[tuple[operator.itemgetter, str], ...]]
 
 
 @functools.lru_cache
-def _root_matcher(patterns: tuple[Pattern, ...]) -> Callable[[str], tuple[str, str] | None]:
-    """Matches a residual against all templates with one compiled alternation
-    in file order, so the first template that fits wins. Each alternative is
-    one group: root positions match any letter and the others their own."""
+def _root_matcher(patterns: tuple[Pattern, ...]) -> _Templates:
+    """The templates compiled into one alternation in file order, so the
+    first template that fits wins, and per template the getter of its root
+    letters and the template itself. Each alternative is one group: root
+    positions match any letter and the others their own. Data, not a
+    closure, so that the configs holding it pickle."""
     alternatives = (
         "".join("." if i in p.root_positions else re.escape(ch) for i, ch in enumerate(p.template))
         for p in patterns
     )
     regex = re.compile("|".join(f"({a})" for a in alternatives) or "(?!)", re.DOTALL)
-    roots = [(operator.itemgetter(*p.root_positions), p.template) for p in patterns]  # 3 or 4 positions: a tuple
-
-    def match(residual: str) -> tuple[str, str] | None:
-        found = regex.fullmatch(residual)
-        if found is None:
-            return None
-        letters, template = roots[found.lastindex - 1]
-        return "".join(letters(residual)), template
-
-    return match
+    return regex, tuple((operator.itemgetter(*p.root_positions), p.template) for p in patterns)  # 3 or 4 positions: a tuple
 
 
-def root_stem(token: str, table: AffixTable, patterns: tuple[Pattern, ...]) -> StemResult:
-    return StemmerConfig(MODE_ROOT, table, patterns).stem(token)
+def _match_root(regex: re.Pattern, roots: tuple, residual: str) -> tuple[str, str | None]:
+    """The root and its template, or the residual and None when no template fits."""
+    found = regex.fullmatch(residual)
+    if found is None:
+        return residual, None
+    letters, template = roots[found.lastindex - 1]
+    return "".join(letters(residual)), template
 
 
-def decompose(token: str, table: AffixTable, patterns: tuple[Pattern, ...]) -> Decomposition:
-    result = root_stem(token, table, patterns)
-    s = result.stripped
-    return Decomposition(s.antefix, s.prefix, result.output, s.suffix, s.postfix)
-
-
-def _affix_table(rules: dict[str, bytes], rules_dir: Path) -> AffixTable:
-    def longest(name: str) -> tuple[str, ...]:
-        return _longest_first(_rule_text(rules, rules_dir, name))
-
-    return AffixTable(
-        antefixes=longest("antefixes.txt"),
-        prefixes=longest("prefixes.txt"),
-        suffixes=longest("suffixes.txt"),
-        postfixes=longest("postfixes.txt"),
-    )
+def _stem_token(front: re.Pattern, back: re.Pattern, templates: _Templates | None, token: str) -> str:
+    residual = _strip(front, back, token)[2]
+    return residual if templates is None else _match_root(*templates, residual)[0]
 
 
 def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, ...]:
@@ -247,7 +211,9 @@ def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, .
 @functools.lru_cache(maxsize=16)
 def _parsed_rules(rules_dir: Path, rules: tuple[tuple[str, bytes], ...], root: bool):
     """The affix table, and for root the patterns, memoized on the rule files' bytes."""
-    return _affix_table(dict(rules), rules_dir), _pattern_table(dict(rules), rules_dir) if root else None
+    rules = dict(rules)
+    affixes = AffixTable(*(_longest_first(_rule_text(rules, rules_dir, name)) for name in RULE_FILES[:4]))
+    return affixes, _pattern_table(rules, rules_dir) if root else None
 
 
 def _fingerprint(rules: dict[str, bytes]) -> str:
@@ -281,14 +247,18 @@ class StemmerConfig:
         """The full stemming result for one token; mode none keeps it whole."""
         if self.mode == MODE_NONE:
             return StemResult(token, token, KIND_STEM, Stripped(), token)
-        stripped, residual = _strip_affixes(token, self.affixes)
-        output, template = self._match_root(residual) or (residual, None)
-        kind = KIND_ROOT if self.mode == MODE_ROOT else KIND_STEM
-        return StemResult(token, output, kind, stripped, residual, pattern=template)
+        ahead, behind, residual = _strip(*self.affixes.matches, token)
+        antefix, prefix = ahead.groups()
+        postfix, suffix = behind.groups()
+        stripped = Stripped(antefix or None, prefix or None, suffix[::-1] or None, postfix[::-1] or None)
+        if self._templates is None:
+            return StemResult(token, residual, KIND_STEM, stripped, residual)
+        output, template = _match_root(*self._templates, residual)
+        return StemResult(token, output, KIND_ROOT, stripped, residual, pattern=template)
 
     @functools.cached_property
-    def _match_root(self) -> Callable[[str], tuple[str, str] | None]:
-        return _root_matcher(self.patterns) if self.mode == MODE_ROOT else lambda residual: None
+    def _templates(self) -> _Templates | None:
+        return _root_matcher(self.patterns) if self.mode == MODE_ROOT else None
 
     @functools.cached_property
     def stem_token(self) -> Callable[[str], str]:
@@ -296,15 +266,7 @@ class StemmerConfig:
         `stem(token).output`, read from the affix matches' ends alone."""
         if self.mode == MODE_NONE:
             return str  # the token itself
-        front, back = self.affixes.matches
-        match_root = self._match_root
-
-        def stem_token(token: str) -> str:
-            rest = token[front.match(token).end():]
-            residual = rest[: len(rest) - back.match(rest[::-1]).end()]
-            return (match_root(residual) or (residual,))[0]
-
-        return stem_token
+        return functools.partial(_stem_token, *self.affixes.matches, self._templates)
 
 
 def make_config(mode: str, rules_dir: Path | None = None) -> StemmerConfig:
@@ -315,9 +277,3 @@ def make_config(mode: str, rules_dir: Path | None = None) -> StemmerConfig:
     rules = _read_rules(rules_dir)  # parsed and hashed from the same bytes
     affixes, patterns = _parsed_rules(rules_dir, tuple(rules.items()), mode == MODE_ROOT)
     return StemmerConfig(mode=mode, affixes=affixes, patterns=patterns, rules_fingerprint=_fingerprint(rules))
-
-
-def default_tables() -> tuple[AffixTable, tuple[Pattern, ...]]:
-    """The shipped affix and pattern tables."""
-    config = make_config(MODE_ROOT)
-    return config.affixes, config.patterns

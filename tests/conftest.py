@@ -1,20 +1,28 @@
+from importlib.resources import files
+from pathlib import Path
+
 import pytest
 
 from semspace.corpus import corpus_stats, load_corpus, segment_corpus
-from semspace.experiment import bundled_corpus_path, bundled_pairs_path, load_pairs
+from semspace.experiment import load_pairs
 from semspace.lsa import build_space
-from semspace.stemming import default_tables, make_config
+from semspace.stemming import make_config
 
 
-@pytest.fixture(scope="session")
-def rules():
-    affixes, patterns = default_tables()
-    return affixes, patterns
+def bundled_data(*parts: str) -> Path:
+    """A file or directory under the package's bundled data."""
+    return Path(str(files("semspace") / "data")).joinpath(*parts)
 
 
 @pytest.fixture(scope="session")
 def mini_corpus_dir():
-    return bundled_corpus_path()
+    return bundled_data("mini_corpus")
+
+
+@pytest.fixture(scope="session")
+def pair_files():
+    """The bundled pair files: the Similar pairs, then the Different ones."""
+    return bundled_data("pairs", "pairs-similar.tsv"), bundled_data("pairs", "pairs-different.tsv")
 
 
 @pytest.fixture(scope="session")
@@ -53,5 +61,5 @@ def light_space(mini_paragraphs, mini_stats, light_config):
 
 
 @pytest.fixture(scope="session")
-def all_pairs():
-    return load_pairs(bundled_pairs_path("Similar")) + load_pairs(bundled_pairs_path("Different"))
+def all_pairs(pair_files):
+    return [pair for path in pair_files for pair in load_pairs(path)]

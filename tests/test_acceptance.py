@@ -13,15 +13,9 @@ import pytest
 from semspace.cli import main
 from semspace.corpus import normalize
 from semspace.errors import OutOfVocabularyError
-from semspace.experiment import (
-    bundled_corpus_path,
-    bundled_pairs_path,
-    load_pairs,
-    run_comparison,
-)
+from semspace.experiment import run_comparison
 from semspace.lsa import load_space, save_space, word_vector
 from semspace.similarity import cosine, euclidean, jaccard, pearson
-from semspace.stemming import decompose, default_tables, light_stem, root_stem
 from semspace.svd import jacobi_svd
 
 from oracles import singular_values_via_gram
@@ -35,13 +29,12 @@ def _report_pass(number, name, extra=""):
 
 
 @pytest.fixture(scope="module")
-def pipeline():
+def pipeline(mini_corpus_dir, all_pairs):
     """One timed end-to-end run over the bundled fixture corpus."""
-    pairs = load_pairs(bundled_pairs_path("Similar")) + load_pairs(bundled_pairs_path("Different"))
     start = time.perf_counter()
-    report = run_comparison(bundled_corpus_path(), pairs, modes=("root", "light"), k=40)
+    report = run_comparison(mini_corpus_dir, all_pairs, modes=("root", "light"), k=40)
     elapsed = time.perf_counter() - start
-    return report, pairs, elapsed
+    return report, all_pairs, elapsed
 
 
 def _stems(config, word):
@@ -196,26 +189,25 @@ def test_criterion_5_measure_properties():
     _report_pass(5, "measure properties", f"{triples} triples, {elapsed:.2f}s")
 
 
-def test_criterion_6_stemmer_regressions(mini_paragraphs):
-    affixes, patterns = default_tables()
-
+def test_criterion_6_stemmer_regressions(mini_paragraphs, root_config, light_config):
     # pinned five-part decomposition
-    parts = decompose("أتتذكروننا", affixes, patterns)
-    assert (parts.antefix, parts.prefix, parts.core, parts.suffix, parts.postfix) == (
+    result = root_config.stem("أتتذكروننا")
+    s = result.stripped
+    assert (s.antefix, s.prefix, result.output, s.suffix, s.postfix) == (
         "أ", "تت", "ذكر", "ون", "نا",
     )
 
     # hand-traced stem examples
-    assert light_stem("العراقية", affixes).output == "عراقي"
-    assert light_stem("قلم", affixes).output == "قلم"
-    assert light_stem("للرياضة", affixes).output == "رياض"
-    assert light_stem("الرياض", affixes).output == "رياض"
-    assert root_stem("السفير", affixes, patterns).output == "سفر"
-    assert root_stem("السفارة", affixes, patterns).output == "سفر"
-    assert root_stem("سفر", affixes, patterns).output == "سفر"
-    assert root_stem("منظمات", affixes, patterns).output == "نظم"
+    assert light_config.stem("العراقية").output == "عراقي"
+    assert light_config.stem("قلم").output == "قلم"
+    assert light_config.stem("للرياضة").output == "رياض"
+    assert light_config.stem("الرياض").output == "رياض"
+    assert root_config.stem("السفير").output == "سفر"
+    assert root_config.stem("السفارة").output == "سفر"
+    assert root_config.stem("سفر").output == "سفر"
+    assert root_config.stem("منظمات").output == "نظم"
     # the fused conjunction+article antefix strips as one unit (longest match)
-    assert decompose("والدين", affixes, patterns).antefix == "وال"
+    assert root_config.stem("والدين").stripped.antefix == "وال"
 
     # conflation monotonicity over the whole fixture vocabulary
     vocabulary = []
@@ -227,22 +219,20 @@ def test_criterion_6_stemmer_regressions(mini_paragraphs):
                 vocabulary.append(token)
     root_of_class: dict[str, str] = {}
     for token in vocabulary:
-        light = light_stem(token, affixes).output
-        root = root_stem(token, affixes, patterns).output
+        light = light_config.stem(token).output
+        root = root_config.stem(token).output
         assert root_of_class.setdefault(light, root) == root, token
     _report_pass(6, "stemmer regressions", f"{len(vocabulary)} vocabulary items")
 
 
-def test_criterion_7_determinism(tmp_path, light_space):
+def test_criterion_7_determinism(tmp_path, light_space, mini_corpus_dir, pair_files):
     pairs_file = tmp_path / "pairs.tsv"
-    pairs_file.write_bytes(
-        bundled_pairs_path("Similar").read_bytes() + bundled_pairs_path("Different").read_bytes()
-    )
+    pairs_file.write_bytes(b"".join(path.read_bytes() for path in pair_files))
     out_a = tmp_path / "run_a.tsv"
     out_b = tmp_path / "run_b.tsv"
     for out_file in (out_a, out_b):
         code = main([
-            "report", "--corpus", str(bundled_corpus_path()), "--pairs", str(pairs_file),
+            "report", "--corpus", str(mini_corpus_dir), "--pairs", str(pairs_file),
             "--modes", "root,light", "-k", "40", "-o", str(out_file),
         ])
         assert code == 0

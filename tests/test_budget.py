@@ -1,0 +1,12 @@
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "semspace"
+# ROADMAP aim 2: the package ends the round no larger than the 1,873 lines it started with
+SRC_LINE_CEILING = 1873
+
+
+def test_src_stays_within_its_line_budget():
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))  # as `wc -l` counts
+    assert lines <= SRC_LINE_CEILING, (
+        f"src/semspace/*.py has {lines} lines, above its ceiling of {SRC_LINE_CEILING:,} lines"
+    )

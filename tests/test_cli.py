@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from semspace.cli import main
-from semspace.experiment import bundled_pairs_path
 from semspace.lsa import Provenance, SemanticSpace, Vocabulary, load_space, save_space
 
 
@@ -560,10 +559,10 @@ def test_report_stdout_when_no_output(capsys, tiny_corpus, tmp_path):
     assert out.startswith("# semspace comparison report")
 
 
-def test_report_mode_sections_do_not_depend_on_the_other_modes(capsys, mini_corpus_dir, tmp_path):
+def test_report_mode_sections_do_not_depend_on_the_other_modes(capsys, mini_corpus_dir, pair_files, tmp_path):
     # the modes' factorizations share one Jacobi loop; each must come out as it does alone
     pairs = tmp_path / "pairs.tsv"
-    pairs.write_bytes(bundled_pairs_path("Similar").read_bytes() + bundled_pairs_path("Different").read_bytes())
+    pairs.write_bytes(b"".join(path.read_bytes() for path in pair_files))
 
     def sections(modes):
         code, out, err = run(capsys, "report", "--corpus", str(mini_corpus_dir), "--pairs", str(pairs),

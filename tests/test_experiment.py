@@ -9,8 +9,6 @@ from semspace.experiment import (
     ReportMetadata,
     ReportRow,
     WordPair,
-    bundled_corpus_path,
-    bundled_pairs_path,
     load_pairs,
     render_report,
     run_comparison,
@@ -21,16 +19,16 @@ GOLDEN = Path(__file__).parent / "data" / "golden_report.md"
 
 # --- pair files ----------------------------------------------------------------
 
-def test_bundled_similar_pairs():
-    pairs = load_pairs(bundled_pairs_path("Similar"))
+def test_bundled_similar_pairs(pair_files):
+    pairs = load_pairs(pair_files[0])
     assert all(p.label == "Similar" for p in pairs)
     rejection = [p for p in pairs if (p.word_a, p.word_b) == ("رفضه", "واستنكاره")]
     assert len(rejection) == 1
     assert rejection[0].gloss == "Rejection"
 
 
-def test_bundled_different_pairs():
-    pairs = load_pairs(bundled_pairs_path("Different"))
+def test_bundled_different_pairs(pair_files):
+    pairs = load_pairs(pair_files[1])
     assert all(p.label == "Different" for p in pairs)
     assert ("السفارة", "السفير") in [(p.word_a, p.word_b) for p in pairs]
 
@@ -71,8 +69,8 @@ def test_load_pairs_bad_label(tmp_path):
 # --- run_comparison ------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def fixture_report(all_pairs):
-    return run_comparison(bundled_corpus_path(), all_pairs, modes=("root", "light"), k=40)
+def fixture_report(mini_corpus_dir, all_pairs):
+    return run_comparison(mini_corpus_dir, all_pairs, modes=("root", "light"), k=40)
 
 
 def test_report_completeness(fixture_report, all_pairs):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -7,82 +8,79 @@ from hypothesis import strategies as st
 from semspace import stemming
 from semspace.corpus import normalize
 from semspace.errors import RuleFormatError
-from semspace.stemming import (
-    AffixTable,
-    Pattern,
-    StemResult,
-    Stripped,
-    decompose,
-    default_tables,
-    light_stem,
-    make_config,
-    root_stem,
-)
+from semspace.stemming import AffixTable, Pattern, StemmerConfig, StemResult, Stripped, make_config
 
 import oracles
 
 
 @pytest.fixture(scope="module")
 def tables():
-    return default_tables()
+    config = make_config("root")
+    return config.affixes, config.patterns
+
+
+def _reconstruct(result: StemResult) -> str:
+    """Re-attach the stripped parts around the residual."""
+    s = result.stripped
+    return (s.antefix or "") + (s.prefix or "") + result.residual + (s.suffix or "") + (s.postfix or "")
+
+
+def _decompose(config, token) -> tuple:
+    """Antefix, prefix, core (the root when a template matched, the residual
+    otherwise), suffix and postfix."""
+    result = config.stem(token)
+    s = result.stripped
+    return s.antefix, s.prefix, result.output, s.suffix, s.postfix
 
 
 # --- light stemmer -----------------------------------------------------------
 
-def test_light_iraqi_feminine(tables):
-    affixes, _ = tables
-    result = light_stem("العراقية", affixes)
+def test_light_iraqi_feminine(light_config):
+    result = light_config.stem("العراقية")
     assert result.output == "عراقي"
     assert result.stripped.antefix == "ال"
     assert result.stripped.suffix == "ة"
 
 
-def test_light_iraqi_masculine_conflates(tables):
-    affixes, _ = tables
-    assert light_stem("العراقي", affixes).output == "عراقي"
+def test_light_iraqi_masculine_conflates(light_config):
+    assert light_config.stem("العراقي").output == "عراقي"
 
 
-def test_light_fixpoint(tables):
-    affixes, _ = tables
-    result = light_stem("قلم", affixes)
+def test_light_fixpoint(light_config):
+    result = light_config.stem("قلم")
     assert result.output == "قلم"
     assert result.stripped == type(result.stripped)()
 
 
-def test_light_sport_riyadh_merge(tables):
-    affixes, _ = tables
-    assert light_stem("للرياضة", affixes).output == "رياض"
-    assert light_stem("الرياض", affixes).output == "رياض"
+def test_light_sport_riyadh_merge(light_config):
+    assert light_config.stem("للرياضة").output == "رياض"
+    assert light_config.stem("الرياض").output == "رياض"
 
 
-def test_light_never_below_min_len(tables):
-    affixes, _ = tables
+def test_light_never_below_min_len(light_config):
     # stripping ال would leave a single letter, so nothing is stripped
-    result = light_stem("الي", affixes)
+    result = light_config.stem("الي")
     assert result.output == "الي"
 
 
 # --- root stemmer ------------------------------------------------------------
 
-def test_root_ambassador_embassy_conflate(tables):
-    affixes, patterns = tables
-    ambassador = root_stem("السفير", affixes, patterns)
-    embassy = root_stem("السفارة", affixes, patterns)
+def test_root_ambassador_embassy_conflate(root_config):
+    ambassador = root_config.stem("السفير")
+    embassy = root_config.stem("السفارة")
     assert ambassador.output == "سفر"
     assert embassy.output == "سفر"
     assert ambassador.pattern == "فعيل"
     assert embassy.pattern == "فعال"
 
 
-def test_root_bare_root_fixpoint(tables):
-    affixes, patterns = tables
-    result = root_stem("سفر", affixes, patterns)
+def test_root_bare_root_fixpoint(root_config):
+    result = root_config.stem("سفر")
     assert result.output == "سفر"
 
 
-def test_root_do_you_remember_us(tables):
-    affixes, patterns = tables
-    result = root_stem("أتتذكروننا", affixes, patterns)
+def test_root_do_you_remember_us(root_config):
+    result = root_config.stem("أتتذكروننا")
     assert result.output == "ذكر"
     assert result.stripped.antefix == "أ"
     assert result.stripped.prefix == "تت"
@@ -90,55 +88,43 @@ def test_root_do_you_remember_us(tables):
     assert result.stripped.postfix == "نا"
 
 
-def test_root_organizations_regression(tables):
+def test_root_organizations_regression(root_config, light_config):
     # pinned output of the shipped rules: the residual منظم matches مفعل
-    affixes, patterns = tables
-    result = root_stem("منظمات", affixes, patterns)
+    result = root_config.stem("منظمات")
     assert result.output == "نظم"
     assert result.stripped.suffix == "ات"
-    assert light_stem("منظمات", affixes).output == "منظم"
+    assert light_config.stem("منظمات").output == "منظم"
 
 
-def test_root_fallback_keeps_residual(tables):
-    affixes, patterns = tables
+def test_root_fallback_keeps_residual(root_config):
     # normalized form of the Table-1 word has no matching template: falls back
-    result = root_stem(normalize("أتتذكروننا"), affixes, patterns)
+    result = root_config.stem(normalize("أتتذكروننا"))
     assert result.output == result.residual == "اتتذكر"
     assert result.pattern is None
 
 
-def test_root_output_length_when_matched(tables):
-    affixes, patterns = tables
+def test_root_output_length_when_matched(root_config):
     for word in ("السفير", "واستنكاره", "بالامن", "منظمات", "استقرار"):
-        result = root_stem(word, affixes, patterns)
+        result = root_config.stem(word)
         if result.pattern is not None:
             assert 3 <= len(result.output) <= 4
 
 
-# --- decompose ---------------------------------------------------------------
+# --- decomposition -----------------------------------------------------------
 
-def test_decompose_bare_word(tables):
-    affixes, patterns = tables
-    parts = decompose("قلم", affixes, patterns)
-    assert (parts.antefix, parts.prefix, parts.core, parts.suffix, parts.postfix) == (
-        None, None, "قلم", None, None,
-    )
+def test_decompose_bare_word(root_config):
+    assert _decompose(root_config, "قلم") == (None, None, "قلم", None, None)
 
 
-def test_decompose_five_parts(tables):
-    affixes, patterns = tables
-    parts = decompose("أتتذكروننا", affixes, patterns)
-    assert (parts.antefix, parts.prefix, parts.core, parts.suffix, parts.postfix) == (
-        "أ", "تت", "ذكر", "ون", "نا",
-    )
+def test_decompose_five_parts(root_config):
+    assert _decompose(root_config, "أتتذكروننا") == ("أ", "تت", "ذكر", "ون", "نا")
 
 
-def test_decompose_waw_religion(tables):
+def test_decompose_waw_religion(root_config):
     # longest-first antefix matching takes the fused form وال, leaving دين
-    affixes, patterns = tables
-    parts = decompose("والدين", affixes, patterns)
-    assert parts.antefix == "وال"
-    assert parts.core == "دين"
+    antefix, _, core, _, _ = _decompose(root_config, "والدين")
+    assert antefix == "وال"
+    assert core == "دين"
 
 
 # --- default tables ----------------------------------------------------------
@@ -153,12 +139,12 @@ def test_default_postfixes_contain_us_pronoun(tables):
     assert "نا" in affixes.postfixes
 
 
-def test_default_pattern_faeel_positions(tables):
+def test_default_pattern_faeel_positions(tables, root_config):
     _, patterns = tables
     matches = [p for p in patterns if p.template == "فعيل"]
     assert len(matches) == 1
     assert matches[0].root_positions == (0, 1, 3)
-    assert matches[0].match("سفير") == "سفر"
+    assert root_config.stem("سفير").output == "سفر"
 
 
 def test_tables_consulted_longest_first(tables):
@@ -181,46 +167,55 @@ def _fixture_vocabulary(mini_paragraphs):
     return seen
 
 
-def test_determinism(tables, mini_paragraphs):
-    affixes, patterns = tables
+def test_determinism(root_config, light_config, mini_paragraphs):
     for token in _fixture_vocabulary(mini_paragraphs)[:200]:
-        assert light_stem(token, affixes) == light_stem(token, affixes)
-        assert root_stem(token, affixes, patterns) == root_stem(token, affixes, patterns)
+        assert light_config.stem(token) == make_config("light").stem(token)
+        assert root_config.stem(token) == make_config("root").stem(token)
 
 
-def test_light_stemming_idempotent(tables, mini_paragraphs):
-    affixes, _ = tables
+def test_light_stemming_idempotent(light_config, mini_paragraphs):
     for token in _fixture_vocabulary(mini_paragraphs):
-        once = light_stem(token, affixes).output
-        assert light_stem(once, affixes).output == once
+        once = light_config.stem(token).output
+        assert light_config.stem(once).output == once
 
 
-def test_length_guard(tables, mini_paragraphs):
-    affixes, patterns = tables
+def test_length_guard(root_config, light_config, mini_paragraphs):
     for token in _fixture_vocabulary(mini_paragraphs):
-        stem = light_stem(token, affixes)
+        stem = light_config.stem(token)
         assert len(stem.output) >= stemming.MIN_STEM_LEN or stem.output == token
-        root = root_stem(token, affixes, patterns)
+        root = root_config.stem(token)
         if root.pattern is not None:
             assert 3 <= len(root.output) <= 4
 
 
-def test_conflation_monotonicity(tables, mini_paragraphs):
+def test_conflation_monotonicity(root_config, light_config, mini_paragraphs):
     """Every light-stem class must sit inside a single root-stem class."""
-    affixes, patterns = tables
     root_of_light_class: dict[str, str] = {}
     for token in _fixture_vocabulary(mini_paragraphs):
-        light = light_stem(token, affixes).output
-        root = root_stem(token, affixes, patterns).output
+        light = light_config.stem(token).output
+        root = root_config.stem(token).output
         assert root_of_light_class.setdefault(light, root) == root, token
 
 
-def test_reconstruction(tables, mini_paragraphs):
-    affixes, patterns = tables
+def test_reconstruction(root_config, light_config, mini_paragraphs):
     words = _fixture_vocabulary(mini_paragraphs) + ["أتتذكروننا", "والدين", "للرياضة"]
     for token in words:
-        assert light_stem(token, affixes).reconstruct() == token
-        assert root_stem(token, affixes, patterns).reconstruct() == token
+        assert _reconstruct(light_config.stem(token)) == token
+        assert _reconstruct(root_config.stem(token)) == token
+
+
+@pytest.mark.parametrize("first", ["stem_token", "stem"])
+@pytest.mark.parametrize("mode", stemming.MODES)
+def test_config_pickles_after_stemming(mode, first, mini_paragraphs):
+    # a config caches what it stems with, and all of it must pickle
+    config = make_config(mode)
+    vocabulary = _fixture_vocabulary(mini_paragraphs)
+    getattr(config, first)(vocabulary[0])
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config
+    for token in vocabulary:
+        assert copy.stem_token(token) == config.stem_token(token)
+        assert copy.stem(token) == config.stem(token)
 
 
 # --- properties over affix-wrapped tokens ------------------------------------
@@ -242,22 +237,22 @@ def _wrapped_token(data, affixes, core=None) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_stemming_properties_on_stacked_affixes(tables, data):
-    affixes, patterns = tables
-    token = _wrapped_token(data, affixes)
-    light = light_stem(token, affixes)
-    root = root_stem(token, affixes, patterns)
-    assert light.reconstruct() == token
-    assert root.reconstruct() == token
-    assert light_stem(light.output, affixes).output == light.output
+def test_stemming_properties_on_stacked_affixes(root_config, light_config, data):
+    token = _wrapped_token(data, light_config.affixes)
+    light = light_config.stem(token)
+    root = root_config.stem(token)
+    assert _reconstruct(light) == token
+    assert _reconstruct(root) == token
+    assert light_config.stem(light.output).output == light.output
     # root classes are coarser: the root of a token is the root of its light stem
-    assert root_stem(light.output, affixes, patterns).output == root.output
+    assert root_config.stem(light.output).output == root.output
     assert len(light.output) >= stemming.MIN_STEM_LEN or light.output == token
     assert len(root.output) >= stemming.MIN_STEM_LEN or root.output == token
 
 
 def _strip_matches_reference(token, affixes):
-    stripped, residual = stemming._strip_affixes(token, affixes)
+    result = StemmerConfig("light", affixes).stem(token)
+    stripped, residual = result.stripped, result.residual
     assert (stripped.antefix, stripped.prefix, stripped.suffix, stripped.postfix, residual) == (
         oracles.strip_affixes(token, affixes)
     )
@@ -336,10 +331,12 @@ def test_root_match_matches_reference_on_templates_of_regex_syntax(data):
     patterns = tuple(patterns)
     residual = _filled(data, data.draw(st.sampled_from(patterns)), _REGEX_LETTERS, keep_literals=False)
     expected = oracles.match_root(residual, patterns)
-    result = root_stem(residual, AffixTable((), (), (), ()), patterns)
+    no_affixes = AffixTable((), (), (), ())
+    result = StemmerConfig("root", no_affixes, patterns).stem(residual)
     assert (result.output, result.pattern) == (expected or (residual, None))
     for pattern in patterns:
-        assert pattern.match(residual) == (oracles.match_root(residual, (pattern,)) or (None,))[0]
+        single = StemmerConfig("root", no_affixes, (pattern,)).stem(residual)
+        assert (single.output if single.pattern else None) == (oracles.match_root(residual, (pattern,)) or (None,))[0]
 
 
 def _stem_matches_region_oracle(config, token):
@@ -372,7 +369,9 @@ def test_stem_matches_region_oracle_on_bundled_and_scale_tokens(mode, mini_parag
         _stem_matches_region_oracle(config, token)
 
 
-_AFFIX_LETTERS = "".join(sorted({ch for entries in vars(default_tables()[0]).values() for e in entries for ch in e}))
+_SHIPPED = make_config("light").affixes
+_AFFIX_LETTERS = "".join(sorted({ch for e in _SHIPPED.antefixes + _SHIPPED.prefixes + _SHIPPED.suffixes
+                                 + _SHIPPED.postfixes for ch in e}))
 
 
 @settings(max_examples=500, deadline=None)
