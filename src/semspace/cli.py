@@ -20,7 +20,7 @@ from . import __version__
 from .corpus import corpus_stats, load_corpus, segment_corpus
 from .errors import EXIT_IO, EXIT_USAGE, SemspaceError
 from .experiment import DEFAULT_MODES, load_pairs, render_report, run_comparison
-from .lsa import SCALINGS, SCALING_U, build_space, load_space, save_space, word_vector
+from .lsa import SCALINGS, SCALING_U, build_spaces, load_space, save_space, word_vector
 from .similarity import MEASURE_ORDER, format_value, measure_all, unit_vector
 from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, MODES, make_config
 
@@ -45,6 +45,8 @@ def _read_config_file(path: str, command: str, used: set[str]) -> dict[str, tupl
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc.reason}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,7 +137,7 @@ def _cmd_build(args) -> int:
     paragraphs = segment_corpus(corpus)
     stats = corpus_stats(corpus, paragraphs)
     stemmer = make_config(args.mode, _rules_dir(args))
-    space = build_space(paragraphs, stats, stemmer, k=args.k, scaling=args.scaling)
+    (space,) = build_spaces(paragraphs, stats, [stemmer], k=args.k, scaling=args.scaling)
     save_space(space, args.output)
     print(
         f"built space: {len(space.vocabulary)} words, {space.n_columns} paragraphs, "

@@ -97,7 +97,8 @@ def load_corpus(root: str | Path) -> Corpus:
     root = Path(root)
     if not root.is_dir():
         raise CorpusReadError(f"not a readable directory: {root}")
-    paths = sorted(root.rglob("*.txt"), key=lambda p: p.relative_to(root).as_posix())
+    # a directory named *.txt is no document; a broken symlink is, and reading it fails
+    paths = sorted((p for p in root.rglob("*.txt") if not p.is_dir()), key=lambda p: p.relative_to(root).as_posix())
     corpus = Corpus()
     for path in paths:
         rel = path.relative_to(root)

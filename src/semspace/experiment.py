@@ -13,15 +13,7 @@ from pathlib import Path
 
 from .corpus import corpus_stats, load_corpus, segment_corpus
 from .errors import OutOfVocabularyError, PairFormatError
-from .lsa import (
-    SCALING_U,
-    SemanticSpace,
-    build_matrices,
-    factorize_all,
-    space_fingerprint,
-    space_from_matrix,
-    word_vector,
-)
+from .lsa import SCALING_U, SemanticSpace, build_spaces, word_vector
 from .similarity import MEASURE_ORDER, SimilarityResult, format_value, measure_all, unit_vector
 from .stemming import MODE_LIGHT, MODE_ROOT, StemmerConfig, make_config
 
@@ -60,8 +52,7 @@ def load_pairs(path: str | Path) -> list[WordPair]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise PairFormatError(f"{path}: not UTF-8: {exc.reason}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cols = line.split("\t")
@@ -140,21 +131,15 @@ def run_comparison(
     stats = corpus_stats(corpus, paragraphs)
 
     configs = [make_config(mode, rules_dir) for mode in modes]
-    matrices = build_matrices(paragraphs, configs)
-    factored = factorize_all(matrices)
-    if k is None:
-        k = min(300, *(factors.n for factors in factored))  # one k for every mode
-
-    rules_fp = next((c.rules_fingerprint for c in configs if c.rules_fingerprint), "")
-    corpus_fp = space_fingerprint(rules_fp, stats)
-
+    spaces = build_spaces(paragraphs, stats, configs, k, scaling)
+    # the fingerprints of the first space built with rule files (mode none has none)
+    provenance = next((s.provenance for s in spaces if s.provenance.rules_fingerprint), spaces[0].provenance)
     rows: list[ReportRow] = []
-    for config, matrix, factors in zip(configs, matrices, factored):
-        space = space_from_matrix(matrix, factors, stats, config, k, scaling)
+    for config, space in zip(configs, spaces):
         rows.extend(_evaluate_pair(space, config, pair, unit_length) for pair in pairs)
     return ComparisonReport(
         rows=rows,
-        metadata=ReportMetadata(k, scaling, rules_fp, corpus_fp),
+        metadata=ReportMetadata(spaces[0].k, scaling, provenance.rules_fingerprint, provenance.space_fingerprint),
         modes=tuple(modes),
         skipped=corpus.skipped,
     )

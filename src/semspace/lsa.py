@@ -1,9 +1,12 @@
 """Word-by-paragraph co-occurrence matrices, their factorization, and the
 truncated word spaces built from them, with binary persistence.
 
-Matrix cells are raw occurrence counts; no weighting is applied. Word
-vectors are rows of U (optionally scaled entrywise by the singular values),
-restricted to the k largest singular directions.
+`build_spaces` is the one path from paragraphs to spaces: `build` calls it
+with one stemmer config and `report` with all of its modes. `build_matrix`,
+`factorize` and `truncate` are its stages one at a time, for the benchmark's
+traced replicas. Matrix cells are raw occurrence counts; no weighting is
+applied. Word vectors are rows of U (optionally scaled entrywise by the
+singular values), restricted to the k largest singular directions.
 """
 
 from __future__ import annotations
@@ -159,12 +162,6 @@ def factorize(matrix: CooccurrenceMatrix) -> SvdFactors:
     return SvdFactors(U=U, sigma=sigma)
 
 
-def factorize_all(matrices: list[CooccurrenceMatrix]) -> list[SvdFactors]:
-    """`factorize` of each matrix; those whose ranks agree share one Jacobi loop."""
-    factored = _svd.jacobi_svds([matrix.to_dense() for matrix in matrices])
-    return [SvdFactors(U=U, sigma=sigma) for U, sigma, _ in factored]
-
-
 def truncate(
     factors: SvdFactors,
     k: int,
@@ -192,39 +189,30 @@ def truncate(
     )
 
 
-def space_from_matrix(
-    matrix: CooccurrenceMatrix,
-    factors: SvdFactors,
-    stats: CorpusStats,
-    config: StemmerConfig,
-    k: int | None,
-    scaling: str,
-) -> SemanticSpace:
-    """Truncate the factors of a count matrix built with `config` to k
-    (min(300, rank) when k is None), recording the space's provenance."""
-    provenance = Provenance(
-        stemmer_mode=config.mode,
-        rules_fingerprint=config.rules_fingerprint,
-        space_fingerprint=space_fingerprint(config.rules_fingerprint, stats),
-    )
-    return truncate(factors, min(300, factors.n) if k is None else k, scaling,
-                    matrix.vocabulary, provenance, n_columns=matrix.shape[1])
-
-
-def build_space(
+def build_spaces(
     paragraphs: list[Paragraph],
     stats: CorpusStats,
-    config: StemmerConfig,
+    configs: list[StemmerConfig],
     k: int | None = None,
     scaling: str = SCALING_U,
-) -> SemanticSpace:
-    """Matrix construction, factorization and truncation in one step.
+) -> list[SemanticSpace]:
+    """One word space per config over the same paragraphs.
 
-    When k is None the default min(300, rank) is used; a k above the rank
-    raises ValueError.
+    The corpus is read once, and one `svd.jacobi_svds` call factors every
+    count matrix, so those whose ranks agree share one Jacobi loop and each
+    keeps the bits it gets alone. Every space keeps the same k, by default
+    min(300, smallest rank); a k above a space's rank raises ValueError.
     """
-    matrix = build_matrix(paragraphs, config)
-    return space_from_matrix(matrix, factorize(matrix), stats, config, k, scaling)
+    matrices = build_matrices(paragraphs, configs)
+    factored = [SvdFactors(U, sigma) for U, sigma, _ in _svd.jacobi_svds([m.to_dense() for m in matrices])]
+    if k is None:
+        k = min(300, *(factors.n for factors in factored))
+    spaces = []
+    for config, matrix, factors in zip(configs, matrices, factored):
+        fingerprint = space_fingerprint(config.rules_fingerprint, stats)
+        provenance = Provenance(config.mode, config.rules_fingerprint, fingerprint)
+        spaces.append(truncate(factors, k, scaling, matrix.vocabulary, provenance, n_columns=matrix.shape[1]))
+    return spaces
 
 
 def word_vector(space: SemanticSpace, surface: str, config: StemmerConfig) -> np.ndarray:

@@ -132,14 +132,6 @@ def pearson(a, b) -> float:
     return _pearson(_Pair(a, b))
 
 
-_MEASURE_FUNCS = {
-    COSINE: _cosine,
-    EUCLIDEAN: _euclidean,
-    PEARSON: _pearson,
-    JACCARD: _jaccard,
-}
-
-
 def measure_all(a, b) -> tuple[SimilarityResult, ...]:
     """All four measures in report order; degenerate inputs become markers.
 
@@ -149,9 +141,9 @@ def measure_all(a, b) -> tuple[SimilarityResult, ...]:
     """
     pair = _Pair(a, b)
     results = []
-    for name in MEASURE_ORDER:
+    for name, measure in zip(MEASURE_ORDER, (_cosine, _euclidean, _pearson, _jaccard)):
         try:
-            value = _MEASURE_FUNCS[name](pair)
+            value = measure(pair)
         except ValueError:
             value = None
         results.append(SimilarityResult(name, value))

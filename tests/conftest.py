@@ -5,7 +5,7 @@ import pytest
 
 from semspace.corpus import corpus_stats, load_corpus, segment_corpus
 from semspace.experiment import load_pairs
-from semspace.lsa import build_space
+from semspace.lsa import build_spaces
 from semspace.stemming import make_config
 
 
@@ -52,12 +52,14 @@ def light_config():
 
 @pytest.fixture(scope="session")
 def root_space(mini_paragraphs, mini_stats, root_config):
-    return build_space(mini_paragraphs, mini_stats, root_config, k=40)
+    (space,) = build_spaces(mini_paragraphs, mini_stats, [root_config], k=40)
+    return space
 
 
 @pytest.fixture(scope="session")
 def light_space(mini_paragraphs, mini_stats, light_config):
-    return build_space(mini_paragraphs, mini_stats, light_config, k=40)
+    (space,) = build_spaces(mini_paragraphs, mini_stats, [light_config], k=40)
+    return space
 
 
 @pytest.fixture(scope="session")

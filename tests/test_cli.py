@@ -90,6 +90,22 @@ def test_stats_partial_failure(capsys, tmp_path):
     assert "skipped" in err
 
 
+def test_directory_named_txt_is_not_a_document(capsys, tiny_corpus, tmp_path):
+    (tiny_corpus / "a").rename(tiny_corpus / "c1.txt")
+    code, out, err = run(capsys, "stats", str(tiny_corpus))
+    assert (code, err) == (0, "")
+    assert "Number of Documents\t2" in out
+    code, out, err = run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(tmp_path / "s.bin"))
+    assert code == 0
+    assert err.startswith("built space:") and "warning" not in err
+    # a broken symlink named *.txt is still a file that cannot be read
+    (tiny_corpus / "b" / "gone.txt").symlink_to(tmp_path / "missing.txt")
+    code, out, err = run(capsys, "stats", str(tiny_corpus))
+    assert code == 2
+    assert "Number of Documents\t2" in out
+    assert err.startswith(f"warning: skipped {tiny_corpus / 'b' / 'gone.txt'}: unreadable:")
+
+
 # --- stem ------------------------------------------------------------------------
 
 def test_stem_output_format(capsys):
@@ -499,6 +515,17 @@ def test_config_file_value_that_starts_with_a_dash_is_a_value(capsys, tmp_path, 
     assert code == 4
     assert out == ""
     assert "missing rule file: -x" in err
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(capsys, tiny_corpus, tmp_path):
+    config = tmp_path / "bad.conf"
+    config.write_bytes(b"k = 4\xff\n")
+    code, out, err = run(
+        capsys, "build", "--mode", "light", "--config", str(config), str(tiny_corpus), "-o", str(tmp_path / "s.bin")
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"semspace: error: {config}: not UTF-8: invalid start byte\n"
 
 
 def test_rule_file_that_is_not_utf8_is_data_error(capsys, tmp_path):

@@ -13,6 +13,8 @@ from semspace.experiment import (
     render_report,
     run_comparison,
 )
+from semspace.lsa import build_spaces
+from semspace.stemming import make_config
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.md"
 
@@ -161,6 +163,16 @@ def test_run_comparison_default_k_is_the_smallest_rank(tmp_path):
     # root: 3 rows, rank 2 (سفر and مد share paragraphs); light: 4 rows, rank 3
     assert report.metadata.k == 2
     assert [row.oov for row in report.rows] == [(), ()]
+
+
+@pytest.mark.parametrize("modes, source", [(("none", "root"), "root"), (("none",), "none")])
+def test_report_metadata_is_a_spaces_provenance(mini_corpus_dir, mini_paragraphs, mini_stats, all_pairs, modes, source):
+    # the first space built with rule files names the report, else the first space
+    report = run_comparison(mini_corpus_dir, all_pairs[:1], modes=modes, k=40)
+    (space,) = build_spaces(mini_paragraphs, mini_stats, [make_config(source)], k=40)
+    provenance = space.provenance
+    assert bool(provenance.rules_fingerprint) == (source == "root")
+    assert report.metadata == ReportMetadata(40, "u", provenance.rules_fingerprint, provenance.space_fingerprint)
 
 
 def test_run_comparison_empty_corpus(tmp_path, all_pairs):

@@ -23,7 +23,7 @@ from semspace.lsa import (
     Vocabulary,
     build_matrices,
     build_matrix,
-    build_space,
+    build_spaces,
     factorize,
     load_space,
     save_space,
@@ -185,8 +185,22 @@ def test_truncate_eckart_young():
         assert abs(residual - expected) <= 1e-8 * max(np.linalg.norm(X), 1.0)
 
 
+def test_spaces_built_together_equal_spaces_built_alone(mini_paragraphs, mini_stats, root_config, light_config):
+    # `report` builds its modes together and `build` one at a time, through the same path
+    configs = [root_config, light_config, make_config("none")]
+    together = build_spaces(mini_paragraphs, mini_stats, configs, k=40)
+    for config, space in zip(configs, together, strict=True):
+        (alone,) = build_spaces(mini_paragraphs, mini_stats, [config], k=40)
+        assert (space.k, space.n_columns) == (alone.k, alone.n_columns) == (40, 205)
+        assert space.vocabulary == alone.vocabulary
+        assert space.provenance == alone.provenance
+        assert space.provenance.stemmer_mode == config.mode
+        assert space.sigma.tobytes() == alone.sigma.tobytes()
+        assert space.word_vectors.tobytes() == alone.word_vectors.tobytes()
+
+
 def test_word_vector_verbatim_row(mini_paragraphs, mini_stats):
-    space = build_space(mini_paragraphs, mini_stats, NONE_CONFIG, k=10)
+    (space,) = build_spaces(mini_paragraphs, mini_stats, [NONE_CONFIG], k=10)
     token = space.vocabulary.tokens[5]
     vec = word_vector(space, token, NONE_CONFIG)
     assert np.array_equal(vec, space.word_vectors[5])
@@ -233,8 +247,8 @@ def test_save_load_round_trip(tmp_path, light_space):
 
 
 def test_save_is_deterministic(tmp_path, mini_paragraphs, mini_stats, light_config):
-    space_a = build_space(mini_paragraphs, mini_stats, light_config, k=8)
-    space_b = build_space(mini_paragraphs, mini_stats, light_config, k=8)
+    (space_a,) = build_spaces(mini_paragraphs, mini_stats, [light_config], k=8)
+    (space_b,) = build_spaces(mini_paragraphs, mini_stats, [light_config], k=8)
     path_a, path_b = tmp_path / "a.bin", tmp_path / "b.bin"
     save_space(space_a, path_a)
     save_space(space_b, path_b)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from semspace.corpus import Paragraph, normalize
 from semspace.errors import OutOfVocabularyError
-from semspace.lsa import SCALING_U, build_matrices, factorize_all, space_from_matrix, word_vector
+from semspace.lsa import build_matrices, build_matrix, build_spaces, factorize, word_vector
 from semspace.similarity import measure_all
 
 KS = (None, 40)  # the default k (the smallest rank, as `report` picks it) and `-k 40`
@@ -27,21 +27,18 @@ def configs(root_config, light_config):
     return [root_config, light_config]
 
 
-def _factored(paragraphs, configs):
-    matrices = build_matrices(paragraphs, configs)
-    return matrices, factorize_all(matrices)
+def _sigmas(paragraphs, configs):
+    """Each config's singular values, all of them: a space keeps only its first k."""
+    return [factorize(build_matrix(paragraphs, config)).sigma for config in configs]
 
 
 def _measures(paragraphs, stats, configs, pairs) -> dict:
     """By k in KS, every measure of every pair under every config, one row
     per (config, pair); NaN stands for an undefined measure or an OOV word."""
-    matrices, factored = _factored(paragraphs, configs)
-    default_k = min(300, *(factors.n for factors in factored))
     out = {}
     for k in KS:
         rows = []
-        for config, matrix, factors in zip(configs, matrices, factored):
-            space = space_from_matrix(matrix, factors, stats, config, k or default_k, SCALING_U)
+        for config, space in zip(configs, build_spaces(paragraphs, stats, configs, k)):
             for pair in pairs:
                 try:
                     a, b = word_vector(space, pair.word_a, config), word_vector(space, pair.word_b, config)
@@ -71,9 +68,7 @@ def test_spaces_keep_a_gap_below_the_tested_k(mini_paragraphs, configs):
     # by about eps / gap: the measures at k stay put only while sigma_k and
     # sigma_k+1 are apart. The smallest gap here, light's at k = 20, is 1.48e-3
     # (LAPACK agrees), so the bound is 1.4e-3.
-    _, factored = _factored(mini_paragraphs, configs)
-    for factors in factored:
-        sigma = factors.sigma  # sigma[k - 1] is sigma_k
+    for sigma in _sigmas(mini_paragraphs, configs):  # sigma[k - 1] is sigma_k
         for k in (10, 20, 40):
             assert (sigma[k - 1] - sigma[k]) / sigma[0] >= 1.4e-3, k
 
@@ -92,9 +87,7 @@ def test_doubled_corpus_scales_sigma_and_leaves_every_measure(
 ):
     doubled = list(mini_paragraphs) * 2
     _assert_same_measures(_measures(doubled, mini_stats, configs, all_pairs), bundled_measures)
-    (_, once), (_, twice) = _factored(mini_paragraphs, configs), _factored(doubled, configs)
-    for factors, doubled_factors in zip(once, twice):
-        sigma, doubled_sigma = factors.sigma, doubled_factors.sigma
+    for sigma, doubled_sigma in zip(_sigmas(mini_paragraphs, configs), _sigmas(doubled, configs)):
         n = sigma.size
         assert np.abs(doubled_sigma[:n] - math.sqrt(2) * sigma).max() <= 1e-13 * sigma[0]
         assert not doubled_sigma[n:].any()
