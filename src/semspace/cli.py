@@ -42,7 +42,7 @@ def _read_config_file(path: str, command: str, used: set[str]) -> dict[str, tupl
     be one of `used`, the config keys that `command` has an option for."""
     values: dict[str, tuple[int, str]] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -49,7 +49,7 @@ def load_pairs(path: str | Path) -> list[WordPair]:
     """
     pairs: list[WordPair] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise PairFormatError(f"{path}: not UTF-8: {exc.reason}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -1,10 +1,14 @@
-"""Four word-similarity measures over equal-length real vectors.
+"""Four word-similarity measures over equal-length real vectors, scored
+together by `measure_all`.
 
-Conventions: Euclidean is a distance (0 for identical inputs); cosine,
-Pearson and the extended Jaccard (Tanimoto) coefficient are similarities
-(1 for identical inputs). Degenerate inputs raise ValueError from the
-single-pair functions; measure_all converts those into per-measure
-"undefined" markers (value None) so batch runs survive bad rows.
+Euclidean is a distance (0 for identical inputs): the square root of the
+summed squared component differences. Cosine (clamped to [-1, 1]), Pearson
+correlation (clamped to [-1, 1]) and the extended Jaccard (Tanimoto)
+coefficient dot / (|a|^2 + |b|^2 - dot) are similarities (1 for identical
+inputs). A measure that degenerate inputs leave undefined (a zero vector
+for cosine, two for Jaccard, a constant vector or dimension 1 for Pearson)
+is None. Inputs that are not two finite 1-d vectors of one nonzero length
+raise ValueError: they are caller bugs, not data conditions.
 """
 
 from __future__ import annotations
@@ -93,6 +97,8 @@ def _jaccard(p: _Pair) -> float:
 
 
 def _pearson(p: _Pair) -> float:
+    """m*sum(a*b) - sum(a)*sum(b) over the product of the per-vector spread
+    terms, which equals the cosine of the mean-centered vectors."""
     m = p.a.shape[0]
     if m < 2:
         raise ValueError("undefined correlation for dimension < 2")
@@ -107,37 +113,10 @@ def _pearson(p: _Pair) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def euclidean(a, b) -> float:
-    """Square root of the summed squared component differences."""
-    return _euclidean(_Pair(a, b))
-
-
-def cosine(a, b) -> float:
-    """Dot product over the product of norms, clamped to [-1, 1]."""
-    return _cosine(_Pair(a, b))
-
-
-def jaccard(a, b) -> float:
-    """Extended Jaccard (Tanimoto): dot / (|a|^2 + |b|^2 - dot)."""
-    return _jaccard(_Pair(a, b))
-
-
-def pearson(a, b) -> float:
-    """Correlation of the two component sequences, clamped to [-1, 1].
-
-    Computed as m*sum(a*b) - sum(a)*sum(b) over the product of the
-    per-vector spread terms, which equals the cosine of the mean-centered
-    vectors.
-    """
-    return _pearson(_Pair(a, b))
-
-
 def measure_all(a, b) -> tuple[SimilarityResult, ...]:
-    """All four measures in report order; degenerate inputs become markers.
+    """All four measures in report order, None where one is undefined.
 
-    Shape problems (mismatched or empty vectors) still raise: they are
-    caller bugs, not data conditions. The inputs are checked, scaled and
-    multiplied once for all four measures.
+    The inputs are checked, scaled and multiplied once for all four.
     """
     pair = _Pair(a, b)
     results = []

@@ -63,7 +63,7 @@ def _rule_text(rules: dict[str, bytes], rules_dir: Path, name: str) -> str:
     if name not in rules:
         raise RuleFormatError(f"missing rule file: {rules_dir / name}")
     try:
-        return rules[name].decode("utf-8")
+        return rules[name].decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise RuleFormatError(f"{rules_dir / name}: not UTF-8: {exc.reason}") from None
 

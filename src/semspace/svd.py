@@ -47,8 +47,8 @@ from .errors import ConvergenceError
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
-DEFAULT_TOL = 1e-14
-DEFAULT_MAX_SWEEPS = 60
+_TOL = 1e-14  # a pair is orthogonal once |<a, b>| <= _TOL * |a| * |b|
+_MAX_SWEEPS = 60
 
 _PANEL = 32  # columns per block reflector of householder_qr
 # A downdated squared column norm below this share of its last computed value
@@ -147,7 +147,7 @@ def _merge_duplicate_columns(X: np.ndarray) -> np.ndarray:
     return X[:, first] * np.sqrt(np.bincount(group))
 
 
-def _jacobi_rows(stack: np.ndarray, max_sweeps: int, tol: float) -> list[int]:
+def _jacobi_rows(stack: np.ndarray) -> list[int]:
     """Rotate the rows of each stack[i] in place until they are orthogonal; return the sweeps of each.
 
     The p problems of the (p, n, w) stack sit in blocks of m slots of one
@@ -174,7 +174,7 @@ def _jacobi_rows(stack: np.ndarray, max_sweeps: int, tol: float) -> list[int]:
         rounds.append((pairs, swapped, app, aqq, new_app, new_aqq, level, rot[: len(pairs)], off[: len(pairs)]))
     ends = [a.reshape(p, m, -1)[:, :: m - 1] for a in (*bufs, *norms[:, :, None])]  # each block's first, last slot
     sweeps, residual = [0] * p, np.full(p, np.inf)
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         off[:] = 0.0
         # Squared row norms, exact at the start of the sweep and updated by
         # each rotation; they move with their rows.
@@ -185,7 +185,7 @@ def _jacobi_rows(stack: np.ndarray, max_sweeps: int, tol: float) -> list[int]:
             live = np.minimum(app, aqq) > level
             rel = np.abs(apq) / np.sqrt(np.where(live, app * aqq, np.inf))
             np.maximum(seen, rel, out=seen)
-            active = rel > tol
+            active = rel > _TOL
             if active.any():
                 tau = (aqq - app) / (2.0 * np.where(active, apq, 1.0))
                 t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
@@ -204,23 +204,19 @@ def _jacobi_rows(stack: np.ndarray, max_sweeps: int, tol: float) -> list[int]:
             if lo:  # the blocks' first and last slots sat out
                 ends[0][:], ends[2][:] = ends[1], ends[3]
         residual = off.reshape(p, half).max(axis=1)
-        for i in np.flatnonzero(residual <= tol):
+        for i in np.flatnonzero(residual <= _TOL):
             sweeps[i] = sweeps[i] or sweep
         if all(sweeps):  # an odd sweep count leaves each block reversed
             stack[:] = bufs[0].reshape(p, m, w)[:, :: -1 if sweep % 2 else 1][:, :n]
             return sweeps
     raise ConvergenceError(
-        f"one-sided Jacobi did not converge in {max_sweeps} sweeps "
+        f"one-sided Jacobi did not converge in {_MAX_SWEEPS} sweeps "
         f"(off-diagonal residual {residual.max():.3e})",
         residual=float(residual.max()),
     )
 
 
-def jacobi_svd(
-    X: np.ndarray,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    tol: float = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray, int]:
+def jacobi_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Left singular vectors and singular values of X (m x c), and the sweeps run.
 
     sigma has length min(m, c), is non-increasing, and is zero beyond the
@@ -232,16 +228,12 @@ def jacobi_svd(
     item is the number of Jacobi sweeps to convergence.
 
     Raises ConvergenceError (carrying the achieved off-diagonal residual)
-    if the sweep budget is exhausted.
+    if _MAX_SWEEPS sweeps leave a pair of rows above _TOL.
     """
-    return jacobi_svds([X], max_sweeps, tol)[0]
+    return jacobi_svds([X])[0]
 
 
-def jacobi_svds(
-    Xs: list[np.ndarray],
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    tol: float = DEFAULT_TOL,
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
+def jacobi_svds(Xs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """`jacobi_svd` of each matrix, bit for bit; R2 factors of one shape share
     one Jacobi loop, and a ConvergenceError from any of them is raised."""
     fronts = []
@@ -262,7 +254,7 @@ def jacobi_svds(
     solved = {}  # R2's shape: its rotated rows and sweeps, in input order
     for shape in dict.fromkeys(B.shape for _, B, _, _ in fronts):  # no padding: it would move the sums' bits
         stack = np.stack([B for _, B, _, _ in fronts if B.shape == shape])
-        solved[shape] = list(zip(stack, _jacobi_rows(stack, max_sweeps, tol)))
+        solved[shape] = list(zip(stack, _jacobi_rows(stack)))
 
     results = []
     while fronts:  # a front's reflectors go once its U is made

@@ -6,12 +6,18 @@ import pytest
 from semspace.corpus import corpus_stats, load_corpus, segment_corpus
 from semspace.experiment import load_pairs
 from semspace.lsa import build_spaces
+from semspace.similarity import measure_all
 from semspace.stemming import make_config
 
 
 def bundled_data(*parts: str) -> Path:
     """A file or directory under the package's bundled data."""
     return Path(str(files("semspace") / "data")).joinpath(*parts)
+
+
+def measure(name: str, a, b) -> float | None:
+    """One measure of `measure_all(a, b)`, read by name; None where undefined."""
+    return next(r.value for r in measure_all(a, b) if r.measure == name)
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,9 @@ from semspace.corpus import normalize
 from semspace.errors import OutOfVocabularyError
 from semspace.experiment import run_comparison
 from semspace.lsa import load_space, save_space, word_vector
-from semspace.similarity import cosine, euclidean, jaccard, pearson
 from semspace.svd import jacobi_svd
 
+from conftest import measure
 from oracles import singular_values_via_gram
 
 IDENTITY_TOL = 1e-9
@@ -158,21 +158,21 @@ def test_criterion_5_measure_properties():
         dim = int(rng.integers(2, 13))
         x, y, z = rng.normal(size=(3, dim)) + rng.uniform(-2.0, 2.0, size=(3, 1))
 
-        dxy, dyx = euclidean(x, y), euclidean(y, x)
+        dxy, dyx = measure("euclidean", x, y), measure("euclidean", y, x)
         assert dxy >= 0.0
         assert dxy == dyx
-        assert euclidean(x, x) == 0.0
+        assert measure("euclidean", x, x) == 0.0
         if not np.array_equal(x, y):
             assert dxy > 0.0
-        assert euclidean(x, z) <= dxy + euclidean(y, z) + 1e-12
+        assert measure("euclidean", x, z) <= dxy + measure("euclidean", y, z) + 1e-12
 
-        assert -1.0 <= cosine(x, y) <= 1.0
-        p = pearson(x, y)
+        assert -1.0 <= measure("cosine", x, y) <= 1.0
+        p = measure("pearson", x, y)
         assert -1.0 <= p <= 1.0
-        centered = cosine(x - x.mean(), y - y.mean())
+        centered = measure("cosine", x - x.mean(), y - y.mean())
         assert abs(p - centered) <= 1e-10
 
-        assert jaccard(x, x) == 1.0
+        assert measure("jaccard", x, x) == 1.0
 
         # disjoint non-negative supports
         left = np.zeros(dim)
@@ -181,7 +181,7 @@ def test_criterion_5_measure_properties():
         left[:half] = rng.uniform(0.1, 3.0, size=half)
         right[half:] = rng.uniform(0.1, 3.0, size=dim - half)
         if left.any() and right.any():
-            assert jaccard(left, right) == 0.0
+            assert measure("jaccard", left, right) == 0.0
         triples += 1
     elapsed = time.perf_counter() - start
     assert triples >= 1000

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from semspace.cli import main
+from semspace.experiment import load_pairs
 from semspace.lsa import Provenance, SemanticSpace, Vocabulary, load_space, save_space
+
+from conftest import bundled_data
+
+BOM = "\ufeff".encode()
 
 
 @pytest.fixture()
@@ -492,6 +497,16 @@ def test_config_file_builds_the_bytes_of_the_same_flags(capsys, tiny_corpus, tmp
     assert by_file.read_bytes() == by_flags.read_bytes()
 
 
+def test_config_file_with_a_byte_order_mark_builds_as_without(capsys, tiny_corpus, tmp_path):
+    config = tmp_path / "semspace.conf"
+    config.write_bytes(BOM + b"k = 3\n")
+    by_flags, by_file = tmp_path / "flags.bin", tmp_path / "file.bin"
+    assert run(capsys, "build", "--mode", "root", "-k", "3", str(tiny_corpus), "-o", str(by_flags))[0] == 0
+    assert run(capsys, "build", "--mode", "root", "--config", str(config),
+               str(tiny_corpus), "-o", str(by_file))[0] == 0
+    assert by_file.read_bytes() == by_flags.read_bytes()
+
+
 def test_config_file_normalize_off_yields_to_the_flag(capsys, tiny_corpus, tmp_path):
     space_file = tmp_path / "space.bin"
     run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
@@ -538,6 +553,23 @@ def test_rule_file_that_is_not_utf8_is_data_error(capsys, tmp_path):
     assert code == 4
     assert out == ""
     assert f"{rules / 'antefixes.txt'}: not UTF-8" in err
+
+
+def test_rule_files_with_a_byte_order_mark_stem_as_without(capsys, pair_files, tmp_path):
+    words = sorted({w for path in pair_files for pair in load_pairs(path) for w in (pair.word_a, pair.word_b)})
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    for path in bundled_data("rules").glob("*.txt"):
+        # without its leading comments, each file starts with an entry
+        lines = path.read_bytes().splitlines(keepends=True)
+        text = b"".join(lines[next(i for i, line in enumerate(lines) if not line.startswith(b"#")):])
+        (plain / path.name).write_bytes(text)
+        (marked / path.name).write_bytes(BOM + text)
+    for mode in ("light", "root"):
+        expected = run(capsys, "stem", "--mode", mode, "--rules", str(plain), *words)
+        assert expected[0] == 0
+        assert run(capsys, "stem", "--mode", mode, "--rules", str(marked), *words) == expected
 
 
 @pytest.mark.parametrize("command", ["build", "report"])
@@ -609,6 +641,30 @@ def test_report_mode_sections_do_not_depend_on_the_other_modes(capsys, mini_corp
         assert sections(mode) == {mode: together[mode]}
 
 
+def test_sim_prints_the_cells_of_the_report(capsys, mini_corpus_dir, pair_files, tmp_path):
+    # both commands score a pair with measure_all and print it with format_value
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_bytes(b"".join(path.read_bytes() for path in pair_files))
+    for mode in ("root", "light"):
+        assert run(capsys, "build", "--mode", mode, "-k", "40", str(mini_corpus_dir),
+                   "-o", str(tmp_path / f"{mode}.bin"))[0] == 0
+    code, out, err = run(capsys, "report", "--corpus", str(mini_corpus_dir), "--pairs", str(pairs),
+                         "--modes", "root,light", "-k", "40", "--format", "tsv")
+    assert code == 0
+    checked, mode = 0, None
+    for line in out.splitlines():
+        cells = line.split("\t")
+        if line.startswith("## stemmer="):
+            mode = cells[0][len("## stemmer="):]
+        elif mode and "oov=" not in cells[7]:
+            words = cells[0][1:-1].split(", ")
+            code, sim_out, _ = run(capsys, "sim", "--space", str(tmp_path / f"{mode}.bin"), *words)
+            assert code == 0
+            assert sim_out.splitlines()[1].split("\t") == cells[3:7], (mode, words)
+            checked += 1
+    assert checked == 38  # 20 pairs under each of 2 modes; 2 rows have an OOV word
+
+
 def test_report_bad_pairs_file(capsys, tiny_corpus, tmp_path):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("اب فقط سطر سيء\n", encoding="utf-8")
@@ -625,6 +681,17 @@ def test_report_pairs_file_that_is_not_utf8_is_data_error(capsys, tiny_corpus, t
     assert code == 4
     assert out == ""
     assert f"{pairs}: not UTF-8" in err
+
+
+@pytest.mark.parametrize("text", ["السفير\tالسفارة\tDifferent\n", "# a comment\nالسفير\tالسفارة\tDifferent\n"])
+def test_pairs_file_with_a_byte_order_mark_reports_as_without(capsys, tiny_corpus, tmp_path, text):
+    pairs = tmp_path / "pairs.tsv"
+    argv = ("report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "-k", "2", "--format", "tsv")
+    pairs.write_text(text, encoding="utf-8")
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    pairs.write_bytes(BOM + text.encode())
+    assert run(capsys, *argv) == expected
 
 
 def test_report_warns_on_skipped_file(capsys, tiny_corpus, tmp_path):

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semspace.similarity import (
-    MEASURE_ORDER,
-    cosine,
-    euclidean,
-    jaccard,
-    measure_all,
-    pearson,
-)
+from semspace.similarity import MEASURE_ORDER, measure_all
 
+from conftest import measure
 from oracles import euclidean_by_summation, measures_apart
 
 
@@ -21,11 +15,11 @@ from oracles import euclidean_by_summation, measures_apart
 
 def test_euclidean_identity():
     v = np.array([1.5, -2.0, 3.25])
-    assert euclidean(v, v) == 0.0
+    assert measure("euclidean", v, v) == 0.0
 
 
 def test_euclidean_pythagorean():
-    assert euclidean([0.0, 0.0], [3.0, 4.0]) == 5.0
+    assert measure("euclidean", [0.0, 0.0], [3.0, 4.0]) == 5.0
 
 
 def test_euclidean_matches_summation_oracle():
@@ -33,43 +27,42 @@ def test_euclidean_matches_summation_oracle():
     for _ in range(50):
         a = rng.normal(size=5)
         b = rng.normal(size=5)
-        assert abs(euclidean(a, b) - euclidean_by_summation(a, b)) <= 1e-12
+        assert abs(measure("euclidean", a, b) - euclidean_by_summation(a, b)) <= 1e-12
 
 
 def test_euclidean_metric_axioms_sampled():
     rng = np.random.default_rng(13)
     for _ in range(100):
         x, y, z = rng.normal(size=(3, 6))
-        dxy = euclidean(x, y)
+        dxy = measure("euclidean", x, y)
         assert dxy >= 0
-        assert dxy == euclidean(y, x)
-        assert euclidean(x, z) <= dxy + euclidean(y, z) + 1e-12
+        assert dxy == measure("euclidean", y, x)
+        assert measure("euclidean", x, z) <= dxy + measure("euclidean", y, z) + 1e-12
 
 
 def test_euclidean_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        euclidean([1.0], [1.0, 2.0])
+        measure("euclidean", [1.0], [1.0, 2.0])
 
 
 # --- cosine ------------------------------------------------------------------
 
 def test_cosine_identical():
     v = np.array([0.3, 0.4, 1.2])
-    assert cosine(v, v) == 1.0
+    assert measure("cosine", v, v) == 1.0
 
 
 def test_cosine_orthogonal():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert measure("cosine", [1.0, 0.0], [0.0, 1.0]) == 0.0
 
 
 def test_cosine_antipodal():
     v = np.array([2.0, -1.0, 0.5])
-    assert cosine(v, -v) == -1.0
+    assert measure("cosine", v, -v) == -1.0
 
 
 def test_cosine_zero_vector_rejected():
-    with pytest.raises(ValueError, match="zero vector"):
-        cosine([0.0, 0.0], [1.0, 2.0])
+    assert measure("cosine", [0.0, 0.0], [1.0, 2.0]) is None
 
 
 def test_cosine_scale_invariant():
@@ -77,45 +70,44 @@ def test_cosine_scale_invariant():
     for _ in range(50):
         a, b = rng.normal(size=(2, 4))
         lam = float(rng.uniform(0.1, 50.0))
-        assert abs(cosine(lam * a, b) - cosine(a, b)) <= 1e-12
+        assert abs(measure("cosine", lam * a, b) - measure("cosine", a, b)) <= 1e-12
 
 
 def test_cosine_bounds():
     rng = np.random.default_rng(23)
     for _ in range(200):
         a, b = rng.normal(size=(2, 5))
-        assert -1.0 <= cosine(a, b) <= 1.0
+        assert -1.0 <= measure("cosine", a, b) <= 1.0
 
 
 # --- jaccard -----------------------------------------------------------------
 
 def test_jaccard_identical_is_one():
     v = np.array([0.5, 2.0, 0.0])
-    assert jaccard(v, v) == 1.0
+    assert measure("jaccard", v, v) == 1.0
 
 
 def test_jaccard_disjoint_supports():
-    assert jaccard([1.0, 0.0], [0.0, 2.0]) == 0.0
+    assert measure("jaccard", [1.0, 0.0], [0.0, 2.0]) == 0.0
 
 
 def test_jaccard_hand_value():
-    assert jaccard([1.0, 1.0], [1.0, 0.0]) == 0.5
+    assert measure("jaccard", [1.0, 1.0], [1.0, 0.0]) == 0.5
 
 
 def test_jaccard_both_zero_rejected():
-    with pytest.raises(ValueError, match="zero"):
-        jaccard([0.0, 0.0], [0.0, 0.0])
+    assert measure("jaccard", [0.0, 0.0], [0.0, 0.0]) is None
 
 
 def test_jaccard_one_zero_defined():
-    assert jaccard([0.0, 0.0], [0.0, 2.0]) == 0.0
+    assert measure("jaccard", [0.0, 0.0], [0.0, 2.0]) == 0.0
 
 
 def test_jaccard_at_most_one():
     rng = np.random.default_rng(29)
     for _ in range(200):
         a, b = rng.normal(size=(2, 5))
-        assert jaccard(a, b) <= 1.0 + 1e-12
+        assert measure("jaccard", a, b) <= 1.0 + 1e-12
 
 
 def test_jaccard_one_iff_equal():
@@ -124,40 +116,38 @@ def test_jaccard_one_iff_equal():
         a = rng.normal(size=4)
         b = a + rng.normal(size=4) * 0.1
         if not np.array_equal(a, b):
-            assert jaccard(a, b) < 1.0
+            assert measure("jaccard", a, b) < 1.0
 
 
 # --- pearson -----------------------------------------------------------------
 
 def test_pearson_identical():
-    assert pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
+    assert measure("pearson", [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
 
 
 def test_pearson_perfect_linear():
     # numerator 3*28 - 6*12 = 12; denominator sqrt(6 * 24) = 12
-    assert pearson([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == 1.0
+    assert measure("pearson", [1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == 1.0
 
 
 def test_pearson_perfect_negative():
-    assert pearson([1.0, 2.0], [2.0, 1.0]) == -1.0
+    assert measure("pearson", [1.0, 2.0], [2.0, 1.0]) == -1.0
 
 
 def test_pearson_constant_rejected():
-    with pytest.raises(ValueError, match="constant"):
-        pearson([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+    assert measure("pearson", [2.0, 2.0, 2.0], [1.0, 2.0, 3.0]) is None
 
 
 def test_pearson_dimension_one_rejected():
-    with pytest.raises(ValueError, match="dimension"):
-        pearson([1.0], [2.0])
+    assert measure("pearson", [1.0], [2.0]) is None
 
 
 def test_pearson_equals_centered_cosine():
     rng = np.random.default_rng(37)
     for _ in range(300):
         a, b = rng.normal(size=(2, 8)) + rng.uniform(-3, 3, size=(2, 1))
-        centered = cosine(a - a.mean(), b - b.mean())
-        assert abs(pearson(a, b) - centered) <= 1e-10
+        centered = measure("cosine", a - a.mean(), b - b.mean())
+        assert abs(measure("pearson", a, b) - centered) <= 1e-10
 
 
 def test_pearson_shift_scale_invariant():
@@ -166,17 +156,17 @@ def test_pearson_shift_scale_invariant():
         a, b = rng.normal(size=(2, 6))
         lam = float(rng.uniform(0.5, 10.0))
         mu = float(rng.uniform(-5.0, 5.0))
-        assert abs(pearson(lam * a + mu, b) - pearson(a, b)) <= 1e-10
+        assert abs(measure("pearson", lam * a + mu, b) - measure("pearson", a, b)) <= 1e-10
 
 
 # --- symmetry of the similarity measures --------------------------------------
 
-@pytest.mark.parametrize("func", [cosine, jaccard, pearson])
-def test_measures_symmetric(func):
+@pytest.mark.parametrize("name", ["cosine", "jaccard", "pearson"])
+def test_measures_symmetric(name):
     rng = np.random.default_rng(43)
     for _ in range(50):
         a, b = rng.normal(size=(2, 5))
-        assert func(a, b) == pytest.approx(func(b, a), abs=1e-15)
+        assert measure(name, a, b) == pytest.approx(measure(name, b, a), abs=1e-15)
 
 
 # --- metric axioms, property-based --------------------------------------------
@@ -204,7 +194,7 @@ def test_metric_axioms(triple):
         assert forward[name] is None or -1.0 <= forward[name] <= 1.0
     assert forward["jaccard"] is None or -1 / 3 - 1e-12 <= forward["jaccard"] <= 1.0 + 1e-12
     slack = 1e-12 * max(np.abs(x).max(), np.abs(y).max(), np.abs(z).max())
-    assert euclidean(x, z) <= forward["euclidean"] + euclidean(y, z) + slack
+    assert measure("euclidean", x, z) <= forward["euclidean"] + measure("euclidean", y, z) + slack
 
 
 # --- measure_all -------------------------------------------------------------
@@ -227,16 +217,6 @@ def test_measure_all_zero_vectors_marked():
     assert results["cosine"].value is None
     assert results["pearson"].value is None
     assert results["jaccard"].value is None
-
-
-def test_measure_all_matches_individual_calls():
-    rng = np.random.default_rng(47)
-    a, b = rng.normal(size=(2, 6))
-    results = {r.measure: r.value for r in measure_all(a, b)}
-    assert results["cosine"] == cosine(a, b)
-    assert results["euclidean"] == euclidean(a, b)
-    assert results["pearson"] == pearson(a, b)
-    assert results["jaccard"] == jaccard(a, b)
 
 
 def _bits(value):
@@ -272,4 +252,4 @@ def test_measure_all_rejects_shape_problems():
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="finite"):
-        cosine([1.0, math.inf], [1.0, 2.0])
+        measure("cosine", [1.0, math.inf], [1.0, 2.0])

@@ -151,11 +151,12 @@ def test_wide_matrix_transposed_internally():
     assert row_gram_error(X, U, s) <= 1e-10 * s[0] ** 2
 
 
-def test_convergence_error_carries_residual():
+def test_convergence_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(svd, "_MAX_SWEEPS", 1)
     rng = np.random.default_rng(31)
     X = rng.normal(size=(12, 12))
     with pytest.raises(ConvergenceError) as exc_info:
-        jacobi_svd(X, max_sweeps=1)
+        jacobi_svd(X)
     assert exc_info.value.residual > 0
 
 
@@ -313,7 +314,7 @@ def test_jacobi_rows_end_where_they_started(shape, noise, sweeps):
     Q, _ = np.linalg.qr(rng.normal(size=(w, n)))
     G = np.linspace(1.0, 2.0, n)[:, None] * Q.T + noise * rng.normal(size=(n, w))
     B = G.copy()
-    assert _jacobi_rows(B[None], 60, 1e-14) == [sweeps]
+    assert _jacobi_rows(B[None]) == [sweeps]
     if noise == 0.0:
         assert np.array_equal(B, G)
     reference, _ = jacobi_rows(G)
@@ -344,14 +345,14 @@ def jacobi_stacks(draw):
 def solve_alone(stack):
     """Each problem of the stack through _jacobi_rows on its own."""
     solved = stack.copy()
-    return solved, [_jacobi_rows(G[None], 60, 1e-14)[0] for G in solved]
+    return solved, [_jacobi_rows(G[None])[0] for G in solved]
 
 
 @settings(max_examples=150, deadline=None)
 @given(jacobi_stacks())
 def test_jacobi_rows_stack_gives_each_problem_its_solo_bits(stack):
     solved, sweeps = solve_alone(stack)
-    assert _jacobi_rows(stack, 60, 1e-14) == sweeps
+    assert _jacobi_rows(stack) == sweeps
     assert np.array_equal(stack, solved)
 
 
@@ -365,7 +366,7 @@ def test_jacobi_rows_stack_with_unequal_sweeps_odd_rows_and_zero_rows():
     stack[1, [2, 5]] = 0.0
     solved, sweeps = solve_alone(stack)
     assert sweeps[0] == 1 and len(set(sweeps)) >= 3
-    assert _jacobi_rows(stack, 60, 1e-14) == sweeps
+    assert _jacobi_rows(stack) == sweeps
     assert np.array_equal(stack, solved)
 
 
@@ -385,12 +386,13 @@ def test_jacobi_svds_match_jacobi_svd_across_r2_shapes():
         assert np.array_equal(U, U1) and np.array_equal(s, s1) and sweeps == sweeps1
 
 
-def test_jacobi_svds_raises_when_one_member_does_not_converge():
+def test_jacobi_svds_raises_when_one_member_does_not_converge(monkeypatch):
     # the identity converges in its first sweep; the random matrix does not
+    monkeypatch.setattr(svd, "_MAX_SWEEPS", 1)
     X = np.random.default_rng(31).normal(size=(12, 12))
     for Xs in ([np.eye(12), X], [X, np.eye(12)]):
         with pytest.raises(ConvergenceError) as exc_info:
-            jacobi_svds(Xs, max_sweeps=1)
+            jacobi_svds(Xs)
         assert exc_info.value.residual > 0
 
 
