@@ -20,9 +20,9 @@ from . import __version__
 from .corpus import corpus_stats, load_corpus, segment_corpus
 from .errors import EXIT_IO, EXIT_USAGE, SemspaceError
 from .experiment import DEFAULT_MODES, load_pairs, render_report, run_comparison
-from .lsa import SCALINGS, SCALING_U, build_spaces, load_space, save_space, word_vector
+from .lsa import SCALINGS, SCALING_U, SemanticSpace, build_spaces, load_space, save_space, word_vector
 from .similarity import MEASURE_ORDER, format_value, measure_all, unit_vector
-from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, MODES, make_config
+from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, MODES, StemmerConfig, make_config
 
 _CONFIG_KEYS = {"k", "scaling", "rules", "format", "normalize", "modes"}
 _SWITCH_VALUES = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
@@ -58,6 +58,8 @@ def _read_config_file(path: str, command: str, used: set[str]) -> dict[str, tupl
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key not in used:
             raise ValueError(f"{path}:{lineno}: key {key!r} is not used by {command}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {values[key][0]}")
         values[key] = (lineno, value)
     return values
 
@@ -90,15 +92,15 @@ def _rules_dir(args: argparse.Namespace) -> Path | None:
 
 
 def _modes(text: str) -> tuple[str, ...]:
-    """The stemmers a --modes list names, each at most once."""
+    """The stemmers a --modes list names, each at most once: the option's type."""
     modes = tuple(part.strip() for part in text.split(",") if part.strip())
     if not modes:
-        raise ValueError("--modes names no mode")
+        raise argparse.ArgumentTypeError(f"no mode in {text!r}")
     for i, mode in enumerate(modes):
         if mode not in MODES:
-            raise ValueError(f"unknown mode in --modes: {mode!r}")
+            raise argparse.ArgumentTypeError(f"unknown mode {mode!r} in {text!r}")
         if mode in modes[:i]:
-            raise ValueError(f"mode {mode!r} repeated in --modes")
+            raise argparse.ArgumentTypeError(f"mode {mode!r} repeated in {text!r}")
     return modes
 
 
@@ -131,13 +133,22 @@ def _cmd_stem(args) -> int:
     return 0
 
 
-def _cmd_build(args) -> int:
-    corpus = load_corpus(args.corpus_dir)
+def _corpus_spaces(
+    args: argparse.Namespace, corpus_dir: str, modes: tuple[str, ...]
+) -> tuple[bool, list[StemmerConfig], list[SemanticSpace]]:
+    """One space per mode over the corpus under `corpus_dir`, at the k and
+    scaling of `args`. Each skipped file is warned about before anything can
+    fail; the flag says whether there was one."""
+    corpus = load_corpus(corpus_dir)
     partial = _warn_skipped(corpus.skipped)
     paragraphs = segment_corpus(corpus)
     stats = corpus_stats(corpus, paragraphs)
-    stemmer = make_config(args.mode, _rules_dir(args))
-    (space,) = build_spaces(paragraphs, stats, [stemmer], k=args.k, scaling=args.scaling)
+    configs = [make_config(mode, _rules_dir(args)) for mode in modes]
+    return partial, configs, build_spaces(paragraphs, stats, configs, args.k, args.scaling)
+
+
+def _cmd_build(args) -> int:
+    partial, _, (space,) = _corpus_spaces(args, args.corpus_dir, (args.mode,))
     save_space(space, args.output)
     print(
         f"built space: {len(space.vocabulary)} words, {space.n_columns} paragraphs, "
@@ -168,19 +179,9 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    modes = _modes(args.modes)
     pairs = load_pairs(args.pairs)
-    report = run_comparison(
-        args.corpus,
-        pairs,
-        modes=modes,
-        k=args.k,
-        scaling=args.scaling,
-        rules_dir=_rules_dir(args),
-        unit_length=args.normalize,
-    )
-    partial = _warn_skipped(report.skipped)
-    text = render_report(report, args.format)
+    partial, configs, spaces = _corpus_spaces(args, args.corpus, args.modes)
+    text = render_report(run_comparison(configs, spaces, pairs, args.normalize), args.format)
     if args.output:
         Path(args.output).write_bytes(text.encode("utf-8"))
     else:
@@ -227,7 +228,8 @@ def _build_parser() -> _Parser:
     p_report = sub.add_parser("report", help="full stemmer-by-measure comparison report")
     p_report.add_argument("--corpus", required=True)
     p_report.add_argument("--pairs", required=True)
-    p_report.add_argument("--modes", default=",".join(DEFAULT_MODES), help="comma-separated subset of root,light,none")
+    p_report.add_argument("--modes", type=_modes, default=",".join(DEFAULT_MODES),
+                          help="comma-separated subset of root,light,none")
     p_report.add_argument("-k", type=int, default=None, help="dimensions to keep, at most the smallest rank over --modes")
     p_report.add_argument("--scaling", choices=SCALINGS, default=SCALING_U)
     p_report.add_argument("--format", choices=("tsv", "markdown"), default="tsv")

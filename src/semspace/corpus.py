@@ -22,29 +22,24 @@ from .errors import CorpusReadError
 Token = str  # normalized, non-empty, Arabic letters only
 
 # rules 1 and 4: drop all outside the letter block U+0621..U+064A, and the tatweel U+0640 in it
-_DROP = re.compile(r"[^\u0621-\u063F\u0641-\u064A]+")
 _DROP_KEEP_SPACE = re.compile(r"[^\u0621-\u063F\u0641-\u064A\s]+")
 _FOLDS = (("أ", "ا"), ("إ", "ا"), ("آ", "ا"), ("ى", "ي"))
 
 
-def _clean(text: str, drop: re.Pattern) -> str:
-    """Rules 1 to 4: one regex pass drops, then each fold is one str.replace."""
-    text = drop.sub("", text)
-    for letter, folded in _FOLDS:
-        text = text.replace(letter, folded)
-    return text
-
-
 def normalize(raw: str) -> str:
     """Normalize one raw token. Returns '' when nothing Arabic survives."""
-    return _clean(raw, _DROP)
+    return "".join(tokenize(raw))
 
 
 def tokenize(text: str) -> list[Token]:
     """Split on Unicode whitespace, normalize each piece, drop the empties."""
+    # Rules 1 to 4 are one regex pass that drops, then one str.replace per fold.
     # Regex \s and str.isspace agree on every code point, so dropping the
     # non-Arabic letters first leaves the same pieces for split() to return.
-    return _clean(text, _DROP_KEEP_SPACE).split()
+    text = _DROP_KEEP_SPACE.sub("", text)
+    for letter, folded in _FOLDS:
+        text = text.replace(letter, folded)
+    return text.split()
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,13 @@ report byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import corpus_stats, load_corpus, segment_corpus
 from .errors import OutOfVocabularyError, PairFormatError
-from .lsa import SCALING_U, SemanticSpace, build_spaces, word_vector
+from .lsa import SemanticSpace, word_vector
 from .similarity import MEASURE_ORDER, SimilarityResult, format_value, measure_all, unit_vector
-from .stemming import MODE_LIGHT, MODE_ROOT, StemmerConfig, make_config
+from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, StemmerConfig
 
 LABEL_SIMILAR = "Similar"
 LABEL_DIFFERENT = "Different"
@@ -23,7 +22,7 @@ LABELS = (LABEL_SIMILAR, LABEL_DIFFERENT)
 
 DEFAULT_MODES = (MODE_ROOT, MODE_LIGHT)
 
-_MODE_TITLES = {MODE_ROOT: "Root stemmer", MODE_LIGHT: "Light stemmer", "none": "No stemmer"}
+_MODE_TITLES = {MODE_ROOT: "Root stemmer", MODE_LIGHT: "Light stemmer", MODE_NONE: "No stemmer"}
 _LABEL_TITLES = {LABEL_SIMILAR: "similar words", LABEL_DIFFERENT: "different words"}
 
 
@@ -89,7 +88,6 @@ class ComparisonReport:
     rows: list[ReportRow]
     metadata: ReportMetadata
     modes: tuple[str, ...]
-    skipped: list[tuple[str, str]] = field(default_factory=list)  # corpus files left out
 
 
 _UNDEFINED_ROW = tuple(SimilarityResult(name, None) for name in MEASURE_ORDER)
@@ -114,24 +112,13 @@ def _evaluate_pair(
 
 
 def run_comparison(
-    corpus_dir: str | Path,
-    pairs: list[WordPair],
-    modes: tuple[str, ...] = DEFAULT_MODES,
-    k: int | None = None,
-    scaling: str = SCALING_U,
-    rules_dir: Path | None = None,
-    unit_length: bool = False,
+    configs: list[StemmerConfig], spaces: list[SemanticSpace], pairs: list[WordPair], unit_length: bool = False
 ) -> ComparisonReport:
-    """Build one space per requested stemmer over the same corpus and score every pair.
+    """Score every pair in each space under the config that built it.
 
-    Every space keeps the same k, by default min(300, smallest rank over the modes).
+    `lsa.build_spaces` makes such spaces, one per config over one corpus with
+    one k; the report takes its k and scaling from the first space.
     """
-    corpus = load_corpus(corpus_dir)
-    paragraphs = segment_corpus(corpus)
-    stats = corpus_stats(corpus, paragraphs)
-
-    configs = [make_config(mode, rules_dir) for mode in modes]
-    spaces = build_spaces(paragraphs, stats, configs, k, scaling)
     # the fingerprints of the first space built with rule files (mode none has none)
     provenance = next((s.provenance for s in spaces if s.provenance.rules_fingerprint), spaces[0].provenance)
     rows: list[ReportRow] = []
@@ -139,9 +126,8 @@ def run_comparison(
         rows.extend(_evaluate_pair(space, config, pair, unit_length) for pair in pairs)
     return ComparisonReport(
         rows=rows,
-        metadata=ReportMetadata(spaces[0].k, scaling, provenance.rules_fingerprint, provenance.space_fingerprint),
-        modes=tuple(modes),
-        skipped=corpus.skipped,
+        metadata=ReportMetadata(spaces[0].k, spaces[0].scaling, provenance.rules_fingerprint, provenance.space_fingerprint),
+        modes=tuple(config.mode for config in configs),
     )
 
 
@@ -158,8 +144,7 @@ def _row_cells(row: ReportRow) -> list[str]:
     return [words, translit, gloss, *measures, notes]
 
 
-_HEADER = ["Words", "Transliteration", "English Translation",
-           "Cosine", "Euclidean", "Pearson", "Jaccard", "Notes"]
+_HEADER = ["Words", "Transliteration", "English Translation", *(name.capitalize() for name in MEASURE_ORDER), "Notes"]
 
 
 def _sections(report: ComparisonReport):

@@ -18,11 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-COSINE = "cosine"
-EUCLIDEAN = "euclidean"
-PEARSON = "pearson"
-JACCARD = "jaccard"
-MEASURE_ORDER = (COSINE, EUCLIDEAN, PEARSON, JACCARD)  # fixed report column order
+MEASURE_ORDER = ("cosine", "euclidean", "pearson", "jaccard")  # fixed report column order
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from semspace.corpus import corpus_stats, load_corpus, segment_corpus
-from semspace.experiment import load_pairs
+from semspace.experiment import load_pairs, run_comparison
 from semspace.lsa import build_spaces
 from semspace.similarity import measure_all
 from semspace.stemming import make_config
@@ -18,6 +18,15 @@ def bundled_data(*parts: str) -> Path:
 def measure(name: str, a, b) -> float | None:
     """One measure of `measure_all(a, b)`, read by name; None where undefined."""
     return next(r.value for r in measure_all(a, b) if r.measure == name)
+
+
+def comparison(corpus_dir, pairs, modes, k=None):
+    """The report's pipeline: read the corpus, build one space per mode, score the pairs."""
+    corpus = load_corpus(corpus_dir)
+    paragraphs = segment_corpus(corpus)
+    stats = corpus_stats(corpus, paragraphs)
+    configs = [make_config(mode) for mode in modes]
+    return run_comparison(configs, build_spaces(paragraphs, stats, configs, k), pairs)
 
 
 @pytest.fixture(scope="session")

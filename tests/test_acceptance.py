@@ -13,11 +13,10 @@ import pytest
 from semspace.cli import main
 from semspace.corpus import normalize
 from semspace.errors import OutOfVocabularyError
-from semspace.experiment import run_comparison
 from semspace.lsa import load_space, save_space, word_vector
 from semspace.svd import jacobi_svd
 
-from conftest import measure
+from conftest import comparison, measure
 from oracles import singular_values_via_gram
 
 IDENTITY_TOL = 1e-9
@@ -32,7 +31,7 @@ def _report_pass(number, name, extra=""):
 def pipeline(mini_corpus_dir, all_pairs):
     """One timed end-to-end run over the bundled fixture corpus."""
     start = time.perf_counter()
-    report = run_comparison(mini_corpus_dir, all_pairs, modes=("root", "light"), k=40)
+    report = comparison(mini_corpus_dir, all_pairs, ("root", "light"), k=40)
     elapsed = time.perf_counter() - start
     return report, all_pairs, elapsed
 

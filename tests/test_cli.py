@@ -437,7 +437,8 @@ def test_config_file_key_not_used_by_the_subcommand(capsys, tiny_corpus, tmp_pat
     ("build", "k", "x"),
     ("build", "scaling", "bogus"),
     ("report", "format", "pdf"),
-], ids=["k", "scaling", "format"])
+    ("report", "modes", "light,light"),
+], ids=["k", "scaling", "format", "modes"])
 def test_config_file_value_is_checked_like_its_flag(capsys, tiny_corpus, tmp_path, command, key, value):
     config = tmp_path / "semspace.conf"
     config.write_text(f"{key} = {value}\n", encoding="utf-8")
@@ -484,6 +485,19 @@ def test_config_file_bad_value_is_an_error_under_its_flag(capsys, tiny_corpus, t
               "-o", str(tmp_path / "s.bin")])
     assert exc_info.value.code == 1
     assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_config_file_repeated_key_is_usage_error(capsys, tiny_corpus, tmp_path):
+    # the later line would win, hiding the bad value of the earlier one
+    config = tmp_path / "semspace.conf"
+    config.write_text("k = x\n# fixed\nk = 5\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "build", "--mode", "light", "--config", str(config), str(tiny_corpus), "-o", str(tmp_path / "s.bin")
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"semspace: error: {config}:3: key 'k' repeats line 1\n"
+    assert not (tmp_path / "s.bin").exists()
 
 
 def test_config_file_builds_the_bytes_of_the_same_flags(capsys, tiny_corpus, tmp_path):
@@ -710,26 +724,53 @@ def test_report_warns_on_skipped_file(capsys, tiny_corpus, tmp_path):
     assert "bad.txt" in warnings[0]
 
 
+def _report_skipping_one_file(capsys, corpus, tmp_path, *argv):
+    """A report over `corpus` with one file added that is not UTF-8."""
+    (corpus / "bad.txt").write_bytes(b"\xff\xfebroken")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("السفير\tالسفارة\tDifferent\n", encoding="utf-8")
+    return run(capsys, "report", "--corpus", str(corpus), "--pairs", str(pairs), *argv)
+
+
+def test_report_warns_on_skipped_file_before_an_empty_corpus(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    code, out, err = _report_skipping_one_file(capsys, corpus, tmp_path)
+    assert code == 2
+    assert out == ""
+    warning, error = err.splitlines()
+    assert warning.startswith(f"warning: skipped {corpus / 'bad.txt'}: not UTF-8")
+    assert error == "semspace: error: empty corpus"
+
+
+def test_report_warns_on_skipped_file_before_a_bad_k(capsys, tiny_corpus, tmp_path):
+    code, out, err = _report_skipping_one_file(capsys, tiny_corpus, tmp_path, "-k", "1000")
+    assert code == 1
+    assert out == ""
+    warning, error = err.splitlines()
+    assert warning.startswith(f"warning: skipped {tiny_corpus / 'bad.txt'}: not UTF-8")
+    assert error.startswith("semspace: error: k must be in 1..")
+
+
 def test_report_unknown_mode(capsys, tiny_corpus, tmp_path):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("اب\tجد\tSimilar\n", encoding="utf-8")
-    code, out, err = run(
-        capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs),
-        "--modes", "root,heavy",
-    )
-    assert code == 1
+    with pytest.raises(SystemExit) as exc_info:
+        main(["report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "--modes", "root,heavy"])
+    assert exc_info.value.code == 1
+    assert "argument --modes: unknown mode 'heavy' in 'root,heavy'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("modes", ["root,root", "light,root,light", ",", ""])
 def test_report_repeated_or_empty_modes(capsys, tiny_corpus, tmp_path, modes):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("السفير\tالسفارة\tSimilar\n", encoding="utf-8")
-    code, out, err = run(
-        capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "--modes", modes,
-    )
-    assert code == 1
-    assert out == ""
-    assert "--modes" in err
+    with pytest.raises(SystemExit) as exc_info:
+        main(["report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "--modes", modes])
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--modes" in captured.err
 
 
 def test_report_repeated_modes_in_config_file(capsys, tiny_corpus, tmp_path):
@@ -737,11 +778,10 @@ def test_report_repeated_modes_in_config_file(capsys, tiny_corpus, tmp_path):
     pairs.write_text("السفير\tالسفارة\tSimilar\n", encoding="utf-8")
     config = tmp_path / "semspace.conf"
     config.write_text("modes = light, light\n", encoding="utf-8")
-    code, out, err = run(
-        capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "--config", str(config),
-    )
-    assert code == 1
-    assert "repeated" in err
+    with pytest.raises(SystemExit) as exc_info:
+        main(["report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "--config", str(config)])
+    assert exc_info.value.code == 1
+    assert f"error: {config}:1: argument --modes: mode 'light' repeated in 'light, light'\n" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

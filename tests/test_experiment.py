@@ -16,6 +16,8 @@ from semspace.experiment import (
 from semspace.lsa import build_spaces
 from semspace.stemming import make_config
 
+from conftest import comparison
+
 GOLDEN = Path(__file__).parent / "data" / "golden_report.md"
 
 
@@ -71,8 +73,8 @@ def test_load_pairs_bad_label(tmp_path):
 # --- run_comparison ------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def fixture_report(mini_corpus_dir, all_pairs):
-    return run_comparison(mini_corpus_dir, all_pairs, modes=("root", "light"), k=40)
+def fixture_report(root_config, light_config, root_space, light_space, all_pairs):
+    return run_comparison([root_config, light_config], [root_space, light_space], all_pairs)
 
 
 def test_report_completeness(fixture_report, all_pairs):
@@ -148,7 +150,7 @@ def test_light_conflation_implies_root_conflation(all_pairs, root_config, light_
 def test_run_comparison_default_k_is_minimum_over_modes(tmp_path):
     (tmp_path / "doc.txt").write_text("السفير\n\nالسفارة\n\nالسفير\n", encoding="utf-8")
     pair = WordPair("السفير", "السفارة", "Similar")
-    report = run_comparison(tmp_path, [pair], modes=("root", "light"), k=None)
+    report = comparison(tmp_path, [pair], ("root", "light"))
     # root: one row (سفر), light: two (سفير, سفار); three paragraphs each
     assert report.metadata.k == 1
     assert [row.oov for row in report.rows] == [(), ()]
@@ -159,7 +161,7 @@ def test_run_comparison_default_k_is_the_smallest_rank(tmp_path):
         "السفير المدينة\n\nالسفارة المدينة\n\nالوزير\n\nالوزير\n", encoding="utf-8"
     )
     pair = WordPair("السفير", "السفارة", "Similar")
-    report = run_comparison(tmp_path, [pair], modes=("root", "light"), k=None)
+    report = comparison(tmp_path, [pair], ("root", "light"))
     # root: 3 rows, rank 2 (سفر and مد share paragraphs); light: 4 rows, rank 3
     assert report.metadata.k == 2
     assert [row.oov for row in report.rows] == [(), ()]
@@ -168,7 +170,7 @@ def test_run_comparison_default_k_is_the_smallest_rank(tmp_path):
 @pytest.mark.parametrize("modes, source", [(("none", "root"), "root"), (("none",), "none")])
 def test_report_metadata_is_a_spaces_provenance(mini_corpus_dir, mini_paragraphs, mini_stats, all_pairs, modes, source):
     # the first space built with rule files names the report, else the first space
-    report = run_comparison(mini_corpus_dir, all_pairs[:1], modes=modes, k=40)
+    report = comparison(mini_corpus_dir, all_pairs[:1], modes, k=40)
     (space,) = build_spaces(mini_paragraphs, mini_stats, [make_config(source)], k=40)
     provenance = space.provenance
     assert bool(provenance.rules_fingerprint) == (source == "root")
@@ -177,7 +179,7 @@ def test_report_metadata_is_a_spaces_provenance(mini_corpus_dir, mini_paragraphs
 
 def test_run_comparison_empty_corpus(tmp_path, all_pairs):
     with pytest.raises(EmptyCorpusError):
-        run_comparison(tmp_path, all_pairs, modes=("light",), k=2)
+        comparison(tmp_path, all_pairs, ("light",), k=2)
 
 
 # --- rendering -------------------------------------------------------------------
