@@ -46,8 +46,16 @@ class Vocabulary:
     """Dense, insertion-ordered token <-> row-index bijection."""
 
     def __init__(self, tokens: list[str] | None = None):
-        self._tokens: list[str] = list(dict.fromkeys(tokens or []))
-        self._index: dict[str, int] = dict(zip(self._tokens, range(len(self._tokens))))
+        distinct = dict.fromkeys(tokens or [])
+        self._index: dict[str, int] = dict(zip(distinct, range(len(distinct))))
+
+    @classmethod
+    def _from_index(cls, index: dict[str, int]) -> Vocabulary:
+        """The vocabulary whose token -> row dict is `index`, taken as it is:
+        its rows must run 0, 1, ... in insertion order."""
+        vocabulary = cls.__new__(cls)
+        vocabulary._index = index
+        return vocabulary
 
     def index_of(self, token: str) -> int | None:
         return self._index.get(token)
@@ -58,13 +66,14 @@ class Vocabulary:
 
     @property
     def tokens(self) -> list[str]:
-        return list(self._tokens)
+        return list(self._index)
 
     def __len__(self) -> int:
-        return len(self._tokens)
+        return len(self._index)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self._tokens == other._tokens
+        # each dict maps its tokens to 0, 1, ... in order, so equal dicts list the same tokens in the same order
+        return isinstance(other, Vocabulary) and self._index == other._index
 
 
 @dataclass
@@ -294,13 +303,13 @@ class _Reader:
         unpack, append = _LENGTH.unpack_from, spans.append
         for _ in range(count):
             # pos <= end and the checksum follows end, so there are 4 bytes to unpack
-            stop = pos + 4 + unpack(data, pos)[0]
-            if stop > end:  # skip raises, naming the length prefix or the string that is cut
-                self.pos = pos
+            start = pos + 4
+            pos = start + unpack(data, pos)[0]
+            if pos > end:  # skip raises, naming the length prefix or the string that is cut
+                self.pos = start - 4
                 self.skip(4)
-                self.skip(stop - pos - 4)
-            append(data[pos + 4: stop])
-            pos = stop
+                self.skip(pos - start)
+            append(data[start:pos])
         self.pos = pos
         try:
             return list(map(bytes.decode, spans))
@@ -311,11 +320,11 @@ class _Reader:
 def load_space(path: str | Path) -> SemanticSpace:
     """Read a space written by save_space; round-trips bit-exactly.
 
-    The file is read once: sigma and the word vectors are read-only views
-    of its bytes.
+    The file is read once, unbuffered: sigma and the word vectors are
+    read-only views of its bytes, and the word index is built in one pass.
     """
-    with open(path, "rb") as file:
-        blob = file.read()
+    with open(path, "rb", buffering=0) as file:
+        blob = file.readall()
     if len(blob) < len(_MAGIC) + 8:
         raise SpaceTruncatedError("file too short to be a space file")
     end = len(blob) - 8  # the payload; the checksum follows it
@@ -337,19 +346,20 @@ def load_space(path: str | Path) -> SemanticSpace:
     (scaling_tag,) = reader.unpack("<B")
     if scaling_tag not in _TAG_SCALINGS:
         raise SpaceFormatError(f"unknown scaling tag {scaling_tag}")
-    vocabulary = Vocabulary(reader.strs(m))
-    if len(vocabulary) < m:
-        raise SpaceFormatError(f"space vocabulary repeats {m - len(vocabulary)} of its {m} words")
-    sigma = reader.floats(k)
-    vectors = reader.floats(m * k).reshape(m, k)
+    index = dict(zip(reader.strs(m), range(m)))
+    if len(index) < m:
+        raise SpaceFormatError(f"space vocabulary repeats {m - len(index)} of its {m} words")
+    numbers = reader.floats(k + m * k)  # sigma, then the word vectors row by row
     if reader.pos != end:
         raise SpaceFormatError(f"{end - reader.pos} trailing bytes in space file")
+    if not np.isfinite(numbers).all():
+        raise SpaceFormatError("space file holds a non-finite singular value or vector entry")
     return SemanticSpace(
         k=int(k),
         scaling=_TAG_SCALINGS[scaling_tag],
-        vocabulary=vocabulary,
-        sigma=sigma,
-        word_vectors=vectors,
+        vocabulary=Vocabulary._from_index(index),
+        sigma=numbers[:k],
+        word_vectors=numbers[k:].reshape(m, k),
         provenance=Provenance(_TAG_MODES[mode_tag], rules_fp, space_fp),
         n_columns=int(n_columns),
     )

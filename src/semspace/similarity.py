@@ -36,8 +36,6 @@ def _checked(a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     if a.size == 0:
         raise ValueError("empty vectors")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("non-finite components")
     return a, b
 
 
@@ -63,6 +61,8 @@ class _Pair:
     def __init__(self, a, b):
         self.a, self.b = _checked(a, b)
         self.peak_a, self.peak_b = _peak(self.a), _peak(self.b)
+        if not (math.isfinite(self.peak_a) and math.isfinite(self.peak_b)):  # a NaN entry makes its peak NaN
+            raise ValueError("non-finite components")
         sa, sb = np.ldexp(self.a, _shift(self.peak_a)), np.ldexp(self.b, _shift(self.peak_b))
         self.scaled_a, self.scaled_b = sa, sb
         self.aa, self.bb, self.ab = float(np.dot(sa, sa)), float(np.dot(sb, sb)), float(np.dot(sa, sb))

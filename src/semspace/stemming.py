@@ -23,7 +23,6 @@ import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from importlib.resources import files
 from pathlib import Path
 
 from .errors import RuleFormatError
@@ -40,20 +39,22 @@ MIN_STEM_LEN = 2  # stripping never leaves fewer letters than this
 
 RULE_FILES = ("antefixes.txt", "prefixes.txt", "suffixes.txt", "postfixes.txt", "patterns.txt")
 
+_RULES_DIR = Path(__file__).parent / "data" / "rules"  # the path importlib.resources gives for this package
+
 
 def default_rules_dir() -> Path:
-    return Path(str(files("semspace") / "data" / "rules"))
+    return _RULES_DIR
 
 
 def _read_rules(rules_dir: Path) -> dict[str, bytes]:
     """The bytes of each rule file present in `rules_dir`, by name. Each is
-    opened once; a name that is absent, a directory, or under a path that is
-    not a directory is left out."""
+    opened once and read whole, unbuffered; a name that is absent, a
+    directory, or under a path that is not a directory is left out."""
     rules = {}
     for name in RULE_FILES:
         try:
-            with open(os.path.join(rules_dir, name), "rb") as file:
-                rules[name] = file.read()
+            with open(os.path.join(rules_dir, name), "rb", buffering=0) as file:
+                rules[name] = file.readall()
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             pass
     return rules

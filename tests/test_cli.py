@@ -295,6 +295,24 @@ def test_sim_space_that_repeats_a_word_is_data_error(capsys, tmp_path):
     assert "repeats" in err
 
 
+def test_sim_space_with_a_non_finite_number_is_data_error(capsys, tmp_path):
+    space = SemanticSpace(
+        k=2,
+        scaling="u",
+        vocabulary=Vocabulary(["اب", "جد"]),
+        sigma=np.ones(2),
+        word_vectors=np.array([[1.0, 0.0], [np.nan, np.nan]]),
+        provenance=Provenance("none", "", "fp"),
+        n_columns=2,
+    )
+    space_file = tmp_path / "nan.bin"
+    save_space(space, space_file)
+    code, out, err = run(capsys, "sim", "--space", str(space_file), "اب", "جد")
+    assert code == 4
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_sim_space_with_text_that_is_not_utf8_is_data_error(capsys, tiny_corpus, tmp_path):
     import hashlib
 

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import struct
 import tempfile
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semspace.cli import main
 from semspace.corpus import Paragraph
 from semspace.errors import (
     EmptyCorpusError,
@@ -323,6 +326,47 @@ def test_repeated_word_rejected(tmp_path):
     _rewrite_with_checksum(path, payload)
     with pytest.raises(SpaceFormatError, match="repeats 1 of its 3 words"):
         load_space(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["sigma", "word_vectors"])
+def test_non_finite_number_rejected(tmp_path, field, value):
+    numbers = getattr(THREE_WORDS, field).copy()
+    numbers.reshape(-1)[-1] = value
+    path = tmp_path / "space.bin"
+    save_space(dataclasses.replace(THREE_WORDS, **{field: numbers}), path)
+    with pytest.raises(SpaceFormatError, match="non-finite"):
+        load_space(path)
+
+
+def _space_tokens(path):
+    """The vocabulary of a space file in row order, read with struct alone."""
+    data = Path(path).read_bytes()
+    pos = len(b"SEMSPACE") + 4 + 1  # magic, version, stemmer tag
+    for _ in range(2):  # the fingerprints
+        pos += 4 + struct.unpack_from("<I", data, pos)[0]
+    (m,) = struct.unpack_from("<Q", data, pos)
+    pos += 3 * 8 + 1  # m, paragraphs, k, scaling tag
+    tokens = []
+    for _ in range(m):
+        (size,) = struct.unpack_from("<I", data, pos)
+        tokens.append(data[pos + 4: pos + 4 + size].decode("utf-8"))
+        pos += 4 + size
+    return tokens
+
+
+@pytest.mark.parametrize("mode", ["root", "light"])
+def test_loaded_vocabulary_equals_one_built_from_its_tokens(tmp_path, mini_corpus_dir, mode):
+    path = tmp_path / f"{mode}.bin"
+    assert main(["build", "--mode", mode, str(mini_corpus_dir), "-o", str(path)]) == 0
+    tokens = _space_tokens(path)
+    loaded, built = load_space(path).vocabulary, Vocabulary(tokens)
+    assert loaded == built and built == loaded
+    assert loaded != Vocabulary(tokens[::-1])
+    assert loaded.tokens == built.tokens == tokens
+    assert len(loaded) == len(built) == len(tokens)
+    assert [loaded.index_of(t) for t in tokens] == [built.index_of(t) for t in tokens] == list(range(len(tokens)))
+    assert loaded.index_of("غائبتماما") is None and built.index_of("غائبتماما") is None
 
 
 @pytest.mark.parametrize("cut", range(len(THREE_WORDS_PAYLOAD)))

@@ -253,3 +253,7 @@ def test_measure_all_rejects_shape_problems():
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="finite"):
         measure("cosine", [1.0, math.inf], [1.0, 2.0])
+    for bad in (math.nan, math.inf, -math.inf):  # in either vector
+        for a, b in (([1.0, bad, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [bad, 2.0, 3.0])):
+            with pytest.raises(ValueError, match="non-finite components"):
+                measure_all(a, b)

@@ -1,5 +1,7 @@
 import pickle
 import random
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -429,6 +431,20 @@ def test_edited_rule_file_is_parsed_again(tmp_path):
     (tmp_path / "patterns.txt").write_text("فعل\t0,1\n", encoding="utf-8")
     with pytest.raises(RuleFormatError, match="needs 3 or 4 root positions"):
         make_config("root", tmp_path)
+
+
+def test_default_rules_dir_is_the_package_data():
+    assert stemming.default_rules_dir() == Path(str(files("semspace") / "data" / "rules"))
+
+
+@pytest.mark.parametrize("mode", ["root", "light"])
+def test_default_rules_dir_gives_the_config_of_no_rules_dir(mode):
+    implicit = make_config(mode)
+    for rules_dir in (stemming.default_rules_dir(), Path(str(files("semspace") / "data" / "rules"))):
+        explicit = make_config(mode, rules_dir)
+        assert explicit.rules_fingerprint == implicit.rules_fingerprint
+        assert explicit.affixes == implicit.affixes
+        assert explicit.patterns == implicit.patterns
 
 
 def test_load_rejects_missing_file(tmp_path):
