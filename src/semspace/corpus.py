@@ -12,7 +12,9 @@ Normalization rules (versioned here, the single source of truth):
 
 from __future__ import annotations
 
+import hashlib
 import re
+import struct
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
@@ -69,6 +71,7 @@ class CorpusStats:
     n_words: int
     n_paragraphs: int
     size_bytes: int
+    text_sha256: str  # of each document's id and UTF-8 text, by id; in the corpus fingerprint, not a row
 
     def rows(self) -> list[tuple[str, int]]:
         """Five (name, value) rows in the fixed report order."""
@@ -139,10 +142,16 @@ def corpus_stats(corpus: Corpus, paragraphs: list[Paragraph] | None = None) -> C
     if paragraphs is None:
         paragraphs = segment_corpus(corpus)
     categories = {d.category for d in corpus.documents if d.category is not None}
+    documents = sorted((d.id.encode("utf-8"), d.text.encode("utf-8")) for d in corpus.documents)
+    text_hash = hashlib.sha256()
+    for doc_id, text in documents:  # lengths first, so no two corpora hash the same stream
+        text_hash.update(struct.pack("<QQ", len(doc_id), len(text)) + doc_id)
+        text_hash.update(text)
     return CorpusStats(
         n_documents=len(corpus.documents),
         n_categories=len(categories),
         n_words=sum(len(p.tokens) for p in paragraphs),
         n_paragraphs=len(paragraphs),
-        size_bytes=sum(len(d.text.encode("utf-8")) for d in corpus.documents),
+        size_bytes=sum(len(text) for _, text in documents),
+        text_sha256=text_hash.hexdigest(),
     )

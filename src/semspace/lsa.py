@@ -35,7 +35,7 @@ SCALING_USIGMA = "usigma"
 SCALINGS = (SCALING_U, SCALING_USIGMA)
 
 _MAGIC = b"SEMSPACE"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _MODE_TAGS = {MODE_NONE: 0, MODE_ROOT: 1, MODE_LIGHT: 2}
 _TAG_MODES = {v: k for k, v in _MODE_TAGS.items()}
 _SCALING_TAGS = {SCALING_U: 0, SCALING_USIGMA: 1}
@@ -105,7 +105,7 @@ class SvdFactors:
 class Provenance:
     stemmer_mode: str
     rules_fingerprint: str  # hash of the rule files ("" for mode none)
-    space_fingerprint: str  # hash of rule files + corpus stats
+    space_fingerprint: str  # the corpus fingerprint: hash of rules fingerprint, corpus counts and texts
 
 
 @dataclass
@@ -120,17 +120,10 @@ class SemanticSpace:
 
 
 def space_fingerprint(rules_fingerprint: str, stats: CorpusStats) -> str:
-    payload = "|".join(
-        [
-            rules_fingerprint,
-            str(stats.n_documents),
-            str(stats.n_categories),
-            str(stats.n_words),
-            str(stats.n_paragraphs),
-            str(stats.size_bytes),
-        ]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """The corpus fingerprint: a hash of the rules fingerprint, the corpus counts and the texts' hash."""
+    fields = [rules_fingerprint, stats.n_documents, stats.n_categories, stats.n_words, stats.n_paragraphs,
+              stats.size_bytes, stats.text_sha256]
+    return hashlib.sha256("|".join(map(str, fields)).encode("utf-8")).hexdigest()
 
 
 def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) -> list[CooccurrenceMatrix]:
@@ -247,27 +240,27 @@ def _pack_str(value: str) -> bytes:
 
 
 def save_space(space: SemanticSpace, path: str | Path) -> None:
-    """Write the space in the versioned binary layout (see load_space)."""
-    m = len(space.vocabulary)
-    parts = [
+    """Write the space in format 2: magic, version, stemmer tag, the rules and
+    corpus fingerprints, m, paragraphs, k, scaling tag, the m words as one
+    newline-joined string (strings are a u32 byte count, then UTF-8), zeros up
+    to a multiple of 8, sigma, the word vectors row by row (little-endian
+    float64), then 8 bytes of the payload's sha256. A word holding a newline
+    is a ValueError; `build` never makes one."""
+    tokens = space.vocabulary.tokens
+    if any("\n" in token for token in tokens):
+        raise ValueError("a space's words are stored newline-joined, so no word may hold a newline")
+    header = b"".join([
         _MAGIC,
-        struct.pack("<I", _FORMAT_VERSION),
-        struct.pack("<B", _MODE_TAGS[space.provenance.stemmer_mode]),
+        struct.pack("<IB", _FORMAT_VERSION, _MODE_TAGS[space.provenance.stemmer_mode]),
         _pack_str(space.provenance.rules_fingerprint),
         _pack_str(space.provenance.space_fingerprint),
-        struct.pack("<QQQ", m, space.n_columns, space.k),
-        struct.pack("<B", _SCALING_TAGS[space.scaling]),
-    ]
-    for token in space.vocabulary.tokens:
-        parts.append(_pack_str(token))
-    parts.append(np.asarray(space.sigma, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(space.word_vectors, dtype="<f8").tobytes())
-    payload = b"".join(parts)
-    checksum = hashlib.sha256(payload).digest()[:8]
-    Path(path).write_bytes(payload + checksum)
-
-
-_LENGTH = struct.Struct("<I")
+        struct.pack("<QQQB", len(tokens), space.n_columns, space.k, _SCALING_TAGS[space.scaling]),
+        _pack_str("\n".join(tokens)),
+    ])
+    sigma = np.asarray(space.sigma, dtype="<f8").tobytes()
+    vectors = np.ascontiguousarray(space.word_vectors, dtype="<f8").tobytes()
+    payload = b"".join([header, bytes(-len(header) % 8), sigma, vectors])  # zeros align the floats
+    Path(path).write_bytes(payload + hashlib.sha256(payload).digest()[:8])
 
 
 class _Reader:
@@ -282,9 +275,7 @@ class _Reader:
     def skip(self, size: int) -> int:
         """Move past the next `size` bytes; returns the offset where they start."""
         if self.pos + size > self.end:
-            raise SpaceTruncatedError(
-                f"truncated space file: needed {size} bytes at offset {self.pos}"
-            )
+            raise SpaceTruncatedError(f"truncated space file: needed {size} bytes at offset {self.pos}")
         start = self.pos
         self.pos += size
         return start
@@ -296,23 +287,12 @@ class _Reader:
         """The next `count` little-endian float64s, as a read-only view of `data`."""
         return np.frombuffer(self.data, dtype="<f8", count=count, offset=self.skip(8 * count))
 
-    def strs(self, count: int) -> list[str]:
-        """`count` length-prefixed UTF-8 strings: one pass slices them out,
-        then they are decoded."""
-        data, pos, end, spans = self.data, self.pos, self.end, []
-        unpack, append = _LENGTH.unpack_from, spans.append
-        for _ in range(count):
-            # pos <= end and the checksum follows end, so there are 4 bytes to unpack
-            start = pos + 4
-            pos = start + unpack(data, pos)[0]
-            if pos > end:  # skip raises, naming the length prefix or the string that is cut
-                self.pos = start - 4
-                self.skip(4)
-                self.skip(pos - start)
-            append(data[start:pos])
-        self.pos = pos
+    def text(self) -> str:
+        """The next length-prefixed UTF-8 string."""
+        (size,) = self.unpack("<I")
+        start = self.skip(size)
         try:
-            return list(map(bytes.decode, spans))
+            return self.data[start:self.pos].decode()
         except UnicodeDecodeError as exc:
             raise SpaceFormatError(f"text in space file is not UTF-8: {exc.reason}") from None
 
@@ -321,7 +301,8 @@ def load_space(path: str | Path) -> SemanticSpace:
     """Read a space written by save_space; round-trips bit-exactly.
 
     The file is read once, unbuffered: sigma and the word vectors are
-    read-only views of its bytes, and the word index is built in one pass.
+    read-only, aligned views of its bytes, and the word block is decoded and
+    split once.
     """
     with open(path, "rb", buffering=0) as file:
         blob = file.readall()
@@ -335,20 +316,29 @@ def load_space(path: str | Path) -> SemanticSpace:
     reader = _Reader(blob, len(_MAGIC), end)
     (version,) = reader.unpack("<I")
     if version != _FORMAT_VERSION:
-        raise SpaceVersionError(f"unsupported space format version {version}")
+        raise SpaceVersionError(
+            f"unsupported space format version {version} (this semspace reads version {_FORMAT_VERSION}); "
+            "rebuild the space with `semspace build`"
+        )
     (mode_tag,) = reader.unpack("<B")
     if mode_tag not in _TAG_MODES:
         raise SpaceFormatError(f"unknown stemmer tag {mode_tag}")
-    rules_fp, space_fp = reader.strs(2)
+    rules_fp, space_fp = reader.text(), reader.text()
     m, n_columns, k = reader.unpack("<QQQ")
     if not 1 <= k <= m:
         raise SpaceFormatError(f"space keeps k={k} dimensions, outside 1..{m}")
     (scaling_tag,) = reader.unpack("<B")
     if scaling_tag not in _TAG_SCALINGS:
         raise SpaceFormatError(f"unknown scaling tag {scaling_tag}")
-    index = dict(zip(reader.strs(m), range(m)))
+    words = reader.text().split("\n")
+    if len(words) != m:
+        raise SpaceFormatError(f"space word block holds {len(words)} words, not the {m} of its header")
+    index = dict(zip(words, range(m)))
     if len(index) < m:
         raise SpaceFormatError(f"space vocabulary repeats {m - len(index)} of its {m} words")
+    padding = reader.skip(-reader.pos % 8)
+    if any(blob[padding:reader.pos]):
+        raise SpaceFormatError("nonzero padding byte before the space's numbers")
     numbers = reader.floats(k + m * k)  # sigma, then the word vectors row by row
     if reader.pos != end:
         raise SpaceFormatError(f"{end - reader.pos} trailing bytes in space file")

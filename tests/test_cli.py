@@ -256,6 +256,20 @@ def test_sim_corrupt_space_is_data_error(capsys, tmp_path):
     assert code == 4
 
 
+def test_sim_space_of_format_version_one_is_data_error(capsys, tiny_corpus, tmp_path):
+    import hashlib
+
+    space_file = tmp_path / "space.bin"
+    run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
+    payload = bytearray(space_file.read_bytes()[:-8])
+    payload[8:12] = (1).to_bytes(4, "little")  # the version field, after the magic
+    space_file.write_bytes(bytes(payload) + hashlib.sha256(payload).digest()[:8])
+    code, out, err = run(capsys, "sim", "--space", str(space_file), "السفير", "السفارة")
+    assert code == 4
+    assert out == ""
+    assert "version 1" in err and "rebuild the space with `semspace build`" in err
+
+
 def test_sim_space_with_no_dimensions_is_data_error(capsys, tmp_path):
     # a well-formed, checksummed file whose header says k = 0
     space = SemanticSpace(

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semspace.corpus import (
+    Corpus,
     RawDocument,
     corpus_stats,
     load_corpus,
@@ -12,6 +13,7 @@ from semspace.corpus import (
     tokenize,
 )
 from semspace.errors import CorpusReadError
+from semspace.lsa import space_fingerprint
 
 import oracles
 
@@ -221,8 +223,6 @@ def test_stats_empty_corpus(tmp_path):
 
 
 def test_stats_row_names():
-    from semspace.corpus import Corpus
-
     stats = corpus_stats(Corpus())
     names = [name for name, _ in stats.rows()]
     assert names == [
@@ -240,3 +240,27 @@ def test_stats_consistency(mini_corpus, mini_paragraphs, mini_stats):
     assert mini_stats.n_paragraphs == per_doc
     assert mini_paragraphs == segment_corpus(mini_corpus)
     assert corpus_stats(mini_corpus, mini_paragraphs) == mini_stats
+
+
+@pytest.mark.parametrize("other", [RawDocument("d", "الولد كتب\n"), RawDocument("e", "كتب الولد\n")])
+def test_corpus_fingerprint_tells_apart_corpora_of_equal_counts(other):
+    stats = corpus_stats(Corpus([RawDocument("d", "كتب الولد\n")]))
+    other_stats = corpus_stats(Corpus([other]))
+    assert other_stats.rows() == stats.rows()
+    assert space_fingerprint("rf", other_stats) != space_fingerprint("rf", stats)
+
+
+def test_corpus_fingerprint_does_not_depend_on_document_order(mini_corpus, mini_stats):
+    reordered = corpus_stats(Corpus(mini_corpus.documents[::-1]))
+    assert reordered == mini_stats
+    assert space_fingerprint("rf", reordered) == space_fingerprint("rf", mini_stats)
+
+
+def test_corpus_fingerprint_leaves_out_skipped_files(tmp_path):
+    (tmp_path / "good.txt").write_text("نص سليم\n", encoding="utf-8")
+    before = corpus_stats(load_corpus(tmp_path))
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe\x00broken")
+    (tmp_path / "empty.txt").write_text("\n", encoding="utf-8")
+    after = load_corpus(tmp_path)
+    assert len(after.skipped) == 2
+    assert corpus_stats(after) == before

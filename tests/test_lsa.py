@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semspace.cli import main
 from semspace.corpus import Paragraph
@@ -284,14 +285,28 @@ def test_truncated_payload_detected(tmp_path, light_space):
 
 
 def test_version_mismatch_detected(tmp_path, light_space):
-    import struct
-
     path = tmp_path / "space.bin"
     save_space(light_space, path)
     payload = bytearray(path.read_bytes()[:-8])
     payload[8:12] = struct.pack("<I", 99)
     _rewrite_with_checksum(path, bytes(payload))
     with pytest.raises(SpaceVersionError):
+        load_space(path)
+
+
+def _pack_str(text):
+    data = text.encode()
+    return struct.pack("<I", len(data)) + data
+
+
+def test_version_one_file_asks_for_a_rebuild(tmp_path):
+    # format 1: the words one length-prefixed string each, no padding before the floats
+    payload = b"".join([b"SEMSPACE", struct.pack("<IB", 1, 0), _pack_str("rf"), _pack_str("fp"),
+                        struct.pack("<QQQB", 2, 2, 1, 0), _pack_str("اب"), _pack_str("جد"),
+                        np.array([1.0, 1.0, 0.0], dtype="<f8").tobytes()])
+    path = tmp_path / "space.bin"
+    _rewrite_with_checksum(path, payload)
+    with pytest.raises(SpaceVersionError, match="version 1 .*rebuild the space with `semspace build`"):
         load_space(path)
 
 
@@ -339,27 +354,27 @@ def test_non_finite_number_rejected(tmp_path, field, value):
         load_space(path)
 
 
-def _space_tokens(path):
-    """The vocabulary of a space file in row order, read with struct alone."""
-    data = Path(path).read_bytes()
+def _space_layout(payload):
+    """A space payload's words in row order, the offset where its padding
+    starts, and the offset of its floats (counted back from the end), read
+    with struct alone."""
     pos = len(b"SEMSPACE") + 4 + 1  # magic, version, stemmer tag
     for _ in range(2):  # the fingerprints
-        pos += 4 + struct.unpack_from("<I", data, pos)[0]
-    (m,) = struct.unpack_from("<Q", data, pos)
+        pos += 4 + struct.unpack_from("<I", payload, pos)[0]
+    m, _, k = struct.unpack_from("<QQQ", payload, pos)
     pos += 3 * 8 + 1  # m, paragraphs, k, scaling tag
-    tokens = []
-    for _ in range(m):
-        (size,) = struct.unpack_from("<I", data, pos)
-        tokens.append(data[pos + 4: pos + 4 + size].decode("utf-8"))
-        pos += 4 + size
-    return tokens
+    (size,) = struct.unpack_from("<I", payload, pos)
+    pos += 4
+    tokens = payload[pos: pos + size].decode("utf-8").split("\n")
+    assert len(tokens) == m
+    return tokens, pos + size, len(payload) - 8 * (k + m * k)
 
 
 @pytest.mark.parametrize("mode", ["root", "light"])
 def test_loaded_vocabulary_equals_one_built_from_its_tokens(tmp_path, mini_corpus_dir, mode):
     path = tmp_path / f"{mode}.bin"
     assert main(["build", "--mode", mode, str(mini_corpus_dir), "-o", str(path)]) == 0
-    tokens = _space_tokens(path)
+    tokens, _, _ = _space_layout(path.read_bytes()[:-8])
     loaded, built = load_space(path).vocabulary, Vocabulary(tokens)
     assert loaded == built and built == loaded
     assert loaded != Vocabulary(tokens[::-1])
@@ -367,6 +382,84 @@ def test_loaded_vocabulary_equals_one_built_from_its_tokens(tmp_path, mini_corpu
     assert len(loaded) == len(built) == len(tokens)
     assert [loaded.index_of(t) for t in tokens] == [built.index_of(t) for t in tokens] == list(range(len(tokens)))
     assert loaded.index_of("غائبتماما") is None and built.index_of("غائبتماما") is None
+
+
+@pytest.mark.parametrize("k", [None, 40])
+@pytest.mark.parametrize("mode", ["root", "light", "none"])
+def test_floats_of_a_built_space_are_aligned(tmp_path, mini_corpus_dir, mode, k):
+    path = tmp_path / f"{mode}.bin"
+    assert main(["build", "--mode", mode, str(mini_corpus_dir), "-o", str(path)] + (["-k", str(k)] if k else [])) == 0
+    payload = path.read_bytes()[:-8]
+    _, padding, floats = _space_layout(payload)
+    assert floats % 8 == 0 and 0 <= floats - padding < 8
+    assert not any(payload[padding:floats])
+    space = load_space(path)
+    assert space.sigma.flags.aligned and space.word_vectors.flags.aligned
+
+
+def test_nonzero_padding_byte_rejected(tmp_path):
+    _, padding, floats = _space_layout(THREE_WORDS_PAYLOAD)
+    assert floats - padding == 4  # a 68-byte header
+    path = tmp_path / "space.bin"
+    for pos in range(padding, floats):
+        payload = bytearray(THREE_WORDS_PAYLOAD)
+        payload[pos] = 1
+        _rewrite_with_checksum(path, bytes(payload))
+        with pytest.raises(SpaceFormatError, match="nonzero padding byte"):
+            load_space(path)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_word_block_that_is_not_m_words_rejected(tmp_path, m):
+    # the header's m, paragraphs and k rewritten so that the block of 3 words is m ± 1
+    counts = struct.pack("<QQQ", 3, 3, 2)
+    payload = THREE_WORDS_PAYLOAD.replace(counts, struct.pack("<QQQ", m, 3, 2), 1)
+    path = tmp_path / "space.bin"
+    _rewrite_with_checksum(path, payload)
+    with pytest.raises(SpaceFormatError, match=f"holds 3 words, not the {m} of its header"):
+        load_space(path)
+
+
+def test_save_rejects_a_word_holding_a_newline(tmp_path):
+    space = dataclasses.replace(THREE_WORDS, vocabulary=Vocabulary(["اب", "ج\nد", "هو"]))
+    with pytest.raises(ValueError, match="newline"):
+        save_space(space, tmp_path / "space.bin")
+    assert not (tmp_path / "space.bin").exists()
+
+
+ARABIC_LETTERS = [chr(c) for c in range(0x0621, 0x064B)]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _spaces(draw):
+    words = draw(st.lists(st.text(ARABIC_LETTERS, min_size=1, max_size=8), min_size=1, max_size=50, unique=True))
+    m = len(words)
+    k = draw(st.integers(1, m))
+    return SemanticSpace(
+        k=k,
+        scaling=draw(st.sampled_from(["u", "usigma"])),
+        vocabulary=Vocabulary(words),
+        sigma=draw(arrays(np.float64, k, elements=FINITE)),
+        word_vectors=draw(arrays(np.float64, (m, k), elements=FINITE)),
+        provenance=Provenance(draw(st.sampled_from(["none", "root", "light"])), draw(st.text()), draw(st.text())),
+        n_columns=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spaces())
+def test_any_space_round_trips_bit_for_bit(space):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "space.bin"
+        save_space(space, path)
+        loaded = load_space(path)
+    assert (loaded.k, loaded.scaling, loaded.n_columns) == (space.k, space.scaling, space.n_columns)
+    assert loaded.vocabulary == space.vocabulary
+    assert loaded.provenance == space.provenance
+    for got, saved in ((loaded.sigma, space.sigma), (loaded.word_vectors, space.word_vectors)):
+        assert got.shape == saved.shape and got.tobytes() == saved.tobytes()
+        assert got.flags.aligned
 
 
 @pytest.mark.parametrize("cut", range(len(THREE_WORDS_PAYLOAD)))
