@@ -138,12 +138,13 @@ def _corpus_spaces(
 ) -> tuple[bool, list[StemmerConfig], list[SemanticSpace]]:
     """One space per mode over the corpus under `corpus_dir`, at the k and
     scaling of `args`. Each skipped file is warned about before anything can
-    fail; the flag says whether there was one."""
+    fail, and the rules are read before the corpus is segmented, so a bad
+    rule file fails fast; the flag says whether a file was skipped."""
     corpus = load_corpus(corpus_dir)
     partial = _warn_skipped(corpus.skipped)
+    configs = [make_config(mode, _rules_dir(args)) for mode in modes]
     paragraphs = segment_corpus(corpus)
     stats = corpus_stats(corpus, paragraphs)
-    configs = [make_config(mode, _rules_dir(args)) for mode in modes]
     return partial, configs, build_spaces(paragraphs, stats, configs, args.k, args.scaling)
 
 

@@ -177,9 +177,7 @@ def truncate(
         raise ValueError(f"k must be in 1..{factors.n}, got {k}")
     if scaling not in SCALINGS:
         raise ValueError(f"unknown scaling: {scaling!r}")
-    vectors = factors.U[:, :k].copy()
-    if scaling == SCALING_USIGMA:
-        vectors = vectors * factors.sigma[:k]
+    vectors = factors.U[:, :k] * factors.sigma[:k] if scaling == SCALING_USIGMA else factors.U[:, :k].copy()
     return SemanticSpace(
         k=k,
         scaling=scaling,

@@ -9,6 +9,14 @@ inputs). A measure that degenerate inputs leave undefined (a zero vector
 for cosine, two for Jaccard, a constant vector or dimension 1 for Pearson)
 is None. Inputs that are not two finite 1-d vectors of one nonzero length
 raise ValueError: they are caller bugs, not data conditions.
+
+Sums of squares run over vectors scaled by the power of two that brings
+their largest entry magnitude into [0.5, 1) (`_shift`): that is exact, so
+in-range inputs keep every bit, and the sums neither overflow nor fall below
+0.25. Cosine and Pearson scale each vector by its own shift, Euclidean the
+difference by its own, Jaccard both vectors by one. Pearson, the cosine of
+the mean-centered vectors, is (m*sum(ab) - sum(a)*sum(b)) / sqrt(sa * sb);
+a spread sa = m*sum(aa) - sum(a)^2 <= 1e-13 m*sum(aa) is cancellation (a constant).
 """
 
 from __future__ import annotations
@@ -27,102 +35,51 @@ class SimilarityResult:
     value: float | None  # None marks an undefined measure
 
 
-def _checked(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+def _shift(peak: float) -> int:
+    """Exponent of the power of two that brings `peak` into [0.5, 1) (0 for 0)."""
+    return -math.frexp(peak)[1]
+
+
+def _clamp(value: float) -> float:
+    return max(-1.0, min(1.0, value))
+
+
+def measure_all(a, b) -> tuple[SimilarityResult, ...]:
+    """All four measures in report order, None where one is undefined. The
+    inputs are checked, scaled and multiplied once for all four."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("vectors must be 1-dimensional")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     if a.size == 0:
         raise ValueError("empty vectors")
-    return a, b
+    peak_a, peak_b = float(np.abs(a).max()), float(np.abs(b).max())
+    if not (math.isfinite(peak_a) and math.isfinite(peak_b)):  # a NaN entry makes its peak NaN
+        raise ValueError("non-finite components")
+    m = a.shape[0]
 
+    sa, sb = np.ldexp(a, _shift(peak_a)), np.ldexp(b, _shift(peak_b))
+    aa, bb, ab = float(np.dot(sa, sa)), float(np.dot(sb, sb)), float(np.dot(sa, sb))
+    cosine = _clamp(ab / math.sqrt(aa * bb)) if aa != 0.0 and bb != 0.0 else None
 
-def _peak(v: np.ndarray) -> float:
-    return float(np.abs(v).max())
+    d = a - b
+    shift = _shift(float(np.abs(d).max()))
+    euclidean = float(np.ldexp(math.sqrt(float(np.sum(np.ldexp(d, shift) ** 2))), -shift))
 
+    pearson = None
+    if m >= 2:
+        sum_a, sum_b = float(np.sum(sa)), float(np.sum(sb))
+        spread_a, spread_b = m * aa - sum_a * sum_a, m * bb - sum_b * sum_b
+        if spread_a > m * aa * 1e-13 and spread_b > m * bb * 1e-13:
+            pearson = _clamp((m * ab - sum_a * sum_b) / math.sqrt(spread_a * spread_b))
 
-def _shift(peak: float) -> int:
-    """Exponent of the power of two that brings `peak`, the largest entry
-    magnitude, into [0.5, 1) (0 for a zero peak).
+    shift = _shift(max(peak_a, peak_b))
+    ja, jb = np.ldexp(a, shift), np.ldexp(b, shift)
+    jab, jaa, jbb = float(np.dot(ja, jb)), float(np.dot(ja, ja)), float(np.dot(jb, jb))
+    jaccard = jab / (jaa + jbb - jab) if jaa != 0.0 or jbb != 0.0 else None
 
-    Such a scale is exact, so in-range inputs keep every bit, while sums of
-    squares of the scaled entries neither overflow nor fall below 0.25.
-    """
-    return -math.frexp(peak)[1]
-
-
-class _Pair:
-    """Two checked vectors and what the measures share, each computed once:
-    each vector scaled by its own power of two (`_shift`), and the dot
-    products of the scaled vectors."""
-
-    def __init__(self, a, b):
-        self.a, self.b = _checked(a, b)
-        self.peak_a, self.peak_b = _peak(self.a), _peak(self.b)
-        if not (math.isfinite(self.peak_a) and math.isfinite(self.peak_b)):  # a NaN entry makes its peak NaN
-            raise ValueError("non-finite components")
-        sa, sb = np.ldexp(self.a, _shift(self.peak_a)), np.ldexp(self.b, _shift(self.peak_b))
-        self.scaled_a, self.scaled_b = sa, sb
-        self.aa, self.bb, self.ab = float(np.dot(sa, sa)), float(np.dot(sb, sb)), float(np.dot(sa, sb))
-
-
-def _euclidean(p: _Pair) -> float:
-    d = p.a - p.b
-    shift = _shift(_peak(d))
-    return float(np.ldexp(math.sqrt(float(np.sum(np.ldexp(d, shift) ** 2))), -shift))
-
-
-def _cosine(p: _Pair) -> float:
-    if p.aa == 0.0 or p.bb == 0.0:
-        raise ValueError("undefined cosine for zero vector")
-    value = p.ab / math.sqrt(p.aa * p.bb)
-    return max(-1.0, min(1.0, value))
-
-
-def _jaccard(p: _Pair) -> float:
-    shift = _shift(max(p.peak_a, p.peak_b))  # one scale for both vectors
-    a, b = np.ldexp(p.a, shift), np.ldexp(p.b, shift)
-    dot = float(np.dot(a, b))
-    norm_a = float(np.dot(a, a))
-    norm_b = float(np.dot(b, b))
-    if norm_a == 0.0 and norm_b == 0.0:
-        raise ValueError("undefined Jaccard for two zero vectors")
-    return dot / (norm_a + norm_b - dot)
-
-
-def _pearson(p: _Pair) -> float:
-    """m*sum(a*b) - sum(a)*sum(b) over the product of the per-vector spread
-    terms, which equals the cosine of the mean-centered vectors."""
-    m = p.a.shape[0]
-    if m < 2:
-        raise ValueError("undefined correlation for dimension < 2")
-    sum_a = float(np.sum(p.scaled_a))
-    sum_b = float(np.sum(p.scaled_b))
-    spread_a = m * p.aa - sum_a * sum_a
-    spread_b = m * p.bb - sum_b * sum_b
-    # a spread at cancellation level means the vector is constant to rounding
-    if spread_a <= m * p.aa * 1e-13 or spread_b <= m * p.bb * 1e-13:
-        raise ValueError("undefined correlation for constant vector")
-    value = (m * p.ab - sum_a * sum_b) / math.sqrt(spread_a * spread_b)
-    return max(-1.0, min(1.0, value))
-
-
-def measure_all(a, b) -> tuple[SimilarityResult, ...]:
-    """All four measures in report order, None where one is undefined.
-
-    The inputs are checked, scaled and multiplied once for all four.
-    """
-    pair = _Pair(a, b)
-    results = []
-    for name, measure in zip(MEASURE_ORDER, (_cosine, _euclidean, _pearson, _jaccard)):
-        try:
-            value = measure(pair)
-        except ValueError:
-            value = None
-        results.append(SimilarityResult(name, value))
-    return tuple(results)
+    return tuple(map(SimilarityResult, MEASURE_ORDER, (cosine, euclidean, pearson, jaccard)))
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:

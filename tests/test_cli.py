@@ -784,6 +784,25 @@ def test_report_warns_on_skipped_file_before_a_bad_k(capsys, tiny_corpus, tmp_pa
     assert error.startswith("semspace: error: k must be in 1..")
 
 
+def test_build_reads_the_rules_before_the_corpus_pass(capsys, tiny_corpus, tmp_path, monkeypatch):
+    def segment_corpus(corpus):
+        raise AssertionError("the corpus was segmented before the rules were read")
+
+    monkeypatch.setattr("semspace.cli.segment_corpus", segment_corpus)
+    (tiny_corpus / "bad.txt").write_bytes(b"\xff\xfebroken")
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    code, out, err = run(
+        capsys, "build", "--mode", "light", "--rules", str(rules), str(tiny_corpus), "-o", str(tmp_path / "space.bin"),
+    )
+    assert code == 4
+    assert out == ""
+    warning, error = err.splitlines()
+    assert warning.startswith(f"warning: skipped {tiny_corpus / 'bad.txt'}: not UTF-8")
+    assert error.startswith("semspace: error: missing rule file: ")
+    assert not (tmp_path / "space.bin").exists()
+
+
 def test_report_unknown_mode(capsys, tiny_corpus, tmp_path):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("اب\tجد\tSimilar\n", encoding="utf-8")

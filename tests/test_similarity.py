@@ -243,6 +243,15 @@ def test_measure_all_matches_the_measures_computed_apart(pair):
     assert shared == {name: _bits(value) for name, value in measures_apart(a, b).items()}
 
 
+@pytest.mark.parametrize("dim", [93, 128, 129, 300])  # the bundled spaces' k; numpy's sum changes path at 128
+def test_measure_all_matches_the_measures_computed_apart_at_space_lengths(dim):
+    rng = np.random.default_rng(dim)
+    a, b = rng.normal(size=(2, dim))
+    for x, y in ((a, b), (a * 2.0 ** -600, b * 1e250), (a, -a), (a + 3.0, b)):
+        shared = {r.measure: _bits(r.value) for r in measure_all(x, y)}
+        assert shared == {name: _bits(value) for name, value in measures_apart(x, y).items()}
+
+
 def test_measure_all_rejects_shape_problems():
     with pytest.raises(ValueError):
         measure_all([1.0, 2.0], [1.0, 2.0, 3.0])
