@@ -4,7 +4,8 @@ truncated word spaces built from them, with binary persistence.
 `build_spaces` is the one path from paragraphs to spaces: `build` calls it
 with one stemmer config and `report` with all of its modes. `build_matrix`,
 `factorize` and `truncate` are its stages one at a time, for the benchmark's
-traced replicas. Matrix cells are raw occurrence counts; no weighting is
+traced replicas; `Vocabulary.index_of`, which is `dict.get`, keeps the name
+the benchmark calls. Matrix cells are raw occurrence counts; no weighting is
 applied. Word vectors are rows of U (optionally scaled entrywise by the
 singular values), restricted to the k largest singular directions.
 """
@@ -12,6 +13,7 @@ singular values), restricted to the k largest singular directions.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,38 +44,22 @@ _SCALING_TAGS = {SCALING_U: 0, SCALING_USIGMA: 1}
 _TAG_SCALINGS = {v: k for k, v in _SCALING_TAGS.items()}
 
 
-class Vocabulary:
-    """Dense, insertion-ordered token <-> row-index bijection."""
+class Vocabulary(dict):
+    """Each distinct token -> its row: rows run 0, 1, ... in first-seen order,
+    which is also the dict's iteration order."""
 
     def __init__(self, tokens: list[str] | None = None):
-        distinct = dict.fromkeys(tokens or [])
-        self._index: dict[str, int] = dict(zip(distinct, range(len(distinct))))
+        super().__init__(zip(dict.fromkeys(tokens or []), itertools.count()))
 
-    @classmethod
-    def _from_index(cls, index: dict[str, int]) -> Vocabulary:
-        """The vocabulary whose token -> row dict is `index`, taken as it is:
-        its rows must run 0, 1, ... in insertion order."""
-        vocabulary = cls.__new__(cls)
-        vocabulary._index = index
-        return vocabulary
-
-    def index_of(self, token: str) -> int | None:
-        return self._index.get(token)
+    index_of = dict.get
 
     def rows_of(self, tokens: list[str]) -> np.ndarray:
         """The row of each of `tokens`, all in the vocabulary, as an index array."""
-        return np.fromiter(map(self._index.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        return np.fromiter(map(self.__getitem__, tokens), dtype=np.intp, count=len(tokens))
 
     @property
     def tokens(self) -> list[str]:
-        return list(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __eq__(self, other) -> bool:
-        # each dict maps its tokens to 0, 1, ... in order, so equal dicts list the same tokens in the same order
-        return isinstance(other, Vocabulary) and self._index == other._index
+        return list(self)
 
 
 @dataclass
@@ -136,14 +122,14 @@ def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) ->
     """
     occurrences = [token for paragraph in paragraphs for token in paragraph.tokens]
     distinct = Vocabulary(occurrences)
-    if not paragraphs or not len(distinct):
+    if not paragraphs or not distinct:
         raise EmptyCorpusError("empty corpus")
     n = len(paragraphs)
     token_ids = distinct.rows_of(occurrences)
     columns = np.repeat(np.arange(n), [len(paragraph.tokens) for paragraph in paragraphs])
     matrices = []
     for config in configs:
-        stems = list(map(config.stem_token, distinct.tokens))
+        stems = list(map(config.stem_token, distinct))
         vocabulary = Vocabulary(stems)
         rows = vocabulary.rows_of(stems)
         counts = np.zeros((len(vocabulary), n))
@@ -331,9 +317,10 @@ def load_space(path: str | Path) -> SemanticSpace:
     words = reader.text().split("\n")
     if len(words) != m:
         raise SpaceFormatError(f"space word block holds {len(words)} words, not the {m} of its header")
-    index = dict(zip(words, range(m)))
-    if len(index) < m:
-        raise SpaceFormatError(f"space vocabulary repeats {m - len(index)} of its {m} words")
+    vocabulary = Vocabulary()
+    vocabulary.update(zip(words, range(m)))
+    if len(vocabulary) < m:
+        raise SpaceFormatError(f"space vocabulary repeats {m - len(vocabulary)} of its {m} words")
     padding = reader.skip(-reader.pos % 8)
     if any(blob[padding:reader.pos]):
         raise SpaceFormatError("nonzero padding byte before the space's numbers")
@@ -345,7 +332,7 @@ def load_space(path: str | Path) -> SemanticSpace:
     return SemanticSpace(
         k=int(k),
         scaling=_TAG_SCALINGS[scaling_tag],
-        vocabulary=Vocabulary._from_index(index),
+        vocabulary=vocabulary,
         sigma=numbers[:k],
         word_vectors=numbers[k:].reshape(m, k),
         provenance=Provenance(_TAG_MODES[mode_tag], rules_fp, space_fp),

@@ -130,6 +130,15 @@ def test_row_conflation_structure(mini_paragraphs, root_config, light_config):
     assert a is not None and b is not None and a != b
 
 
+def test_vocabulary_is_the_dict_it_wraps():
+    vocabulary = Vocabulary(["ب", "ا", "ب"])
+    assert vocabulary == {"ب": 0, "ا": 1}
+    assert vocabulary.tokens == ["ب", "ا"]
+    assert vocabulary.index_of("ج") is None
+    assert vocabulary.rows_of(["ا", "ب"]).tolist() == [1, 0]
+    assert Vocabulary() == {} and not Vocabulary()
+
+
 def factorize_dense(X):
     from semspace.svd import jacobi_svd
 
@@ -456,6 +465,7 @@ def test_any_space_round_trips_bit_for_bit(space):
         loaded = load_space(path)
     assert (loaded.k, loaded.scaling, loaded.n_columns) == (space.k, space.scaling, space.n_columns)
     assert loaded.vocabulary == space.vocabulary
+    assert isinstance(loaded.vocabulary, Vocabulary) and list(loaded.vocabulary) == space.vocabulary.tokens
     assert loaded.provenance == space.provenance
     for got, saved in ((loaded.sigma, space.sigma), (loaded.word_vectors, space.word_vectors)):
         assert got.shape == saved.shape and got.tobytes() == saved.tobytes()
