@@ -1,6 +1,9 @@
 """Two interchangeable Arabic stemmers over shared, versioned rule data.
 
-`make_config(mode)` is the one way in: its `stem(token)` gives the full
+`make_config(mode)` is the one way in. It reads every rule file on each
+call, so an edited file gives a new config, and returns one shared config
+per mode, rules directory and rule bytes. A config compiles its matches
+once, as data, so it still pickles. Its `stem(token)` gives the full
 `StemResult`, and its `stem_token(token)` the row key alone. The light
 stemmer strips antefixes and prefixes from the front and postfixes and
 suffixes from the back, repeating until nothing matches and never leaving
@@ -83,23 +86,6 @@ class AffixTable:
     suffixes: tuple[str, ...]
     postfixes: tuple[str, ...]
 
-    def __post_init__(self):
-        for name in ("antefixes", "prefixes", "suffixes", "postfixes"):
-            entries = getattr(self, name)
-            if any(not e for e in entries):
-                raise RuleFormatError(f"empty entry in {name}")
-            if len(set(entries)) != len(entries):
-                raise RuleFormatError(f"duplicate entry in {name}")
-
-    @functools.cached_property
-    def matches(self) -> tuple[re.Pattern, re.Pattern]:
-        """The front match, run on a word: the antefix region, then the
-        prefix region. The back match, run on the reversed rest: the postfix
-        region, then the suffix region. Each region is one group."""
-        front = _region(self.antefixes, True) + _region(self.prefixes + self.antefixes, True)
-        back = _region(self.postfixes, False) + _region(self.suffixes + self.postfixes, False)
-        return re.compile(front, re.DOTALL), re.compile(back, re.DOTALL)
-
 
 def _region(affixes: tuple[str, ...], front: bool) -> str:
     """A region as one group that strips until no entry fits: alternatives are
@@ -161,7 +147,6 @@ def _strip(front: re.Pattern, back: re.Pattern, token: str) -> tuple[re.Match, r
 _Templates = tuple[re.Pattern, tuple[tuple[operator.itemgetter, str], ...]]
 
 
-@functools.lru_cache
 def _root_matcher(patterns: tuple[Pattern, ...]) -> _Templates:
     """The templates compiled into one alternation in file order, so the
     first template that fits wins, and per template the getter of its root
@@ -209,14 +194,6 @@ def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, .
     return tuple(patterns)
 
 
-@functools.lru_cache(maxsize=16)
-def _parsed_rules(rules_dir: Path, rules: tuple[tuple[str, bytes], ...], root: bool):
-    """The affix table, and for root the patterns, memoized on the rule files' bytes."""
-    rules = dict(rules)
-    affixes = AffixTable(*(_longest_first(_rule_text(rules, rules_dir, name)) for name in RULE_FILES[:4]))
-    return affixes, _pattern_table(rules, rules_dir) if root else None
-
-
 def _fingerprint(rules: dict[str, bytes]) -> str:
     digest = hashlib.sha256()
     for name in RULE_FILES:
@@ -248,33 +225,48 @@ class StemmerConfig:
         """The full stemming result for one token; mode none keeps it whole."""
         if self.mode == MODE_NONE:
             return StemResult(token, token, KIND_STEM, Stripped(), token)
-        ahead, behind, residual = _strip(*self.affixes.matches, token)
+        front, back, templates = self._matchers
+        ahead, behind, residual = _strip(front, back, token)
         antefix, prefix = ahead.groups()
         postfix, suffix = behind.groups()
         stripped = Stripped(antefix or None, prefix or None, suffix[::-1] or None, postfix[::-1] or None)
-        if self._templates is None:
+        if templates is None:
             return StemResult(token, residual, KIND_STEM, stripped, residual)
-        output, template = _match_root(*self._templates, residual)
+        output, template = _match_root(*templates, residual)
         return StemResult(token, output, KIND_ROOT, stripped, residual, pattern=template)
 
     @functools.cached_property
-    def _templates(self) -> _Templates | None:
-        return _root_matcher(self.patterns) if self.mode == MODE_ROOT else None
+    def _matchers(self) -> tuple[re.Pattern, re.Pattern, _Templates | None]:
+        """The front match, run on a word (the antefix region, then the prefix
+        region), the back match, run on the reversed rest (the postfix region,
+        then the suffix region), each region one group; for root, the templates."""
+        a = self.affixes
+        front = _region(a.antefixes, True) + _region(a.prefixes + a.antefixes, True)
+        back = _region(a.postfixes, False) + _region(a.suffixes + a.postfixes, False)
+        templates = _root_matcher(self.patterns) if self.mode == MODE_ROOT else None
+        return re.compile(front, re.DOTALL), re.compile(back, re.DOTALL), templates
 
-    @functools.cached_property
+    @property
     def stem_token(self) -> Callable[[str], str]:
         """Reduced form of a normalized token: the row it indexes, that is
         `stem(token).output`, read from the affix matches' ends alone."""
         if self.mode == MODE_NONE:
             return str  # the token itself
-        return functools.partial(_stem_token, *self.affixes.matches, self._templates)
+        return functools.partial(_stem_token, *self._matchers)
+
+
+@functools.lru_cache(maxsize=16)
+def _config(mode: str, rules_dir: Path, rules: tuple[tuple[str, bytes], ...]) -> StemmerConfig:
+    """The config of a mode over the rule files' bytes; light does not parse patterns.txt."""
+    files = dict(rules)
+    affixes = AffixTable(*(_longest_first(_rule_text(files, rules_dir, name)) for name in RULE_FILES[:4]))
+    patterns = _pattern_table(files, rules_dir) if mode == MODE_ROOT else None
+    return StemmerConfig(mode, affixes, patterns, _fingerprint(files))
 
 
 def make_config(mode: str, rules_dir: Path | None = None) -> StemmerConfig:
-    """Build a StemmerConfig from a rules directory (the shipped one by default)."""
+    """The shared config of a mode over a rules directory, the shipped one by default."""
     if mode == MODE_NONE:
         return StemmerConfig(mode=mode)
     rules_dir = rules_dir if rules_dir is not None else default_rules_dir()
-    rules = _read_rules(rules_dir)  # parsed and hashed from the same bytes
-    affixes, patterns = _parsed_rules(rules_dir, tuple(rules.items()), mode == MODE_ROOT)
-    return StemmerConfig(mode=mode, affixes=affixes, patterns=patterns, rules_fingerprint=_fingerprint(rules))
+    return _config(mode, rules_dir, tuple(_read_rules(rules_dir).items()))

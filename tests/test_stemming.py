@@ -414,23 +414,57 @@ def test_load_rejects_rule_file_that_is_not_utf8(tmp_path, name):
 
 
 def test_edited_rule_file_is_parsed_again(tmp_path):
-    # the parsed tables are memoized on the rule files' bytes, which are read on every call
+    # one config per rule files' bytes, which are read on every call
     shipped = stemming.default_rules_dir()
     for name in stemming.RULE_FILES:
         (tmp_path / name).write_bytes((shipped / name).read_bytes())
     first = make_config("root", tmp_path)
     again = make_config("root", tmp_path)
+    assert again is first
     assert again.patterns is first.patterns and again.affixes is first.affixes
     (tmp_path / "patterns.txt").write_text("فعل\t0,1,2\n", encoding="utf-8")
     (tmp_path / "prefixes.txt").write_text("ست\n", encoding="utf-8")
     edited = make_config("root", tmp_path)
+    assert edited is not first and edited != first
     assert edited.patterns == (Pattern("فعل", (0, 1, 2)),)
     assert edited.affixes.prefixes == ("ست",)
     assert edited.affixes.antefixes == first.affixes.antefixes
     assert edited.rules_fingerprint != first.rules_fingerprint
+    for name in ("patterns.txt", "prefixes.txt"):
+        (tmp_path / name).write_bytes((shipped / name).read_bytes())
+    assert make_config("root", tmp_path) is first
     (tmp_path / "patterns.txt").write_text("فعل\t0,1\n", encoding="utf-8")
     with pytest.raises(RuleFormatError, match="needs 3 or 4 root positions"):
         make_config("root", tmp_path)
+
+
+def _rules_dir(path, **texts):
+    """A rules directory with every rule file empty but those given, by stem."""
+    for name in stemming.RULE_FILES:
+        (path / name).write_text(texts.get(name[:-4], ""), encoding="utf-8")
+    return path
+
+
+def test_rule_table_lines_load_once_longest_first(tmp_path):
+    prefixes = "\ufeffت\n\n# a comment line\n   \nست  # a trailing comment\nي\nت\nاست\nن#\n"
+    config = make_config("light", _rules_dir(tmp_path, prefixes=prefixes))
+    assert config.affixes.prefixes == ("است", "ست", "ت", "ي", "ن")
+    assert config.affixes.antefixes == config.affixes.suffixes == config.affixes.postfixes == ()
+
+
+def test_light_config_does_not_parse_patterns(tmp_path):
+    rules_dir = _rules_dir(tmp_path, patterns="فعل\t0,1\t2\n")
+    malformed = make_config("light", rules_dir)
+    with pytest.raises(RuleFormatError, match="patterns.txt:1"):
+        make_config("root", rules_dir)
+    (rules_dir / "patterns.txt").write_text("فعل\t0,1,2\n", encoding="utf-8")
+    wellformed = make_config("light", rules_dir)
+    (rules_dir / "patterns.txt").unlink()
+    absent = make_config("light", rules_dir)
+    assert absent.patterns is malformed.patterns is wellformed.patterns is None
+    assert absent.affixes == malformed.affixes == wellformed.affixes
+    fingerprints = {c.rules_fingerprint for c in (malformed, wellformed, absent)}
+    assert len(fingerprints) == 3
 
 
 def test_default_rules_dir_is_the_package_data():
