@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +38,7 @@ SCALING_USIGMA = "usigma"
 SCALINGS = (SCALING_U, SCALING_USIGMA)
 
 _MAGIC = b"SEMSPACE"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _MODE_TAGS = {MODE_NONE: 0, MODE_ROOT: 1, MODE_LIGHT: 2}
 _TAG_MODES = {v: k for k, v in _MODE_TAGS.items()}
 _SCALING_TAGS = {SCALING_U: 0, SCALING_USIGMA: 1}
@@ -224,12 +225,12 @@ def _pack_str(value: str) -> bytes:
 
 
 def save_space(space: SemanticSpace, path: str | Path) -> None:
-    """Write the space in format 2: magic, version, stemmer tag, the rules and
+    """Write the space in format 3: magic, version, stemmer tag, the rules and
     corpus fingerprints, m, paragraphs, k, scaling tag, the m words as one
     newline-joined string (strings are a u32 byte count, then UTF-8), zeros up
     to a multiple of 8, sigma, the word vectors row by row (little-endian
-    float64), then 8 bytes of the payload's sha256. A word holding a newline
-    is a ValueError; `build` never makes one."""
+    float64), then the payload's `_checksum`. A word holding a newline is a
+    ValueError; `build` never makes one."""
     tokens = space.vocabulary.tokens
     if any("\n" in token for token in tokens):
         raise ValueError("a space's words are stored newline-joined, so no word may hold a newline")
@@ -244,7 +245,13 @@ def save_space(space: SemanticSpace, path: str | Path) -> None:
     sigma = np.asarray(space.sigma, dtype="<f8").tobytes()
     vectors = np.ascontiguousarray(space.word_vectors, dtype="<f8").tobytes()
     payload = b"".join([header, bytes(-len(header) % 8), sigma, vectors])  # zeros align the floats
-    Path(path).write_bytes(payload + hashlib.sha256(payload).digest()[:8])
+    Path(path).write_bytes(payload + _checksum(payload))
+
+
+def _checksum(payload: bytes | memoryview) -> bytes:
+    """The 8 bytes that end a space file: the payload's CRC-32 as a
+    little-endian u64. It guards against corruption, not tampering."""
+    return zlib.crc32(payload).to_bytes(8, "little")
 
 
 class _Reader:
@@ -292,18 +299,18 @@ def load_space(path: str | Path) -> SemanticSpace:
         blob = file.readall()
     if len(blob) < len(_MAGIC) + 8:
         raise SpaceTruncatedError("file too short to be a space file")
-    end = len(blob) - 8  # the payload; the checksum follows it
-    if hashlib.sha256(memoryview(blob)[:end]).digest()[:8] != blob[end:]:
-        raise SpaceChecksumError("space file checksum mismatch")
     if not blob.startswith(_MAGIC):
         raise SpaceFormatError("not a space file (bad magic)")
+    end = len(blob) - 8  # the payload; the checksum follows it
     reader = _Reader(blob, len(_MAGIC), end)
     (version,) = reader.unpack("<I")
-    if version != _FORMAT_VERSION:
+    if version != _FORMAT_VERSION:  # before the checksum, which older formats compute otherwise
         raise SpaceVersionError(
             f"unsupported space format version {version} (this semspace reads version {_FORMAT_VERSION}); "
             "rebuild the space with `semspace build`"
         )
+    if _checksum(memoryview(blob)[:end]) != blob[end:]:
+        raise SpaceChecksumError("space file checksum mismatch")
     (mode_tag,) = reader.unpack("<B")
     if mode_tag not in _TAG_MODES:
         raise SpaceFormatError(f"unknown stemmer tag {mode_tag}")

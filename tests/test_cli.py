@@ -3,7 +3,7 @@ import pytest
 
 from semspace.cli import main
 from semspace.experiment import load_pairs
-from semspace.lsa import Provenance, SemanticSpace, Vocabulary, load_space, save_space
+from semspace.lsa import Provenance, SemanticSpace, Vocabulary, _checksum, load_space, save_space
 
 from conftest import bundled_data
 
@@ -249,6 +249,17 @@ def test_sim_out_of_vocabulary(capsys, tiny_corpus, tmp_path):
     assert "out of vocabulary" in err
 
 
+def test_sim_space_with_a_changed_byte_is_checksum_error(capsys, tiny_corpus, tmp_path):
+    space_file = tmp_path / "space.bin"
+    run(capsys, "build", "--mode", "root", str(tiny_corpus), "-o", str(space_file))
+    blob = bytearray(space_file.read_bytes())
+    blob[-9] ^= 0x01  # the last byte of the last word vector entry
+    space_file.write_bytes(bytes(blob))
+    code, out, err = run(capsys, "sim", "--space", str(space_file), "السفير", "الوزير")
+    assert code == 4 and out == ""
+    assert "checksum mismatch" in err
+
+
 def test_sim_corrupt_space_is_data_error(capsys, tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a space file at all")
@@ -257,13 +268,11 @@ def test_sim_corrupt_space_is_data_error(capsys, tmp_path):
 
 
 def test_sim_space_of_format_version_one_is_data_error(capsys, tiny_corpus, tmp_path):
-    import hashlib
-
     space_file = tmp_path / "space.bin"
     run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
     payload = bytearray(space_file.read_bytes()[:-8])
     payload[8:12] = (1).to_bytes(4, "little")  # the version field, after the magic
-    space_file.write_bytes(bytes(payload) + hashlib.sha256(payload).digest()[:8])
+    space_file.write_bytes(bytes(payload) + _checksum(payload))
     code, out, err = run(capsys, "sim", "--space", str(space_file), "السفير", "السفارة")
     assert code == 4
     assert out == ""
@@ -289,8 +298,6 @@ def test_sim_space_with_no_dimensions_is_data_error(capsys, tmp_path):
 
 
 def test_sim_space_that_repeats_a_word_is_data_error(capsys, tmp_path):
-    import hashlib
-
     space = SemanticSpace(
         k=2,
         scaling="u",
@@ -303,7 +310,7 @@ def test_sim_space_that_repeats_a_word_is_data_error(capsys, tmp_path):
     space_file = tmp_path / "repeated.bin"
     save_space(space, space_file)
     payload = space_file.read_bytes()[:-8].replace("جد".encode(), "اب".encode(), 1)
-    space_file.write_bytes(payload + hashlib.sha256(payload).digest()[:8])
+    space_file.write_bytes(payload + _checksum(payload))
     code, out, err = run(capsys, "sim", "--space", str(space_file), "اب", "هو")
     assert code == 4
     assert "repeats" in err
@@ -328,14 +335,12 @@ def test_sim_space_with_a_non_finite_number_is_data_error(capsys, tmp_path):
 
 
 def test_sim_space_with_text_that_is_not_utf8_is_data_error(capsys, tiny_corpus, tmp_path):
-    import hashlib
-
     space_file = tmp_path / "space.bin"
     run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
     first_word = load_space(space_file).vocabulary.tokens[0]
     payload = bytearray(space_file.read_bytes()[:-8])
     payload[payload.index(first_word.encode())] = 0xFF
-    space_file.write_bytes(bytes(payload) + hashlib.sha256(payload).digest()[:8])
+    space_file.write_bytes(bytes(payload) + _checksum(payload))
     code, out, err = run(capsys, "sim", "--space", str(space_file), "السفير", "السفارة")
     assert code == 4
     assert out == ""

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from semspace.errors import (
     SpaceVersionError,
 )
 from semspace.lsa import (
+    _checksum,
     Provenance,
     SemanticSpace,
     SvdFactors,
@@ -279,9 +281,7 @@ def test_corrupted_payload_fails_checksum(tmp_path, light_space):
 
 
 def _rewrite_with_checksum(path, payload):
-    import hashlib
-
-    path.write_bytes(payload + hashlib.sha256(payload).digest()[:8])
+    path.write_bytes(payload + _checksum(payload))
 
 
 def test_truncated_payload_detected(tmp_path, light_space):
@@ -317,6 +317,27 @@ def test_version_one_file_asks_for_a_rebuild(tmp_path):
     _rewrite_with_checksum(path, payload)
     with pytest.raises(SpaceVersionError, match="version 1 .*rebuild the space with `semspace build`"):
         load_space(path)
+
+
+def test_format_two_file_asks_for_a_rebuild(tmp_path, light_space):
+    # format 2: this layout, ended by the first 8 bytes of the payload's sha256
+    import hashlib
+
+    path = tmp_path / "space.bin"
+    save_space(light_space, path)
+    payload = bytearray(path.read_bytes()[:-8])
+    payload[8:12] = struct.pack("<I", 2)
+    path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest()[:8])
+    with pytest.raises(SpaceVersionError, match="version 2 .*rebuild the space with `semspace build`"):
+        load_space(path)
+
+
+def test_space_file_ends_in_the_crc32_of_its_payload(tmp_path, light_space):
+    path = tmp_path / "space.bin"
+    save_space(light_space, path)
+    blob = path.read_bytes()
+    assert blob[8:12] == struct.pack("<I", 3)
+    assert blob[-8:] == struct.pack("<Q", zlib.crc32(blob[:-8]))
 
 
 @pytest.mark.parametrize("k", [0, 3])
@@ -481,6 +502,21 @@ def test_every_cut_of_the_payload_is_a_truncation(tmp_path, cut):
     _rewrite_with_checksum(path, THREE_WORDS_PAYLOAD[:cut])
     with pytest.raises(SpaceTruncatedError):
         load_space(path)
+
+
+def test_every_changed_byte_is_caught(tmp_path):
+    """Each bit of each byte flipped in turn: the magic and the version fail
+    as such, and every later byte, the checksum's own included, fails the
+    checksum."""
+    blob = THREE_WORDS_PAYLOAD + _checksum(THREE_WORDS_PAYLOAD)
+    path = tmp_path / "space.bin"
+    for pos, bit in itertools.product(range(len(blob)), range(8)):
+        changed = bytearray(blob)
+        changed[pos] ^= 1 << bit
+        path.write_bytes(bytes(changed))
+        error = SpaceFormatError if pos < 8 else SpaceVersionError if pos < 12 else SpaceChecksumError
+        with pytest.raises(error):
+            load_space(path)
 
 
 @pytest.mark.parametrize("text", ["rf", "fp", "اب"])
