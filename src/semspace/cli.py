@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .errors import EXIT_IO, EXIT_USAGE, SemspaceError
 from .experiment import DEFAULT_MODES, load_pairs, render_report, run_comparison
 from .lsa import SCALINGS, SCALING_U, SemanticSpace, build_spaces, load_space, save_space, word_vector
 from .similarity import MEASURE_ORDER, format_value, measure_all, unit_vector
-from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, MODES, StemmerConfig, make_config
+from .stemming import MODE_LIGHT, MODE_ROOT, MODES, StemmerConfig, make_config
 
 _CONFIG_KEYS = {"k", "scaling", "rules", "format", "normalize", "modes"}
 _SWITCH_VALUES = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
@@ -37,41 +38,36 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseError(self, message)
 
 
-def _read_config_file(path: str, command: str, used: set[str]) -> dict[str, tuple[int, str]]:
-    """The file's `key = value` lines as key: (line number, value); a key must
-    be one of `used`, the config keys that `command` has an option for."""
-    values: dict[str, tuple[int, str]] = {}
+def _config_argv(parser: _Parser, argv: list[str], args: argparse.Namespace) -> list[str]:
+    """The --config file's `key = value` lines as arguments of the subcommand:
+    `--key=value` (`-k=value`), so a value that starts with '-' stays a value,
+    and for the normalize switch `--normalize` when on, nothing when off. A '#'
+    at a line's start or after whitespace starts a comment. Every key is checked
+    before any value, and each value alone with `argv`, so an error names its line."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8: {exc.reason}") from None
+        raise ValueError(f"{args.config}: not UTF-8: {exc.reason}") from None
+    used = _CONFIG_KEYS.intersection(vars(args))  # the keys among the subcommand's option dests
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{args.config}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
         if key not in used:
-            raise ValueError(f"{path}:{lineno}: key {key!r} is not used by {command}")
+            raise ValueError(f"{args.config}:{lineno}: key {key!r} is not used by {args.command}")
         if key in values:
-            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {values[key][0]}")
+            raise ValueError(f"{args.config}:{lineno}: key {key!r} repeats line {values[key][0]}")
         values[key] = (lineno, value)
-    return values
-
-
-def _config_argv(parser: _Parser, argv: list[str], args: argparse.Namespace) -> list[str]:
-    """The --config file's values as arguments of the subcommand: `--key=value`
-    (`-k=value`), so a value that starts with '-' stays a value, and for the
-    normalize switch `--normalize` when on, nothing when off. Each is checked
-    alone with the command line `argv`, so that an error names its line."""
-    used = _CONFIG_KEYS.intersection(vars(args))  # the keys among the subcommand's option dests
     config_argv = []
-    for key, (lineno, value) in _read_config_file(args.config, args.command, used).items():
+    for key, (lineno, value) in values.items():
         if key == "normalize":
             if value.lower() not in _SWITCH_VALUES:
                 raise ValueError(f"{args.config}:{lineno}: normalize must be one of {', '.join(_SWITCH_VALUES)}, got {value!r}")
@@ -86,9 +82,8 @@ def _config_argv(parser: _Parser, argv: list[str], args: argparse.Namespace) -> 
     return config_argv
 
 
-def _rules_dir(args: argparse.Namespace) -> Path | None:
-    rules = args.rules or os.environ.get("SEMSPACE_RULES")
-    return Path(rules) if rules else None
+def _rules_dir(args: argparse.Namespace) -> str | None:
+    return args.rules or os.environ.get("SEMSPACE_RULES") or None
 
 
 def _modes(text: str) -> tuple[str, ...]:
@@ -161,9 +156,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_sim(args) -> int:
     space = load_space(args.space)
-    mode = space.provenance.stemmer_mode
-    stemmer = make_config(mode, _rules_dir(args))
-    if mode != MODE_NONE and stemmer.rules_fingerprint != space.provenance.rules_fingerprint:
+    stemmer = make_config(space.provenance.stemmer_mode, _rules_dir(args))
+    if stemmer.rules_fingerprint != space.provenance.rules_fingerprint:
         print(
             "warning: rule files differ from the ones this space was built with "
             f"(current {stemmer.rules_fingerprint[:12]}, space {space.provenance.rules_fingerprint[:12]})",

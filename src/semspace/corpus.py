@@ -1,5 +1,5 @@
-"""Corpus ingestion: load UTF-8 Arabic documents, segment into paragraphs,
-normalize orthography, and compute corpus statistics.
+"""Corpus ingestion: load UTF-8 Arabic documents, segment into paragraphs
+(each only its tokens), normalize orthography, and compute corpus statistics.
 
 Normalization rules (versioned here, the single source of truth):
 1. Remove diacritics (U+064B..U+0652) and tatweel (U+0640).
@@ -53,8 +53,6 @@ class RawDocument:
 
 @dataclass(frozen=True)
 class Paragraph:
-    doc_id: str
-    index: int
     tokens: tuple[Token, ...]
 
 
@@ -124,12 +122,11 @@ def segment_paragraphs(doc: RawDocument) -> list[Paragraph]:
     """Split a document into paragraphs: maximal runs of non-blank lines.
 
     One or more blank (whitespace-only) lines separate paragraphs. Each
-    paragraph is tokenized; paragraphs with no surviving tokens are dropped,
-    and indices are assigned contiguously over the kept ones.
+    paragraph is tokenized; paragraphs with no surviving tokens are dropped.
     """
     runs = groupby(doc.text.splitlines(), key=lambda line: bool(line.strip()))
-    tokenized = [tokens for tokens in (tokenize(" ".join(lines)) for kept, lines in runs if kept) if tokens]
-    return [Paragraph(doc.id, index, tuple(tokens)) for index, tokens in enumerate(tokenized)]
+    tokenized = (tokenize(" ".join(lines)) for kept, lines in runs if kept)
+    return [Paragraph(tuple(tokens)) for tokens in tokenized if tokens]
 
 
 def segment_corpus(corpus: Corpus) -> list[Paragraph]:
@@ -144,8 +141,8 @@ def corpus_stats(corpus: Corpus, paragraphs: list[Paragraph] | None = None) -> C
     categories = {d.category for d in corpus.documents if d.category is not None}
     documents = sorted((d.id.encode("utf-8"), d.text.encode("utf-8")) for d in corpus.documents)
     text_hash = hashlib.sha256()
-    for doc_id, text in documents:  # lengths first, so no two corpora hash the same stream
-        text_hash.update(struct.pack("<QQ", len(doc_id), len(text)) + doc_id)
+    for ident, text in documents:  # lengths first, so no two corpora hash the same stream
+        text_hash.update(struct.pack("<QQ", len(ident), len(text)) + ident)
         text_hash.update(text)
     return CorpusStats(
         n_documents=len(corpus.documents),

@@ -103,7 +103,7 @@ class SemanticSpace:
     sigma: np.ndarray  # first k singular values
     word_vectors: np.ndarray  # m x k, row i for vocabulary token i; load_space gives a read-only view
     provenance: Provenance
-    n_columns: int = 0  # paragraph count of the source matrix
+    n_columns: int  # paragraph count of the source matrix
 
 
 def space_fingerprint(rules_fingerprint: str, stats: CorpusStats) -> str:
@@ -157,7 +157,7 @@ def truncate(
     scaling: str,
     vocabulary: Vocabulary,
     provenance: Provenance,
-    n_columns: int = 0,
+    n_columns: int,
 ) -> SemanticSpace:
     """Keep the k largest singular directions as the word space."""
     if not 1 <= k <= factors.n:

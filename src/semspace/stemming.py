@@ -1,9 +1,10 @@
 """Two interchangeable Arabic stemmers over shared, versioned rule data.
 
-`make_config(mode)` is the one way in. It reads every rule file on each
-call, so an edited file gives a new config, and returns one shared config
-per mode, rules directory and rule bytes. A config compiles its matches
-once, as data, so it still pickles. Its `stem(token)` gives the full
+`make_config(mode, rules_dir)` is the one way in (`rules_dir`: a `str` or
+`Path`, by default `RULES_DIR`, the shipped rules). It reads every rule file
+on each call, so an edited file gives a new config, and returns one shared
+config per mode, rules directory and rule bytes. A config compiles its
+matches once, as data, so it still pickles. Its `stem(token)` gives the full
 `StemResult`, and its `stem_token(token)` the row key alone. The light
 stemmer strips antefixes and prefixes from the front and postfixes and
 suffixes from the back, repeating until nothing matches and never leaving
@@ -42,11 +43,7 @@ MIN_STEM_LEN = 2  # stripping never leaves fewer letters than this
 
 RULE_FILES = ("antefixes.txt", "prefixes.txt", "suffixes.txt", "postfixes.txt", "patterns.txt")
 
-_RULES_DIR = Path(__file__).parent / "data" / "rules"  # the path importlib.resources gives for this package
-
-
-def default_rules_dir() -> Path:
-    return _RULES_DIR
+RULES_DIR = Path(__file__).parent / "data" / "rules"  # the path importlib.resources gives for this package
 
 
 def _read_rules(rules_dir: Path) -> dict[str, bytes]:
@@ -208,7 +205,7 @@ def _fingerprint(rules: dict[str, bytes]) -> str:
 class StemmerConfig:
     """How tokens are reduced before they index matrix rows."""
 
-    mode: str = MODE_NONE
+    mode: str
     affixes: AffixTable | None = None
     patterns: tuple[Pattern, ...] | None = None
     rules_fingerprint: str = ""
@@ -264,9 +261,9 @@ def _config(mode: str, rules_dir: Path, rules: tuple[tuple[str, bytes], ...]) ->
     return StemmerConfig(mode, affixes, patterns, _fingerprint(files))
 
 
-def make_config(mode: str, rules_dir: Path | None = None) -> StemmerConfig:
-    """The shared config of a mode over a rules directory, the shipped one by default."""
+def make_config(mode: str, rules_dir: str | Path | None = None) -> StemmerConfig:
+    """The shared config of a mode over a rules directory, `RULES_DIR` by default."""
     if mode == MODE_NONE:
         return StemmerConfig(mode=mode)
-    rules_dir = rules_dir if rules_dir is not None else default_rules_dir()
+    rules_dir = RULES_DIR if rules_dir is None else Path(rules_dir)
     return _config(mode, rules_dir, tuple(_read_rules(rules_dir).items()))

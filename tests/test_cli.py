@@ -348,14 +348,14 @@ def test_sim_space_with_text_that_is_not_utf8_is_data_error(capsys, tiny_corpus,
 
 
 def test_sim_warns_on_differing_rules(capsys, tiny_corpus, tmp_path):
-    from semspace.stemming import default_rules_dir
+    from semspace.stemming import RULES_DIR
 
     space_file = tmp_path / "space.bin"
     run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
     other_rules = tmp_path / "rules"
     other_rules.mkdir()
     for name in ("antefixes", "prefixes", "suffixes", "postfixes", "patterns"):
-        source = (default_rules_dir() / f"{name}.txt").read_text(encoding="utf-8")
+        source = (RULES_DIR / f"{name}.txt").read_text(encoding="utf-8")
         (other_rules / f"{name}.txt").write_text(source, encoding="utf-8")
     (other_rules / "antefixes.txt").write_text("ال\n", encoding="utf-8")
     code, out, err = run(
@@ -581,6 +581,28 @@ def test_config_file_value_that_starts_with_a_dash_is_a_value(capsys, tmp_path, 
     assert code == 4
     assert out == ""
     assert "missing rule file: -x" in err
+
+
+def test_config_file_comment_starts_at_a_line_start_or_after_whitespace(capsys, tiny_corpus, tmp_path):
+    # a '#' inside a value, as in this directory's name, is part of the value
+    rules = tmp_path / "rules#1"
+    rules.mkdir()
+    (rules / "antefixes.txt").write_text("ال\n", encoding="utf-8")
+    for name in ("prefixes", "suffixes", "postfixes"):
+        (rules / f"{name}.txt").write_text("", encoding="utf-8")
+    config = tmp_path / "semspace.conf"
+    config.write_text(f"# custom rules\nrules = {rules}  # note\n", encoding="utf-8")
+    by_flag = run(capsys, "stem", "--mode", "light", "--rules", str(rules), "العراقية")
+    assert by_flag == (0, "العراقية\tعراقية\tstem\tantefix=ال\n", "")
+    assert run(capsys, "stem", "--mode", "light", "--config", str(config), "العراقية") == by_flag
+    with config.open("a", encoding="utf-8") as file:
+        file.write("k = 3\t# note\n")
+    by_flags, by_file = tmp_path / "flags.bin", tmp_path / "file.bin"
+    assert run(capsys, "build", "--mode", "light", "--rules", str(rules), "-k", "3",
+               str(tiny_corpus), "-o", str(by_flags))[0] == 0
+    assert run(capsys, "build", "--mode", "light", "--config", str(config),
+               str(tiny_corpus), "-o", str(by_file))[0] == 0
+    assert by_file.read_bytes() == by_flags.read_bytes()
 
 
 def test_config_file_that_is_not_utf8_is_usage_error(capsys, tiny_corpus, tmp_path):

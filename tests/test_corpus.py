@@ -113,7 +113,6 @@ def test_segment_multiple_blank_lines():
     text = "كتلة اولى\n\n\nكتلة ثانية\n\n\nكتلة ثالثة"
     paragraphs = segment_paragraphs(_doc(text))
     assert len(paragraphs) == 3
-    assert [p.index for p in paragraphs] == [0, 1, 2]
 
 
 def test_segment_empty_document():
@@ -123,7 +122,6 @@ def test_segment_empty_document():
 def test_segment_drops_tokenless_paragraphs():
     paragraphs = segment_paragraphs(_doc("نص عربي\n\n123 abc\n\nنص اخر"))
     assert len(paragraphs) == 2
-    assert [p.index for p in paragraphs] == [0, 1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -131,7 +129,6 @@ def test_segment_drops_tokenless_paragraphs():
 def test_segment_matches_the_line_by_line_oracle(text):
     paragraphs = segment_paragraphs(_doc(text))
     assert [p.tokens for p in paragraphs] == oracles.paragraph_tokens(text)
-    assert [p.index for p in paragraphs] == list(range(len(paragraphs)))
 
 
 def test_tokenize_idempotent_on_own_output(mini_paragraphs):

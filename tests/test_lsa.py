@@ -45,10 +45,7 @@ PROV = Provenance("none", "", "fp")
 
 
 def _paragraphs(texts):
-    return [
-        Paragraph(doc_id="d", index=i, tokens=tuple(text.split()))
-        for i, text in enumerate(texts)
-    ]
+    return [Paragraph(tuple(text.split())) for text in texts]
 
 
 def test_build_matrix_counts():
@@ -108,7 +105,7 @@ def test_build_matrices_is_build_matrix_per_mode(mini_paragraphs, modes):
                 max_size=6))
 def test_build_matrices_match_the_occurrence_oracle(token_lists):
     # empty paragraphs anywhere, repeats, and light stems that merge tokens
-    paragraphs = [Paragraph("d", i, tuple(tokens)) for i, tokens in enumerate(token_lists)]
+    paragraphs = [Paragraph(tuple(tokens)) for tokens in token_lists]
     configs = [make_config("light"), NONE_CONFIG]
     if not any(token_lists):
         with pytest.raises(EmptyCorpusError):
@@ -153,7 +150,7 @@ def test_truncate_full_rank_is_u():
     X = rng.integers(0, 5, size=(6, 4)).astype(float)
     factors = factorize_dense(X)
     vocab = Vocabulary([f"كلمة{i}" for i in range(6)])
-    space = truncate(factors, factors.n, "u", vocab, PROV)
+    space = truncate(factors, factors.n, "u", vocab, PROV, n_columns=4)
     assert np.array_equal(space.word_vectors, factors.U)
 
 
@@ -161,7 +158,7 @@ def test_truncate_rank_one_direction():
     X = np.array([[3.0, 0.0], [4.0, 0.0]])
     factors = factorize_dense(X)
     vocab = Vocabulary(["اب", "جد"])
-    space = truncate(factors, 1, "u", vocab, PROV)
+    space = truncate(factors, 1, "u", vocab, PROV, n_columns=2)
     assert np.allclose(space.word_vectors[:, 0], [0.6, 0.8], atol=1e-12)
 
 
@@ -169,8 +166,8 @@ def test_truncate_usigma_scaling():
     X = np.array([[3.0, 1.0], [4.0, 0.0], [0.0, 2.0]])
     factors = factorize_dense(X)
     vocab = Vocabulary(["ا", "ب", "ج"])
-    plain = truncate(factors, 2, "u", vocab, PROV)
-    scaled = truncate(factors, 2, "usigma", vocab, PROV)
+    plain = truncate(factors, 2, "u", vocab, PROV, n_columns=2)
+    scaled = truncate(factors, 2, "usigma", vocab, PROV, n_columns=2)
     assert np.allclose(scaled.word_vectors, plain.word_vectors * factors.sigma[:2])
 
 
@@ -186,7 +183,7 @@ def test_truncate_k_out_of_range():
     vocab = Vocabulary(["ا", "ب", "ج"])
     for k in (0, 4, -1):
         with pytest.raises(ValueError):
-            truncate(factors, k, "u", vocab, PROV)
+            truncate(factors, k, "u", vocab, PROV, n_columns=3)
 
 
 def test_truncate_eckart_young():

@@ -126,7 +126,7 @@ def test_root_counts_sum_light_counts_on_affix_wrapped_paragraphs(mini_paragraph
         lambda parts: normalize("".join(parts))
     )
     paragraphs = [
-        Paragraph("doc", index, tuple(tokens))
-        for index, tokens in enumerate(data.draw(st.lists(st.lists(words, min_size=1, max_size=12), min_size=1, max_size=8)))
+        Paragraph(tuple(tokens))
+        for tokens in data.draw(st.lists(st.lists(words, min_size=1, max_size=12), min_size=1, max_size=8))
     ]
     _assert_root_counts_sum_light_counts(paragraphs, root_config, light_config)

@@ -415,7 +415,7 @@ def test_load_rejects_rule_file_that_is_not_utf8(tmp_path, name):
 
 def test_edited_rule_file_is_parsed_again(tmp_path):
     # one config per rule files' bytes, which are read on every call
-    shipped = stemming.default_rules_dir()
+    shipped = stemming.RULES_DIR
     for name in stemming.RULE_FILES:
         (tmp_path / name).write_bytes((shipped / name).read_bytes())
     first = make_config("root", tmp_path)
@@ -436,6 +436,15 @@ def test_edited_rule_file_is_parsed_again(tmp_path):
     (tmp_path / "patterns.txt").write_text("فعل\t0,1\n", encoding="utf-8")
     with pytest.raises(RuleFormatError, match="needs 3 or 4 root positions"):
         make_config("root", tmp_path)
+
+
+def test_a_str_rules_dir_reads_as_its_path(tmp_path):
+    for name in stemming.RULE_FILES:
+        (tmp_path / name).write_bytes((stemming.RULES_DIR / name).read_bytes())
+    assert make_config("root", str(tmp_path)) is make_config("root", tmp_path)
+    (tmp_path / "suffixes.txt").unlink()
+    with pytest.raises(RuleFormatError, match="missing rule file: .*suffixes.txt"):
+        make_config("light", str(tmp_path))
 
 
 def _rules_dir(path, **texts):
@@ -468,13 +477,13 @@ def test_light_config_does_not_parse_patterns(tmp_path):
 
 
 def test_default_rules_dir_is_the_package_data():
-    assert stemming.default_rules_dir() == Path(str(files("semspace") / "data" / "rules"))
+    assert stemming.RULES_DIR == Path(str(files("semspace") / "data" / "rules"))
 
 
 @pytest.mark.parametrize("mode", ["root", "light"])
 def test_default_rules_dir_gives_the_config_of_no_rules_dir(mode):
     implicit = make_config(mode)
-    for rules_dir in (stemming.default_rules_dir(), Path(str(files("semspace") / "data" / "rules"))):
+    for rules_dir in (stemming.RULES_DIR, Path(str(files("semspace") / "data" / "rules"))):
         explicit = make_config(mode, rules_dir)
         assert explicit.rules_fingerprint == implicit.rules_fingerprint
         assert explicit.affixes == implicit.affixes
