@@ -209,11 +209,8 @@ def word_vector(space: SemanticSpace, surface: str, config: StemmerConfig) -> np
             f"space was built with stemmer {space.provenance.stemmer_mode!r}, "
             f"queried with {config.mode!r}"
         )
-    normalized = normalize(surface)
-    stemmed = config.stem_token(normalized) if normalized else None
-    if not stemmed:
-        raise OutOfVocabularyError(surface, normalized)
-    row = space.vocabulary.index_of(stemmed)
+    stemmed = config.stem_token(normalize(surface))
+    row = space.vocabulary.get(stemmed)
     if row is None:
         raise OutOfVocabularyError(surface, stemmed)
     return space.word_vectors[row]

@@ -15,7 +15,8 @@ stemmer applies the identical stripping and then matches the residual
 against same-length templates to extract a 3- or 4-letter root, falling
 back to the residual when nothing matches. Because both stemmers share one
 stripping pass, the equivalence classes of the root stemmer are always at
-least as coarse as the light stemmer's.
+least as coarse as the light stemmer's. Every mode runs this one strip and
+template match: mode none has empty affix tables, and only root has templates.
 """
 
 from __future__ import annotations
@@ -141,15 +142,12 @@ def _strip(front: re.Pattern, back: re.Pattern, token: str) -> tuple[re.Match, r
     return ahead, behind, rest[: len(rest) - behind.end()]
 
 
-_Templates = tuple[re.Pattern, tuple[tuple[operator.itemgetter, str], ...]]
-
-
-def _root_matcher(patterns: tuple[Pattern, ...]) -> _Templates:
+def _root_matcher(patterns: tuple[Pattern, ...]) -> tuple[re.Pattern, tuple[tuple[operator.itemgetter, str], ...]]:
     """The templates compiled into one alternation in file order, so the
     first template that fits wins, and per template the getter of its root
     letters and the template itself. Each alternative is one group: root
-    positions match any letter and the others their own. Data, not a
-    closure, so that the configs holding it pickle."""
+    positions match any letter and the others their own; no templates give
+    `(?!)`, which never matches. Data, not a closure, so configs pickle."""
     alternatives = (
         "".join("." if i in p.root_positions else re.escape(ch) for i, ch in enumerate(p.template))
         for p in patterns
@@ -167,9 +165,8 @@ def _match_root(regex: re.Pattern, roots: tuple, residual: str) -> tuple[str, st
     return "".join(letters(residual)), template
 
 
-def _stem_token(front: re.Pattern, back: re.Pattern, templates: _Templates | None, token: str) -> str:
-    residual = _strip(front, back, token)[2]
-    return residual if templates is None else _match_root(*templates, residual)[0]
+def _stem_token(front: re.Pattern, back: re.Pattern, regex: re.Pattern, roots: tuple, token: str) -> str:
+    return _match_root(regex, roots, _strip(front, back, token)[2])[0]
 
 
 def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, ...]:
@@ -206,49 +203,41 @@ class StemmerConfig:
     """How tokens are reduced before they index matrix rows."""
 
     mode: str
-    affixes: AffixTable | None = None
+    affixes: AffixTable = AffixTable((), (), (), ())
     patterns: tuple[Pattern, ...] | None = None
     rules_fingerprint: str = ""
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown stemmer mode: {self.mode!r}")
-        if self.mode in (MODE_ROOT, MODE_LIGHT) and self.affixes is None:
-            raise ValueError(f"mode {self.mode!r} requires affix rules")
         if self.mode == MODE_ROOT and self.patterns is None:
             raise ValueError("root mode requires pattern rules")
 
     def stem(self, token: str) -> StemResult:
-        """The full stemming result for one token; mode none keeps it whole."""
-        if self.mode == MODE_NONE:
-            return StemResult(token, token, KIND_STEM, Stripped(), token)
-        front, back, templates = self._matchers
+        """The full stemming result for one token."""
+        front, back, regex, roots = self._matchers
         ahead, behind, residual = _strip(front, back, token)
         antefix, prefix = ahead.groups()
         postfix, suffix = behind.groups()
         stripped = Stripped(antefix or None, prefix or None, suffix[::-1] or None, postfix[::-1] or None)
-        if templates is None:
-            return StemResult(token, residual, KIND_STEM, stripped, residual)
-        output, template = _match_root(*templates, residual)
-        return StemResult(token, output, KIND_ROOT, stripped, residual, pattern=template)
+        output, template = _match_root(regex, roots, residual)
+        kind = KIND_ROOT if self.mode == MODE_ROOT else KIND_STEM
+        return StemResult(token, output, kind, stripped, residual, pattern=template)
 
     @functools.cached_property
-    def _matchers(self) -> tuple[re.Pattern, re.Pattern, _Templates | None]:
+    def _matchers(self) -> tuple[re.Pattern, re.Pattern, re.Pattern, tuple]:
         """The front match, run on a word (the antefix region, then the prefix
         region), the back match, run on the reversed rest (the postfix region,
-        then the suffix region), each region one group; for root, the templates."""
+        then the suffix region), each region one group, and the templates."""
         a = self.affixes
         front = _region(a.antefixes, True) + _region(a.prefixes + a.antefixes, True)
         back = _region(a.postfixes, False) + _region(a.suffixes + a.postfixes, False)
-        templates = _root_matcher(self.patterns) if self.mode == MODE_ROOT else None
-        return re.compile(front, re.DOTALL), re.compile(back, re.DOTALL), templates
+        return re.compile(front, re.DOTALL), re.compile(back, re.DOTALL), *_root_matcher(self.patterns or ())
 
     @property
     def stem_token(self) -> Callable[[str], str]:
         """Reduced form of a normalized token: the row it indexes, that is
         `stem(token).output`, read from the affix matches' ends alone."""
-        if self.mode == MODE_NONE:
-            return str  # the token itself
         return functools.partial(_stem_token, *self._matchers)
 
 
@@ -261,9 +250,12 @@ def _config(mode: str, rules_dir: Path, rules: tuple[tuple[str, bytes], ...]) ->
     return StemmerConfig(mode, affixes, patterns, _fingerprint(files))
 
 
+_NO_RULES = StemmerConfig(MODE_NONE)  # mode none reads no rule file
+
+
 def make_config(mode: str, rules_dir: str | Path | None = None) -> StemmerConfig:
     """The shared config of a mode over a rules directory, `RULES_DIR` by default."""
     if mode == MODE_NONE:
-        return StemmerConfig(mode=mode)
+        return _NO_RULES
     rules_dir = RULES_DIR if rules_dir is None else Path(rules_dir)
     return _config(mode, rules_dir, tuple(_read_rules(rules_dir).items()))

@@ -249,6 +249,14 @@ def test_sim_out_of_vocabulary(capsys, tiny_corpus, tmp_path):
     assert "out of vocabulary" in err
 
 
+def test_sim_word_with_no_arabic_letters_is_out_of_vocabulary(capsys, tiny_corpus, tmp_path):
+    space_file = tmp_path / "space.bin"
+    run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
+    code, out, err = run(capsys, "sim", "--space", str(space_file), "السفير", "abc123")
+    assert code == 4 and out == ""
+    assert "out of vocabulary: 'abc123' (stemmed: '')" in err
+
+
 def test_sim_space_with_a_changed_byte_is_checksum_error(capsys, tiny_corpus, tmp_path):
     space_file = tmp_path / "space.bin"
     run(capsys, "build", "--mode", "root", str(tiny_corpus), "-o", str(space_file))

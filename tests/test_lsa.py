@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import struct
 import tempfile
 import zlib
@@ -228,6 +229,15 @@ def test_word_vector_out_of_vocabulary(light_space, light_config):
     with pytest.raises(OutOfVocabularyError) as exc_info:
         word_vector(light_space, "كلمةغيرموجودةاطلاقا", light_config)
     assert "كلمةغيرموجودةاطلاقا" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("mode", ["root", "light", "none"])
+def test_word_vector_of_a_word_with_no_arabic_letters_is_out_of_vocabulary(mini_paragraphs, mini_stats, mode):
+    # it normalizes to "", which stems to "" in every mode, and no space holds ""
+    config = make_config(mode)
+    (space,) = build_spaces(mini_paragraphs, mini_stats, [config], k=10)
+    with pytest.raises(OutOfVocabularyError, match=re.escape("'abc123' (stemmed: '')")):
+        word_vector(space, "abc123", config)
 
 
 def test_word_vector_rejects_wrong_stemmer(light_space, root_config):

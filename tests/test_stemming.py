@@ -364,10 +364,11 @@ def _seeded_scale_tokens(mini_paragraphs, affixes, seed=3, count=3000):
     return [stack(fronts) + rng.choice(bases) + stack(backs) for _ in range(count)]
 
 
-@pytest.mark.parametrize("mode", ["root", "light"])
+@pytest.mark.parametrize("mode", stemming.MODES)
 def test_stem_matches_region_oracle_on_bundled_and_scale_tokens(mode, mini_paragraphs):
     config = make_config(mode)
-    for token in _fixture_vocabulary(mini_paragraphs) + _seeded_scale_tokens(mini_paragraphs, config.affixes):
+    shipped = make_config("light").affixes  # mode none's tables are empty: wrap its words in the shipped ones
+    for token in _fixture_vocabulary(mini_paragraphs) + _seeded_scale_tokens(mini_paragraphs, shipped):
         _stem_matches_region_oracle(config, token)
 
 
@@ -436,6 +437,10 @@ def test_edited_rule_file_is_parsed_again(tmp_path):
     (tmp_path / "patterns.txt").write_text("فعل\t0,1\n", encoding="utf-8")
     with pytest.raises(RuleFormatError, match="needs 3 or 4 root positions"):
         make_config("root", tmp_path)
+
+
+def test_mode_none_config_is_one_shared_config(tmp_path):
+    assert make_config("none") is make_config("none") is make_config("none", tmp_path / "absent")
 
 
 def test_a_str_rules_dir_reads_as_its_path(tmp_path):
