@@ -118,13 +118,11 @@ def _cmd_stats(args) -> int:
 
 def _cmd_stem(args) -> int:
     stemmer = make_config(args.mode, _rules_dir(args))
-    out_lines = []
     for word in args.words:
         result = stemmer.stem(word)
         # Stripped's fields run in word order: antefix, prefix, suffix, postfix
         parts = ";".join(f"{name}={value}" for name, value in vars(result.stripped).items() if value)
-        out_lines.append(f"{result.original}\t{result.output}\t{result.kind}\t{parts or '-'}")
-    sys.stdout.write("".join(line + "\n" for line in out_lines))
+        sys.stdout.write(f"{result.original}\t{result.output}\t{result.kind}\t{parts or '-'}\n")
     return 0
 
 

@@ -12,12 +12,10 @@ class SemspaceError(Exception):
 
 class CorpusReadError(SemspaceError):
     """Corpus directory missing or unreadable."""
-    exit_code = EXIT_IO
 
 
 class EmptyCorpusError(SemspaceError):
     """No usable text found where a non-empty corpus is required."""
-    exit_code = EXIT_IO
 
 
 class RuleFormatError(SemspaceError):
@@ -42,11 +40,6 @@ class ConvergenceError(SemspaceError):
 class OutOfVocabularyError(SemspaceError):
     """Query word's stemmed form is not a row of the space."""
     exit_code = EXIT_DATA
-
-    def __init__(self, surface, stemmed):
-        super().__init__(f"out of vocabulary: {surface!r} (stemmed: {stemmed!r})")
-        self.surface = surface
-        self.stemmed = stemmed
 
 
 class SpaceFormatError(SemspaceError):

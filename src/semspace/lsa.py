@@ -191,14 +191,16 @@ def build_spaces(
     min(300, smallest rank); a k above a space's rank raises ValueError.
     """
     matrices = build_matrices(paragraphs, configs)
-    factored = [SvdFactors(U, sigma) for U, sigma, _ in _svd.jacobi_svds([m.to_dense() for m in matrices])]
+    kept = [(matrix.vocabulary, matrix.shape[1]) for matrix in matrices]
+    counts = (matrices.pop(0).to_dense() for _ in configs)  # no reference stays, so the SVD frees each
+    factored = [SvdFactors(U, sigma) for U, sigma, _ in _svd.jacobi_svds(counts)]
     if k is None:
         k = min(300, *(factors.n for factors in factored))
     spaces = []
-    for config, matrix, factors in zip(configs, matrices, factored):
+    for config, (vocabulary, n_columns), factors in zip(configs, kept, factored):
         fingerprint = space_fingerprint(config.rules_fingerprint, stats)
         provenance = Provenance(config.mode, config.rules_fingerprint, fingerprint)
-        spaces.append(truncate(factors, k, scaling, matrix.vocabulary, provenance, n_columns=matrix.shape[1]))
+        spaces.append(truncate(factors, k, scaling, vocabulary, provenance, n_columns))
     return spaces
 
 
@@ -212,7 +214,7 @@ def word_vector(space: SemanticSpace, surface: str, config: StemmerConfig) -> np
     stemmed = config.stem_token(normalize(surface))
     row = space.vocabulary.get(stemmed)
     if row is None:
-        raise OutOfVocabularyError(surface, stemmed)
+        raise OutOfVocabularyError(f"out of vocabulary: {surface!r} (stemmed: {stemmed!r})")
     return space.word_vectors[row]
 
 
@@ -226,11 +228,11 @@ def save_space(space: SemanticSpace, path: str | Path) -> None:
     corpus fingerprints, m, paragraphs, k, scaling tag, the m words as one
     newline-joined string (strings are a u32 byte count, then UTF-8), zeros up
     to a multiple of 8, sigma, the word vectors row by row (little-endian
-    float64), then the payload's `_checksum`. A word holding a newline is a
-    ValueError; `build` never makes one."""
+    float64), then the payload's `_checksum`, each part written as it is, never
+    joined. An empty word or one holding a newline is a ValueError; `build` never makes one."""
     tokens = space.vocabulary.tokens
-    if any("\n" in token for token in tokens):
-        raise ValueError("a space's words are stored newline-joined, so no word may hold a newline")
+    if any(not token or "\n" in token for token in tokens):
+        raise ValueError("a space's words are stored newline-joined, so no word may be empty or hold a newline")
     header = b"".join([
         _MAGIC,
         struct.pack("<IB", _FORMAT_VERSION, _MODE_TAGS[space.provenance.stemmer_mode]),
@@ -239,16 +241,19 @@ def save_space(space: SemanticSpace, path: str | Path) -> None:
         struct.pack("<QQQB", len(tokens), space.n_columns, space.k, _SCALING_TAGS[space.scaling]),
         _pack_str("\n".join(tokens)),
     ])
-    sigma = np.asarray(space.sigma, dtype="<f8").tobytes()
-    vectors = np.ascontiguousarray(space.word_vectors, dtype="<f8").tobytes()
-    payload = b"".join([header, bytes(-len(header) % 8), sigma, vectors])  # zeros align the floats
-    Path(path).write_bytes(payload + _checksum(payload))
+    numbers = (np.ascontiguousarray(block, dtype="<f8") for block in (space.sigma, space.word_vectors))
+    parts = [header, bytes(-len(header) % 8), *numbers]  # zeros align the floats
+    with open(path, "wb") as file:
+        file.writelines([*parts, _checksum(*parts)])
 
 
-def _checksum(payload: bytes | memoryview) -> bytes:
-    """The 8 bytes that end a space file: the payload's CRC-32 as a
-    little-endian u64. It guards against corruption, not tampering."""
-    return zlib.crc32(payload).to_bytes(8, "little")
+def _checksum(*parts) -> bytes:
+    """The 8 bytes that end a space file: the running CRC-32 of the payload's
+    `parts`, in order, as a little-endian u64. It guards against corruption, not tampering."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return crc.to_bytes(8, "little")
 
 
 class _Reader:
@@ -325,6 +330,8 @@ def load_space(path: str | Path) -> SemanticSpace:
     vocabulary.update(zip(words, range(m)))
     if len(vocabulary) < m:
         raise SpaceFormatError(f"space vocabulary repeats {m - len(vocabulary)} of its {m} words")
+    if "" in vocabulary:
+        raise SpaceFormatError("space vocabulary holds an empty word")
     padding = reader.skip(-reader.pos % 8)
     if any(blob[padding:reader.pos]):
         raise SpaceFormatError("nonzero padding byte before the space's numbers")

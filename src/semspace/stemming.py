@@ -191,10 +191,7 @@ def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, .
 def _fingerprint(rules: dict[str, bytes]) -> str:
     digest = hashlib.sha256()
     for name in RULE_FILES:
-        digest.update(name.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(rules.get(name, b""))
-        digest.update(b"\x00")
+        digest.update(name.encode("utf-8") + b"\x00" + rules.get(name, b"") + b"\x00")
     return digest.hexdigest()
 
 

@@ -40,6 +40,7 @@ made up. The factorization runs in three steps:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -233,33 +234,37 @@ def jacobi_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return jacobi_svds([X])[0]
 
 
-def jacobi_svds(Xs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, int]]:
+def jacobi_svds(Xs: Iterable[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """`jacobi_svd` of each matrix, bit for bit; R2 factors of one shape share
-    one Jacobi loop, and a ConvergenceError from any of them is raised."""
-    fronts = []
+    one Jacobi loop, and a ConvergenceError from any of them is raised. An
+    input the caller keeps no reference to (from a generator) is freed after its first QR."""
+    fronts, groups = [], {}  # groups: R2's shape -> the R2 factors of that shape, in input order
     for X in Xs:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.size == 0:
             raise ValueError("expected a non-empty 2-d matrix")
+        shape = X.shape
         R, _, reflectors = householder_qr(_merge_duplicate_columns(X))
+        del X
         # R.T[:, p2] = Q2 @ R2, and Jacobi turns the rows of R2 into
         # B = W @ R2 = diag(sigma) @ Z.T, W orthogonal, so up to the cut
         # merged[:, perm] = Q[:, :r] @ Y @ diag(sigma) @ (Q2 @ W.T).T with
         # Y[p2] = Z. U needs only Y, so neither Q2 nor W is formed; Q is applied
         # to Y padded with zero rows.
-        B, p2, _ = householder_qr(R.T)
-        del R
-        fronts.append((X.shape, B, p2, reflectors))
+        R2, p2 = householder_qr(R.T)[:2]
+        groups.setdefault(R2.shape, []).append(R2)
+        fronts.append((shape, R2.shape, p2, reflectors))
+        del R, R2
 
     solved = {}  # R2's shape: its rotated rows and sweeps, in input order
-    for shape in dict.fromkeys(B.shape for _, B, _, _ in fronts):  # no padding: it would move the sums' bits
-        stack = np.stack([B for _, B, _, _ in fronts if B.shape == shape])
-        solved[shape] = list(zip(stack, _jacobi_rows(stack)))
+    for key in list(groups):  # each R2 lives on only in its stack; no padding: it would move the sums' bits
+        stack = np.stack(groups.pop(key))
+        solved[key] = list(zip(stack, _jacobi_rows(stack)))
 
     results = []
     while fronts:  # a front's reflectors go once its U is made
-        shape, R2, p2, reflectors = fronts.pop(0)
-        B, count = solved[R2.shape].pop(0)
+        shape, key, p2, reflectors = fronts.pop(0)
+        B, count = solved[key].pop(0)
         sigma = np.sqrt(np.einsum("ij,ij->i", B, B))
         order = np.argsort(-sigma, kind="stable")
         sigma = np.r_[sigma[order], np.zeros(min(shape) - len(B))]

@@ -324,6 +324,28 @@ def test_sim_space_that_repeats_a_word_is_data_error(capsys, tmp_path):
     assert "repeats" in err
 
 
+def test_sim_space_with_an_empty_word_is_data_error(capsys, tmp_path):
+    space = SemanticSpace(
+        k=2,
+        scaling="u",
+        vocabulary=Vocabulary(["اب", "جد", "هو"]),
+        sigma=np.ones(2),
+        word_vectors=np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]),
+        provenance=Provenance("none", "", "fp"),
+        n_columns=3,
+    )
+    space_file = tmp_path / "empty-word.bin"
+    save_space(space, space_file)
+    # "اب\nجد" as "\nجدجد": the same length, so the layout holds, and the first word is empty
+    payload = space_file.read_bytes()[:-8].replace("اب\nجد".encode(), "\nجدجد".encode(), 1)
+    space_file.write_bytes(payload + _checksum(payload))
+    # "abc" normalizes and stems to "", which no row may be; "هو" is a row
+    code, out, err = run(capsys, "sim", "--space", str(space_file), "abc", "هو")
+    assert code == 4
+    assert out == ""
+    assert "empty word" in err
+
+
 def test_sim_space_with_a_non_finite_number_is_data_error(capsys, tmp_path):
     space = SemanticSpace(
         k=2,

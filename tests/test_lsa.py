@@ -3,6 +3,7 @@ import itertools
 import re
 import struct
 import tempfile
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -462,6 +463,41 @@ def test_save_rejects_a_word_holding_a_newline(tmp_path):
     with pytest.raises(ValueError, match="newline"):
         save_space(space, tmp_path / "space.bin")
     assert not (tmp_path / "space.bin").exists()
+
+
+def test_save_rejects_an_empty_word(tmp_path):
+    space = dataclasses.replace(THREE_WORDS, vocabulary=Vocabulary(["اب", "", "هو"]))
+    with pytest.raises(ValueError, match="empty"):
+        save_space(space, tmp_path / "space.bin")
+    assert not (tmp_path / "space.bin").exists()
+
+
+def test_empty_word_rejected(tmp_path):
+    # "اب\nجد" as "\nجدجد": the same length, so the layout holds, and the first of the 3 words is empty
+    payload = THREE_WORDS_PAYLOAD.replace("اب\nجد".encode(), "\nجدجد".encode(), 1)
+    assert _space_layout(payload)[0] == ["", "جدجد", "هو"]
+    path = tmp_path / "space.bin"
+    _rewrite_with_checksum(path, payload)
+    with pytest.raises(SpaceFormatError, match="holds an empty word"):
+        load_space(path)
+
+
+def test_save_never_holds_the_whole_file(tmp_path):
+    """The parts are written one at a time, so saving holds no copy of the
+    file: its traced peak stays under 1.5x the word vectors' size, where
+    joining the parts first held three copies."""
+    m, k = 4000, 50
+    space = SemanticSpace(k, "u", Vocabulary([f"w{i}" for i in range(m)]), np.ones(k),
+                          np.random.default_rng(3).normal(size=(m, k)), PROV, 7)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        save_space(space, tmp_path / "space.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.5 * space.word_vectors.nbytes
+    assert load_space(tmp_path / "space.bin").word_vectors.tobytes() == space.word_vectors.tobytes()
 
 
 ARABIC_LETTERS = [chr(c) for c in range(0x0621, 0x064B)]
