@@ -172,7 +172,7 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    pairs = load_pairs(args.pairs)
+    pairs = [pair for path in args.pairs for pair in load_pairs(path)]
     partial, configs, spaces = _corpus_spaces(args, args.corpus, args.modes)
     text = render_report(run_comparison(configs, spaces, pairs, args.normalize), args.format)
     if args.output:
@@ -220,7 +220,7 @@ def _build_parser() -> _Parser:
 
     p_report = sub.add_parser("report", help="full stemmer-by-measure comparison report")
     p_report.add_argument("--corpus", required=True)
-    p_report.add_argument("--pairs", required=True)
+    p_report.add_argument("--pairs", required=True, action="append", help="pair file; repeat to read several in order")
     p_report.add_argument("--modes", type=_modes, default=",".join(DEFAULT_MODES),
                           help="comma-separated subset of root,light,none")
     p_report.add_argument("-k", type=int, default=None, help="dimensions to keep, at most the smallest rank over --modes")

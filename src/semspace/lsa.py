@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,13 +114,14 @@ def space_fingerprint(rules_fingerprint: str, stats: CorpusStats) -> str:
     return hashlib.sha256("|".join(map(str, fields)).encode("utf-8")).hexdigest()
 
 
-def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) -> list[CooccurrenceMatrix]:
-    """Count stemmed-word occurrences per paragraph, one matrix per config.
+def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) -> Iterator[CooccurrenceMatrix]:
+    """Count stemmed-word occurrences per paragraph: a lazy iterator of one
+    matrix per config, which stems and fills each as it is pulled.
 
     Row order is first occurrence in corpus order; column order follows the
-    paragraph list. Raises EmptyCorpusError rather than returning a matrix
-    with no rows or no columns. The corpus is read once, for token ids and
-    columns; each config stems each distinct token once.
+    paragraph list. Raises EmptyCorpusError, at the call, rather than making
+    a matrix with no rows or no columns. The corpus is read once, at the
+    call, for token ids and columns; each config stems each distinct token once.
     """
     occurrences = [token for paragraph in paragraphs for token in paragraph.tokens]
     distinct = Vocabulary(occurrences)
@@ -128,21 +130,22 @@ def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) ->
     n = len(paragraphs)
     token_ids = distinct.rows_of(occurrences)
     columns = np.repeat(np.arange(n), [len(paragraph.tokens) for paragraph in paragraphs])
-    matrices = []
-    for config in configs:
+
+    def matrix(config: StemmerConfig) -> CooccurrenceMatrix:
         stems = list(map(config.stem_token, distinct))
         vocabulary = Vocabulary(stems)
         rows = vocabulary.rows_of(stems)
         counts = np.zeros((len(vocabulary), n))
         np.add.at(counts.reshape(-1), rows[token_ids] * n + columns, 1.0)  # row * n + column per occurrence
         counts.flags.writeable = False
-        matrices.append(CooccurrenceMatrix(vocabulary, counts))
-    return matrices
+        return CooccurrenceMatrix(vocabulary, counts)
+
+    return (matrix(config) for config in configs)  # binds no matrix; once exhausted, frees the corpus's ids
 
 
 def build_matrix(paragraphs: list[Paragraph], config: StemmerConfig) -> CooccurrenceMatrix:
     """`build_matrices` for one config."""
-    return build_matrices(paragraphs, [config])[0]
+    return next(build_matrices(paragraphs, [config]))
 
 
 def factorize(matrix: CooccurrenceMatrix) -> SvdFactors:
@@ -165,15 +168,7 @@ def truncate(
     if scaling not in SCALINGS:
         raise ValueError(f"unknown scaling: {scaling!r}")
     vectors = factors.U[:, :k] * factors.sigma[:k] if scaling == SCALING_USIGMA else factors.U[:, :k].copy()
-    return SemanticSpace(
-        k=k,
-        scaling=scaling,
-        vocabulary=vocabulary,
-        sigma=factors.sigma[:k].copy(),
-        word_vectors=vectors,
-        provenance=provenance,
-        n_columns=n_columns,
-    )
+    return SemanticSpace(k, scaling, vocabulary, factors.sigma[:k].copy(), vectors, provenance, n_columns)
 
 
 def build_spaces(
@@ -187,20 +182,25 @@ def build_spaces(
 
     The corpus is read once, and one `svd.jacobi_svds` call factors every
     count matrix, so those whose ranks agree share one Jacobi loop and each
-    keeps the bits it gets alone. Every space keeps the same k, by default
-    min(300, smallest rank); a k above a space's rank raises ValueError.
+    keeps the bits it gets alone. Each count matrix is made only when the
+    SVD takes it and is freed after its first QR, so one is held at a time.
+    Every space keeps the same k, by default min(300, smallest rank); a k
+    above a space's rank raises ValueError.
     """
-    matrices = build_matrices(paragraphs, configs)
-    kept = [(matrix.vocabulary, matrix.shape[1]) for matrix in matrices]
-    counts = (matrices.pop(0).to_dense() for _ in configs)  # no reference stays, so the SVD frees each
-    factored = [SvdFactors(U, sigma) for U, sigma, _ in _svd.jacobi_svds(counts)]
+    vocabularies = []  # each matrix's, noted as the SVD takes its counts
+
+    def counts(matrix: CooccurrenceMatrix) -> np.ndarray:  # mapped: a loop over the matrices would keep each alive
+        vocabularies.append(matrix.vocabulary)
+        return matrix.to_dense()
+
+    factored = [SvdFactors(U, sigma) for U, sigma, _ in _svd.jacobi_svds(map(counts, build_matrices(paragraphs, configs)))]
     if k is None:
         k = min(300, *(factors.n for factors in factored))
     spaces = []
-    for config, (vocabulary, n_columns), factors in zip(configs, kept, factored):
+    for config, vocabulary, factors in zip(configs, vocabularies, factored):
         fingerprint = space_fingerprint(config.rules_fingerprint, stats)
         provenance = Provenance(config.mode, config.rules_fingerprint, fingerprint)
-        spaces.append(truncate(factors, k, scaling, vocabulary, provenance, n_columns))
+        spaces.append(truncate(factors, k, scaling, vocabulary, provenance, len(paragraphs)))
     return spaces
 
 

@@ -237,7 +237,7 @@ def jacobi_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 def jacobi_svds(Xs: Iterable[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """`jacobi_svd` of each matrix, bit for bit; R2 factors of one shape share
     one Jacobi loop, and a ConvergenceError from any of them is raised. An
-    input the caller keeps no reference to (from a generator) is freed after its first QR."""
+    input the caller keeps no reference to (from an iterator) is freed when its first QR returns."""
     fronts, groups = [], {}  # groups: R2's shape -> the R2 factors of that shape, in input order
     for X in Xs:
         X = np.asarray(X, dtype=np.float64)

@@ -768,6 +768,18 @@ def test_sim_prints_the_cells_of_the_report(capsys, mini_corpus_dir, pair_files,
     assert checked == 38  # 20 pairs under each of 2 modes; 2 rows have an OOV word
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "markdown"])
+def test_report_reads_every_repeated_pairs_file_in_order(capsys, mini_corpus_dir, pair_files, tmp_path, fmt):
+    # the bundled pairs ship as two files; repeating --pairs reads both, as one file of both would be read
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_bytes(b"".join(path.read_bytes() for path in pair_files))
+    argv = ("report", "--corpus", str(mini_corpus_dir), "-k", "40", "--format", fmt)
+    one = run(capsys, *argv, "--pairs", str(pairs))
+    repeated = run(capsys, *argv, *(arg for path in pair_files for arg in ("--pairs", str(path))))
+    assert one[0] == 0
+    assert repeated == one
+
+
 def test_report_bad_pairs_file(capsys, tiny_corpus, tmp_path):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("اب فقط سطر سيء\n", encoding="utf-8")

@@ -4,6 +4,7 @@ import re
 import struct
 import tempfile
 import tracemalloc
+import weakref
 import zlib
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from semspace import lsa, svd
 from semspace.cli import main
 from semspace.corpus import Paragraph
 from semspace.errors import (
@@ -40,6 +42,7 @@ from semspace.lsa import (
 )
 from semspace.stemming import StemmerConfig, make_config
 
+from conftest import measure
 from oracles import count_matrix, count_occurrences
 
 NONE_CONFIG = StemmerConfig(mode="none")
@@ -211,6 +214,49 @@ def test_spaces_built_together_equal_spaces_built_alone(mini_paragraphs, mini_st
         assert space.provenance.stemmer_mode == config.mode
         assert space.sigma.tobytes() == alone.sigma.tobytes()
         assert space.word_vectors.tobytes() == alone.word_vectors.tobytes()
+
+
+def test_build_spaces_holds_one_count_matrix_at_a_time(monkeypatch, mini_paragraphs, mini_stats):
+    # each mode's counts are made as the SVD pulls them, and freed by the time the next mode's are made
+    made, live_at_first_qrs = [], []  # a weakref to each count array as it is made; which live at each first QR
+    new_matrix, qr = lsa.CooccurrenceMatrix, svd.householder_qr
+
+    def making(vocabulary, counts):
+        made.append(weakref.ref(counts))
+        return new_matrix(vocabulary, counts)
+
+    calls = itertools.count()
+
+    def first_qrs_noted(A):
+        if next(calls) % 2 == 0:  # each mode runs its first QR, then its second
+            live_at_first_qrs.append([ref() is not None for ref in made])
+        return qr(A)
+
+    monkeypatch.setattr(lsa, "CooccurrenceMatrix", making)
+    monkeypatch.setattr(svd, "householder_qr", first_qrs_noted)
+    build_spaces(mini_paragraphs, mini_stats, [make_config(mode) for mode in ("root", "light", "none")], k=40)
+    assert live_at_first_qrs == [[True], [False, True], [False, False, True]]
+
+
+@pytest.fixture(scope="module")
+def usigma_rank_spaces(mini_paragraphs, mini_stats):
+    """Each mode's count matrix beside its usigma space at the default k, the rank."""
+    configs = [make_config(mode) for mode in ("root", "light", "none")]
+    spaces = build_spaces(mini_paragraphs, mini_stats, configs, scaling="usigma")
+    return [(build_matrix(mini_paragraphs, config).to_dense(), space) for config, space in zip(configs, spaces)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_usigma_at_the_rank_measures_as_the_count_rows(usigma_rank_spaces, data):
+    # rows of U·Σ at k = rank have the inner products of the count rows (X Xᵀ = U Σ² Uᵀ),
+    # so every measure made of inner products agrees; Pearson, which sums coordinates, does not
+    counts, space = data.draw(st.sampled_from(usigma_rank_spaces))
+    assert space.k == 93
+    a, b = (data.draw(st.integers(0, len(counts) - 1)) for _ in "ab")
+    for name in ("cosine", "euclidean", "jaccard"):
+        expected = measure(name, counts[a], counts[b])
+        assert abs(measure(name, space.word_vectors[a], space.word_vectors[b]) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_word_vector_verbatim_row(mini_paragraphs, mini_stats):
