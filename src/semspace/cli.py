@@ -188,47 +188,43 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"semspace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    rules = argparse.ArgumentParser(add_help=False)  # the options of every subcommand that stems
+    rules.add_argument("--rules", default=None, help="rules directory")
+    rules.add_argument("--config", default=None)
+    space = argparse.ArgumentParser(add_help=False, parents=[rules])  # and of every subcommand that builds a space
+    space.add_argument("-k", type=int, default=None,
+                       help="dimensions to keep, at most the rank, for report the smallest over --modes (default min(300, rank))")
+    space.add_argument("--scaling", choices=SCALINGS, default=SCALING_U)
+
     p_stats = sub.add_parser("stats", help="corpus statistics as TSV")
     p_stats.add_argument("corpus_dir")
     p_stats.set_defaults(func=_cmd_stats)
 
-    p_stem = sub.add_parser("stem", help="stem words from the command line")
+    p_stem = sub.add_parser("stem", parents=[rules], help="stem words from the command line")
     p_stem.add_argument("--mode", choices=(MODE_ROOT, MODE_LIGHT), required=True)
-    p_stem.add_argument("--rules", default=None, help="rules directory")
-    p_stem.add_argument("--config", default=None)
     p_stem.add_argument("words", nargs="+")
     p_stem.set_defaults(func=_cmd_stem)
 
-    p_build = sub.add_parser("build", help="build and persist a word space")
+    p_build = sub.add_parser("build", parents=[space], help="build and persist a word space")
     p_build.add_argument("--mode", choices=MODES, required=True)
-    p_build.add_argument("-k", type=int, default=None, help="dimensions to keep, at most the rank (default min(300, rank))")
-    p_build.add_argument("--scaling", choices=SCALINGS, default=SCALING_U)
-    p_build.add_argument("--rules", default=None)
-    p_build.add_argument("--config", default=None)
     p_build.add_argument("corpus_dir")
     p_build.add_argument("-o", "--output", required=True)
     p_build.set_defaults(func=_cmd_build)
 
-    p_sim = sub.add_parser("sim", help="similarity of two words in a space")
+    p_sim = sub.add_parser("sim", parents=[rules], help="similarity of two words in a space")
     p_sim.add_argument("--space", required=True)
-    p_sim.add_argument("--rules", default=None)
     p_sim.add_argument("--normalize", action="store_true")
-    p_sim.add_argument("--config", default=None)
     p_sim.add_argument("word_a")
     p_sim.add_argument("word_b")
     p_sim.set_defaults(func=_cmd_sim)
 
-    p_report = sub.add_parser("report", help="full stemmer-by-measure comparison report")
+    p_report = sub.add_parser("report", parents=[space], help="full stemmer-by-measure comparison report")
     p_report.add_argument("--corpus", required=True)
     p_report.add_argument("--pairs", required=True, action="append", help="pair file; repeat to read several in order")
     p_report.add_argument("--modes", type=_modes, default=",".join(DEFAULT_MODES),
                           help="comma-separated subset of root,light,none")
-    p_report.add_argument("-k", type=int, default=None, help="dimensions to keep, at most the smallest rank over --modes")
-    p_report.add_argument("--scaling", choices=SCALINGS, default=SCALING_U)
     p_report.add_argument("--format", choices=("tsv", "markdown"), default="tsv")
-    p_report.add_argument("--rules", default=None)
     p_report.add_argument("--normalize", action="store_true")
-    p_report.add_argument("--config", default=None)
     p_report.add_argument("-o", "--output", default=None)
     p_report.set_defaults(func=_cmd_report)
     return parser

@@ -1,5 +1,6 @@
 """Comparative runs: both stemmers crossed with the four measures over
-labeled word-pair lists, rendered as sectioned TSV or markdown reports.
+labeled word-pair lists, rendered as sectioned TSV or markdown reports by
+one renderer that walks the sections once for either format.
 
 Out-of-vocabulary words degrade the affected row to markers instead of
 failing the run; re-running with identical inputs reproduces the rendered
@@ -132,68 +133,44 @@ def run_comparison(
 
 
 def _row_cells(row: ReportRow) -> list[str]:
-    words = f"({row.pair.word_a}, {row.pair.word_b})"
-    translit = row.pair.transliteration or "-"
-    gloss = row.pair.gloss or "-"
-    if row.oov:
-        measures = ["-"] * len(MEASURE_ORDER)
-        notes = ";".join(f"oov={word}" for word in row.oov)
-    else:
-        measures = [format_value(r) for r in row.results]
-        notes = ""
-    return [words, translit, gloss, *measures, notes]
+    pair = row.pair
+    measures = ["-"] * len(MEASURE_ORDER) if row.oov else [format_value(r) for r in row.results]
+    notes = ";".join(f"oov={word}" for word in row.oov)  # empty for a scored row
+    return [f"({pair.word_a}, {pair.word_b})", pair.transliteration or "-", pair.gloss or "-", *measures, notes]
 
 
 _HEADER = ["Words", "Transliteration", "English Translation", *(name.capitalize() for name in MEASURE_ORDER), "Notes"]
 
 
-def _sections(report: ComparisonReport):
+def render_report(report: ComparisonReport, fmt: str = "tsv") -> str:
+    """The report as TSV or markdown: the metadata lines, then one section
+    per mode and label that has rows, each a heading and one line per row."""
+    meta = report.metadata
+    if fmt == "tsv":
+        lines = [
+            f"# semspace comparison report\tk={meta.k}\tscaling={meta.scaling}",
+            f"# rules={meta.rules_fingerprint}\tcorpus={meta.corpus_fingerprint}",
+            "\t".join(_HEADER),
+        ]
+        heading = lambda mode, label: f"## stemmer={mode}\tlabel={label}"
+        cells = "\t".join
+    elif fmt == "markdown":
+        lines = [
+            "# Word similarity comparison",
+            "",
+            f"- k: {meta.k}",
+            f"- scaling: {meta.scaling}",
+            f"- rules fingerprint: `{meta.rules_fingerprint}`",
+            f"- corpus fingerprint: `{meta.corpus_fingerprint}`",
+        ]
+        cells = lambda row: "| " + " | ".join((cell or "-").replace("|", "\\|") for cell in row) + " |"
+        table_head = cells(_HEADER) + "\n|" + "---|" * len(_HEADER)
+        heading = lambda mode, label: f"\n## {_MODE_TITLES.get(mode, mode)} — {_LABEL_TITLES[label]}\n\n{table_head}"
+    else:
+        raise ValueError(f"unknown report format: {fmt!r}")
     for mode in report.modes:
         for label in LABELS:
-            rows = [r for r in report.rows if r.stemmer_mode == mode and r.pair.label == label]
+            rows = [cells(_row_cells(r)) for r in report.rows if r.stemmer_mode == mode and r.pair.label == label]
             if rows:
-                yield mode, label, rows
-
-
-def render_report(report: ComparisonReport, fmt: str = "tsv") -> str:
-    if fmt == "tsv":
-        return _render_tsv(report)
-    if fmt == "markdown":
-        return _render_markdown(report)
-    raise ValueError(f"unknown report format: {fmt!r}")
-
-
-def _render_tsv(report: ComparisonReport) -> str:
-    meta = report.metadata
-    lines = [
-        f"# semspace comparison report\tk={meta.k}\tscaling={meta.scaling}",
-        f"# rules={meta.rules_fingerprint}\tcorpus={meta.corpus_fingerprint}",
-        "\t".join(_HEADER),
-    ]
-    for mode, label, rows in _sections(report):
-        lines.append(f"## stemmer={mode}\tlabel={label}")
-        for row in rows:
-            lines.append("\t".join(_row_cells(row)))
-    return "\n".join(lines) + "\n"
-
-
-def _render_markdown(report: ComparisonReport) -> str:
-    meta = report.metadata
-    lines = [
-        "# Word similarity comparison",
-        "",
-        f"- k: {meta.k}",
-        f"- scaling: {meta.scaling}",
-        f"- rules fingerprint: `{meta.rules_fingerprint}`",
-        f"- corpus fingerprint: `{meta.corpus_fingerprint}`",
-    ]
-    for mode, label, rows in _sections(report):
-        lines.append("")
-        lines.append(f"## {_MODE_TITLES.get(mode, mode)} — {_LABEL_TITLES[label]}")
-        lines.append("")
-        lines.append("| " + " | ".join(_HEADER) + " |")
-        lines.append("|" + "---|" * len(_HEADER))
-        for row in rows:
-            cells = ((cell or "-").replace("|", "\\|") for cell in _row_cells(row))
-            lines.append("| " + " | ".join(cells) + " |")
+                lines += [heading(mode, label), *rows]
     return "\n".join(lines) + "\n"

@@ -294,3 +294,15 @@ def count_occurrences(paragraph_tokens, stem):
                 counts[key] = counts.get(key, 0) + 1
         table.append(counts)
     return table
+
+
+def auc(similar, different, lower_is_better=False):
+    """The exact Mann–Whitney AUC of Similar scores over Different ones: the
+    share of (similar, different) pairs the score puts in order, ties ½. With
+    `lower_is_better` (Euclidean) a smaller score is the more similar one."""
+    sign = -1.0 if lower_is_better else 1.0
+    wins = 0.0
+    for s in similar:
+        for d in different:
+            wins += 1.0 if sign * s > sign * d else 0.5 if s == d else 0.0
+    return wins / (len(similar) * len(different))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semspace.cli import main
+from semspace.cli import _build_parser, main
 from semspace.experiment import load_pairs
 from semspace.lsa import Provenance, SemanticSpace, Vocabulary, _checksum, load_space, save_space
 
@@ -51,6 +51,26 @@ def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["stats", "--bogus", "x"])
     assert exc_info.value.code == 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["stats", "c"], {"corpus_dir": "c"}),
+    (["stem", "--mode", "root", "w"], {"config": None, "mode": "root", "rules": None, "words": ["w"]}),
+    (["build", "--mode", "root", "c", "-o", "out"], {
+        "config": None, "corpus_dir": "c", "k": None, "mode": "root", "output": "out", "rules": None, "scaling": "u",
+    }),
+    (["sim", "--space", "s", "a", "b"], {
+        "config": None, "normalize": False, "rules": None, "space": "s", "word_a": "a", "word_b": "b",
+    }),
+    (["report", "--corpus", "c", "--pairs", "p"], {
+        "config": None, "corpus": "c", "format": "tsv", "k": None, "modes": ("root", "light"), "normalize": False,
+        "output": None, "pairs": ["p"], "rules": None, "scaling": "u",
+    }),
+])
+def test_each_subcommand_keeps_its_options_and_defaults(argv, expected):
+    args = vars(_build_parser().parse_args(argv))
+    assert args.pop("command") == argv[0] and callable(args.pop("func"))
+    assert args == expected
 
 
 def test_sim_requires_space(capsys):

@@ -14,11 +14,14 @@ from semspace.experiment import (
     run_comparison,
 )
 from semspace.lsa import build_spaces
+from semspace.similarity import MEASURE_ORDER
 from semspace.stemming import make_config
 
 from conftest import comparison
+from oracles import auc
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.md"
+GOLDEN_TSV = GOLDEN.with_suffix(".tsv")
 
 
 # --- pair files ----------------------------------------------------------------
@@ -177,6 +180,32 @@ def test_report_metadata_is_a_spaces_provenance(mini_corpus_dir, mini_paragraphs
     assert report.metadata == ReportMetadata(40, "u", provenance.rules_fingerprint, provenance.space_fingerprint)
 
 
+def test_auc_counts_ties_half_and_reads_lower_as_better_when_asked():
+    # (similar, different) pairs in order: (1, 2) (1, 3) (3, 2) (3, 3)
+    assert auc([1.0, 3.0], [2.0, 3.0]) == (0 + 0 + 1 + 0.5) / 4
+    assert auc([1.0, 3.0], [2.0, 3.0], lower_is_better=True) == (1 + 1 + 0 + 0.5) / 4
+
+
+@pytest.mark.parametrize("k", [None, 40])
+def test_light_beats_root_under_every_measure(mini_corpus_dir, all_pairs, k):
+    # the paper's headline, as AUC over the pairs that root, light and none all score
+    report = comparison(mini_corpus_dir, all_pairs, ("root", "light", "none"), k)
+    by_mode = {mode: [row for row in report.rows if row.stemmer_mode == mode] for mode in report.modes}
+    scored = [
+        i for i in range(len(all_pairs))
+        if all(not rows[i].oov and None not in (r.value for r in rows[i].results) for rows in by_mode.values())
+    ]
+    labels = [all_pairs[i].label for i in scored]
+    assert (labels.count("Similar"), labels.count("Different")) == (10, 7)
+    for m, measure in enumerate(MEASURE_ORDER):
+        areas = {}
+        for mode in ("root", "light"):
+            values = {label: [by_mode[mode][i].results[m].value for i in scored if all_pairs[i].label == label]
+                      for label in ("Similar", "Different")}
+            areas[mode] = auc(values["Similar"], values["Different"], lower_is_better=measure == "euclidean")
+        assert areas["light"] > areas["root"], (measure, areas)
+
+
 def test_run_comparison_empty_corpus(tmp_path, all_pairs):
     with pytest.raises(EmptyCorpusError):
         comparison(tmp_path, all_pairs, ("light",), k=2)
@@ -212,6 +241,11 @@ def test_render_single_row_columns(fixture_report):
 def test_render_markdown_matches_golden(fixture_report):
     rendered = render_report(fixture_report, "markdown")
     assert rendered.encode("utf-8") == GOLDEN.read_bytes()
+
+
+def test_render_tsv_matches_golden(fixture_report):
+    rendered = render_report(fixture_report, "tsv")
+    assert rendered.encode("utf-8") == GOLDEN_TSV.read_bytes()
 
 
 def test_render_markdown_escapes_pipes_in_cells():
