@@ -666,6 +666,22 @@ def test_config_file_that_is_not_utf8_is_usage_error(capsys, tiny_corpus, tmp_pa
     assert err == f"semspace: error: {config}: not UTF-8: invalid start byte\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file: [Errno 2] No such file or directory: '{config}'"),
+    ("k 4\n", "{config}:1: expected 'key = value'"),
+], ids=["missing-file", "no-equals-sign"])
+def test_config_file_that_cannot_be_read_or_split_is_usage_error(capsys, tiny_corpus, tmp_path, text, message):
+    config = tmp_path / "semspace.conf"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "build", "--mode", "light", "--config", str(config), str(tiny_corpus), "-o", str(tmp_path / "s.bin")
+    )
+    assert (code, out) == (1, "")
+    assert err == f"semspace: error: {message.format(config=config)}\n"
+    assert not (tmp_path / "s.bin").exists()
+
+
 def test_rule_file_that_is_not_utf8_is_data_error(capsys, tmp_path):
     rules = tmp_path / "rules"
     rules.mkdir()
@@ -739,6 +755,33 @@ def test_report_stdout_when_no_output(capsys, tiny_corpus, tmp_path):
     )
     assert code == 0
     assert out.startswith("# semspace comparison report")
+
+
+def test_report_into_a_missing_directory_is_io_error(capsys, tiny_corpus, tmp_path):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("السفير\tالسفارة\tDifferent\n", encoding="utf-8")
+    target = tmp_path / "missing" / "x.tsv"
+    code, out, err = run(
+        capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "-k", "2", "-o", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"semspace: error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_one_dimension_leaves_pearson_undefined(capsys, mini_corpus_dir, pair_files, tmp_path):
+    # one coordinate has no spread to correlate, so every scored row prints "undefined" for Pearson
+    pairs = [arg for path in pair_files for arg in ("--pairs", str(path))]
+    code, out, err = run(capsys, "report", "--corpus", str(mini_corpus_dir), *pairs, "-k", "1")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[3:] if not line.startswith("## ")]
+    scored = [cells for cells in rows if not cells[7]]
+    assert len(rows) == 40 and len(scored) == 38  # 20 pairs under each of root and light; 2 rows have an OOV word
+    assert all(cells[5] == "undefined" and cells[3:7].count("undefined") == 1 for cells in scored)
+    space_file = tmp_path / "light.bin"
+    assert run(capsys, "build", "--mode", "light", "-k", "1", str(mini_corpus_dir), "-o", str(space_file))[0] == 0
+    code, out, err = run(capsys, "sim", "--space", str(space_file), "السفير", "السفارة")
+    assert (code, out) == (0, "cosine\teuclidean\tpearson\tjaccard\n1\t0.0130506\tundefined\t0.895577\n")
 
 
 def test_report_mode_sections_do_not_depend_on_the_other_modes(capsys, mini_corpus_dir, pair_files, tmp_path):

@@ -13,8 +13,8 @@ from semspace.experiment import (
     render_report,
     run_comparison,
 )
-from semspace.lsa import build_spaces
-from semspace.similarity import MEASURE_ORDER
+from semspace.lsa import build_spaces, word_vector
+from semspace.similarity import MEASURE_ORDER, measure_all, unit_vector
 from semspace.stemming import make_config
 
 from conftest import comparison
@@ -118,6 +118,24 @@ def test_oov_pair_is_marked_not_fatal(fixture_report):
     for row in oov_rows:
         assert all(r.value is None for r in row.results)
         assert "للأجهزة" in row.oov
+
+
+def test_normalized_report_scores_unit_vectors(fixture_report, root_config, light_config, root_space, light_space,
+                                               all_pairs):
+    normalized = run_comparison([root_config, light_config], [root_space, light_space], all_pairs, unit_length=True)
+    built = {"root": (root_space, root_config), "light": (light_space, light_config)}
+    scored = 0
+    for row, plain in zip(normalized.rows, fixture_report.rows, strict=True):
+        assert (row.pair, row.stemmer_mode, row.oov) == (plain.pair, plain.stemmer_mode, plain.oov)
+        if row.oov:
+            continue
+        space, config = built[row.stemmer_mode]
+        a, b = (word_vector(space, word, config) for word in (row.pair.word_a, row.pair.word_b))
+        assert row.results == measure_all(unit_vector(a), unit_vector(b))
+        for i in (MEASURE_ORDER.index("cosine"), MEASURE_ORDER.index("pearson")):  # both ignore a vector's length
+            assert row.results[i].value == pytest.approx(plain.results[i].value, rel=0, abs=1e-12)
+        scored += 1
+    assert scored == 38
 
 
 def test_conflation_witness(fixture_report, root_config, light_config):

@@ -631,3 +631,52 @@ def test_differing_rules_fingerprint_still_loads(tmp_path, light_space):
     loaded = load_space(path)
     assert loaded.provenance.rules_fingerprint == light_space.provenance.rules_fingerprint
     assert loaded.provenance.rules_fingerprint != "someotherfingerprint"
+
+
+def _tag_offsets(payload):
+    """Where a space payload's stemmer tag and scaling tag sit: the stemmer
+    tag after the magic and version, the scaling tag after the two
+    fingerprints and the three u64s (m, paragraphs, k)."""
+    stemmer = len(b"SEMSPACE") + 4
+    pos = stemmer + 1
+    for _ in range(2):
+        pos += 4 + struct.unpack_from("<I", payload, pos)[0]
+    return stemmer, pos + 3 * 8
+
+
+@pytest.mark.parametrize("scaling, scaling_tag", [("u", 0), ("usigma", 1)])
+def test_space_file_tags_are_pinned(tmp_path, mini_paragraphs, mini_stats, scaling, scaling_tag):
+    # the bytes are the format: reordering the tag tables would misread every saved space
+    mode_tags = {"none": 0, "root": 1, "light": 2}
+    spaces = build_spaces(mini_paragraphs[:20], mini_stats, [make_config(mode) for mode in mode_tags], 1, scaling)
+    for (mode, mode_tag), space in zip(mode_tags.items(), spaces, strict=True):
+        path = tmp_path / f"{mode}.bin"
+        save_space(space, path)
+        blob = path.read_bytes()
+        stemmer_at, scaling_at = _tag_offsets(blob)
+        assert (blob[stemmer_at], blob[scaling_at]) == (mode_tag, scaling_tag), mode
+        loaded = load_space(path)
+        assert (loaded.provenance.stemmer_mode, loaded.scaling) == (mode, scaling)
+
+
+def _set_byte(payload, pos, value):
+    return payload[:pos] + bytes([value]) + payload[pos + 1:]
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda payload: _set_byte(payload, _tag_offsets(payload)[0], 3), "unknown stemmer tag 3"),
+    (lambda payload: _set_byte(payload, _tag_offsets(payload)[1], 2), "unknown scaling tag 2"),
+    (lambda payload: payload + bytes(8), "8 trailing bytes in space file"),
+], ids=["stemmer-tag", "scaling-tag", "trailing-bytes"])
+def test_forged_space_is_a_format_error_and_sim_exits_4(tmp_path, capsys, forge, message):
+    path = tmp_path / "space.bin"
+    _rewrite_with_checksum(path, forge(THREE_WORDS_PAYLOAD))
+    with pytest.raises(SpaceFormatError, match=f"^{message}$"):
+        load_space(path)
+    assert main(["sim", "--space", str(path), "اب", "جد"]) == 4
+    assert capsys.readouterr() == ("", f"semspace: error: {message}\n")
+
+
+def test_build_spaces_rejects_an_unknown_scaling(mini_stats):
+    with pytest.raises(ValueError, match="unknown scaling: 'bogus'"):
+        build_spaces(_paragraphs(["اب جد", "جد هو"]), mini_stats, [NONE_CONFIG], scaling="bogus")

@@ -257,6 +257,8 @@ def test_measure_all_rejects_shape_problems():
         measure_all([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         measure_all([], [])
+    with pytest.raises(ValueError, match="1-dimensional"):
+        measure_all([[1.0, 2.0]], [[1.0, 2.0]])
 
 
 def test_non_finite_rejected():

@@ -403,6 +403,16 @@ def test_load_rejects_malformed_pattern_line(tmp_path):
     (tmp_path / "patterns.txt").write_text("فعل\t0,1\t2\n", encoding="utf-8")
     with pytest.raises(RuleFormatError, match="patterns.txt:1"):
         make_config("root", tmp_path)
+    (tmp_path / "patterns.txt").write_text("# templates\nفعل\t0,x,2\n", encoding="utf-8")
+    with pytest.raises(RuleFormatError, match="patterns.txt:2: positions must be integers"):
+        make_config("root", tmp_path)
+
+
+@pytest.mark.parametrize("mode, message", [("bogus", "unknown stemmer mode: 'bogus'"),
+                                           ("root", "root mode requires pattern rules")])
+def test_config_rejects_an_unknown_mode_and_root_without_patterns(mode, message):
+    with pytest.raises(ValueError, match=message):
+        StemmerConfig(mode)
 
 
 @pytest.mark.parametrize("name", ["antefixes.txt", "patterns.txt"])
