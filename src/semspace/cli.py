@@ -242,15 +242,9 @@ def main(argv: list[str] | None = None) -> int:
         failed, message = exc.args
         failed.print_usage(sys.stderr)
         failed.exit(EXIT_USAGE, f"{failed.prog}: error: {message}\n")
-    except ValueError as exc:
+    except (ValueError, SemspaceError, OSError) as exc:  # a SemspaceError carries its own exit code
         print(f"semspace: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SemspaceError as exc:
-        print(f"semspace: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"semspace: error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_USAGE if isinstance(exc, ValueError) else getattr(exc, "exit_code", EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ with one stemmer config and `report` with all of its modes. `build_matrix`,
 traced replicas; `Vocabulary.index_of`, which is `dict.get`, keeps the name
 the benchmark calls. Matrix cells are raw occurrence counts; no weighting is
 applied. Word vectors are rows of U (optionally scaled entrywise by the
-singular values), restricted to the k largest singular directions.
+singular values), restricted to the k largest singular directions. A space
+file's stemmer and scaling tags index `_MODE_TAGS` and `SCALINGS`.
 """
 
 from __future__ import annotations
@@ -36,14 +37,11 @@ from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, StemmerConfig
 
 SCALING_U = "u"
 SCALING_USIGMA = "usigma"
-SCALINGS = (SCALING_U, SCALING_USIGMA)
+SCALINGS = (SCALING_U, SCALING_USIGMA)  # in scaling-tag order, which saved spaces depend on
 
 _MAGIC = b"SEMSPACE"
 _FORMAT_VERSION = 3
-_MODE_TAGS = {MODE_NONE: 0, MODE_ROOT: 1, MODE_LIGHT: 2}
-_TAG_MODES = {v: k for k, v in _MODE_TAGS.items()}
-_SCALING_TAGS = {SCALING_U: 0, SCALING_USIGMA: 1}
-_TAG_SCALINGS = {v: k for k, v in _SCALING_TAGS.items()}
+_MODE_TAGS = (MODE_NONE, MODE_ROOT, MODE_LIGHT)  # in stemmer-tag order, which saved spaces depend on
 
 
 class Vocabulary(dict):
@@ -235,10 +233,10 @@ def save_space(space: SemanticSpace, path: str | Path) -> None:
         raise ValueError("a space's words are stored newline-joined, so no word may be empty or hold a newline")
     header = b"".join([
         _MAGIC,
-        struct.pack("<IB", _FORMAT_VERSION, _MODE_TAGS[space.provenance.stemmer_mode]),
+        struct.pack("<IB", _FORMAT_VERSION, _MODE_TAGS.index(space.provenance.stemmer_mode)),
         _pack_str(space.provenance.rules_fingerprint),
         _pack_str(space.provenance.space_fingerprint),
-        struct.pack("<QQQB", len(tokens), space.n_columns, space.k, _SCALING_TAGS[space.scaling]),
+        struct.pack("<QQQB", len(tokens), space.n_columns, space.k, SCALINGS.index(space.scaling)),
         _pack_str("\n".join(tokens)),
     ])
     numbers = (np.ascontiguousarray(block, dtype="<f8") for block in (space.sigma, space.word_vectors))
@@ -314,14 +312,14 @@ def load_space(path: str | Path) -> SemanticSpace:
     if _checksum(memoryview(blob)[:end]) != blob[end:]:
         raise SpaceChecksumError("space file checksum mismatch")
     (mode_tag,) = reader.unpack("<B")
-    if mode_tag not in _TAG_MODES:
+    if mode_tag >= len(_MODE_TAGS):
         raise SpaceFormatError(f"unknown stemmer tag {mode_tag}")
     rules_fp, space_fp = reader.text(), reader.text()
     m, n_columns, k = reader.unpack("<QQQ")
     if not 1 <= k <= m:
         raise SpaceFormatError(f"space keeps k={k} dimensions, outside 1..{m}")
     (scaling_tag,) = reader.unpack("<B")
-    if scaling_tag not in _TAG_SCALINGS:
+    if scaling_tag >= len(SCALINGS):
         raise SpaceFormatError(f"unknown scaling tag {scaling_tag}")
     words = reader.text().split("\n")
     if len(words) != m:
@@ -342,10 +340,10 @@ def load_space(path: str | Path) -> SemanticSpace:
         raise SpaceFormatError("space file holds a non-finite singular value or vector entry")
     return SemanticSpace(
         k=int(k),
-        scaling=_TAG_SCALINGS[scaling_tag],
+        scaling=SCALINGS[scaling_tag],
         vocabulary=vocabulary,
         sigma=numbers[:k],
         word_vectors=numbers[k:].reshape(m, k),
-        provenance=Provenance(_TAG_MODES[mode_tag], rules_fp, space_fp),
+        provenance=Provenance(_MODE_TAGS[mode_tag], rules_fp, space_fp),
         n_columns=int(n_columns),
     )

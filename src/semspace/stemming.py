@@ -26,7 +26,6 @@ import hashlib
 import operator
 import os
 import re
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,10 +164,6 @@ def _match_root(regex: re.Pattern, roots: tuple, residual: str) -> tuple[str, st
     return "".join(letters(residual)), template
 
 
-def _stem_token(front: re.Pattern, back: re.Pattern, regex: re.Pattern, roots: tuple, token: str) -> str:
-    return _match_root(regex, roots, _strip(front, back, token)[2])[0]
-
-
 def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, ...]:
     path = rules_dir / "patterns.txt"
     patterns = []
@@ -231,11 +226,11 @@ class StemmerConfig:
         back = _region(a.postfixes, False) + _region(a.suffixes + a.postfixes, False)
         return re.compile(front, re.DOTALL), re.compile(back, re.DOTALL), *_root_matcher(self.patterns or ())
 
-    @property
-    def stem_token(self) -> Callable[[str], str]:
+    def stem_token(self, token: str) -> str:
         """Reduced form of a normalized token: the row it indexes, that is
         `stem(token).output`, read from the affix matches' ends alone."""
-        return functools.partial(_stem_token, *self._matchers)
+        front, back, regex, roots = self._matchers
+        return _match_root(regex, roots, _strip(front, back, token)[2])[0]
 
 
 @functools.lru_cache(maxsize=16)
