@@ -34,13 +34,9 @@ def _code_objects(code):
 
 
 def _main_guard_lines(tree: ast.Module) -> set[int]:
-    lines = set()
-    for node in tree.body:
-        test = node.test if isinstance(node, ast.If) else None
-        if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name) and test.left.id == "__name__"
-                and any(isinstance(c, ast.Constant) and c.value == "__main__" for c in test.comparators)):
-            lines.update(range(node.lineno, node.end_lineno + 1))
-    return lines
+    return {line for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+            for line in range(node.lineno, node.end_lineno + 1)}
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -48,7 +44,7 @@ def executable_lines(path: Path) -> set[int]:
     source = path.read_text(encoding="utf-8")
     code = compile(source, str(path), "exec")
     lines = {line for c in _code_objects(code) for _, _, line in c.co_lines() if line}
-    return lines - _main_guard_lines(ast.parse(source)) - {0}
+    return lines - _main_guard_lines(ast.parse(source))
 
 
 def run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
