@@ -131,14 +131,17 @@ def _corpus_spaces(
 ) -> tuple[bool, list[StemmerConfig], list[SemanticSpace]]:
     """One space per mode over the corpus under `corpus_dir`, at the k and
     scaling of `args`. Each skipped file is warned about before anything can
-    fail, and the rules are read before the corpus is segmented, so a bad
-    rule file fails fast; the flag says whether a file was skipped."""
+    fail, and the rules and the -o directory are checked before the corpus is
+    segmented, so either fails fast; the flag says whether a file was skipped."""
     corpus = load_corpus(corpus_dir)
     partial = _warn_skipped(corpus.skipped)
     configs = [make_config(mode, _rules_dir(args)) for mode in modes]
-    paragraphs = segment_corpus(corpus)
-    stats = corpus_stats(corpus, paragraphs)
-    return partial, configs, build_spaces(paragraphs, stats, configs, args.k, args.scaling)
+    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        os.stat(args.output)  # raises the error that writing the file would, without writing it
+    paragraphs = [segment_corpus(corpus)]  # popped into build_spaces, so its frame alone holds them and lets them go
+    stats = corpus_stats(corpus, *paragraphs)
+    del corpus
+    return partial, configs, build_spaces(paragraphs.pop(), stats, configs, args.k, args.scaling)
 
 
 def _cmd_build(args) -> int:

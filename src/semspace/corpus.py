@@ -102,8 +102,7 @@ def load_corpus(root: str | Path) -> Corpus:
             corpus.skipped.append((str(path), "nested more than one level deep"))
             continue
         try:
-            data = path.read_bytes()
-            text = data.decode("utf-8")
+            text = path.read_bytes().decode("utf-8")
         except OSError as exc:
             corpus.skipped.append((str(path), f"unreadable: {exc}"))
             continue

@@ -58,11 +58,9 @@ def load_pairs(path: str | Path) -> list[WordPair]:
         cols = line.split("\t")
         if len(cols) < 3 or len(cols) > 5:
             raise PairFormatError(f"{path}:{lineno}: expected 3 to 5 tab-separated columns, got {len(cols)}")
-        word_a, word_b, label = (c.strip() for c in cols[:3])
-        gloss = cols[3].strip() if len(cols) > 3 and cols[3].strip() else None
-        translit = cols[4].strip() if len(cols) > 4 and cols[4].strip() else None
+        word_a, word_b, label, gloss, translit = (c.strip() for c in cols + [""] * (5 - len(cols)))
         try:
-            pairs.append(WordPair(word_a, word_b, label, gloss, translit))
+            pairs.append(WordPair(word_a, word_b, label, gloss or None, translit or None))
         except PairFormatError as exc:
             raise PairFormatError(f"{path}:{lineno}: {exc}") from None
     return pairs
@@ -122,9 +120,7 @@ def run_comparison(
     """
     # the fingerprints of the first space built with rule files (mode none has none)
     provenance = next((s.provenance for s in spaces if s.provenance.rules_fingerprint), spaces[0].provenance)
-    rows: list[ReportRow] = []
-    for config, space in zip(configs, spaces):
-        rows.extend(_evaluate_pair(space, config, pair, unit_length) for pair in pairs)
+    rows = [_evaluate_pair(space, config, pair, unit_length) for config, space in zip(configs, spaces) for pair in pairs]
     return ComparisonReport(
         rows=rows,
         metadata=ReportMetadata(spaces[0].k, spaces[0].scaling, provenance.rules_fingerprint, provenance.space_fingerprint),

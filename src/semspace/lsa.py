@@ -180,8 +180,9 @@ def build_spaces(
 
     The corpus is read once, and one `svd.jacobi_svds` call factors every
     count matrix, so those whose ranks agree share one Jacobi loop and each
-    keeps the bits it gets alone. Each count matrix is made only when the
-    SVD takes it and is freed after its first QR, so one is held at a time.
+    keeps the bits it gets alone. Paragraphs that only this call holds go once
+    counted, and each count matrix is made only when the SVD takes it and goes
+    as its first QR copies it (on CPython 3.10, each when its call returns).
     Every space keeps the same k, by default min(300, smallest rank); a k
     above a space's rank raises ValueError.
     """
@@ -191,14 +192,16 @@ def build_spaces(
         vocabularies.append(matrix.vocabulary)
         return matrix.to_dense()
 
-    factored = [SvdFactors(U, sigma) for U, sigma, _ in _svd.jacobi_svds(map(counts, build_matrices(paragraphs, configs)))]
+    n_columns, matrices = len(paragraphs), build_matrices(paragraphs, configs)
+    del paragraphs  # counted: freed here when the caller handed them over, as `cli` does (CPython 3.11+)
+    factored = [SvdFactors(U, sigma) for U, sigma, _ in _svd.jacobi_svds(map(counts, matrices))]
     if k is None:
         k = min(300, *(factors.n for factors in factored))
     spaces = []
     for config, vocabulary, factors in zip(configs, vocabularies, factored):
         fingerprint = space_fingerprint(config.rules_fingerprint, stats)
         provenance = Provenance(config.mode, config.rules_fingerprint, fingerprint)
-        spaces.append(truncate(factors, k, scaling, vocabulary, provenance, len(paragraphs)))
+        spaces.append(truncate(factors, k, scaling, vocabulary, provenance, n_columns))
     return spaces
 
 

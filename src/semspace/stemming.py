@@ -183,13 +183,6 @@ def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, .
     return tuple(patterns)
 
 
-def _fingerprint(rules: dict[str, bytes]) -> str:
-    digest = hashlib.sha256()
-    for name in RULE_FILES:
-        digest.update(name.encode("utf-8") + b"\x00" + rules.get(name, b"") + b"\x00")
-    return digest.hexdigest()
-
-
 @dataclass(frozen=True)
 class StemmerConfig:
     """How tokens are reduced before they index matrix rows."""
@@ -239,7 +232,8 @@ def _config(mode: str, rules_dir: Path, rules: tuple[tuple[str, bytes], ...]) ->
     files = dict(rules)
     affixes = AffixTable(*(_longest_first(_rule_text(files, rules_dir, name)) for name in RULE_FILES[:4]))
     patterns = _pattern_table(files, rules_dir) if mode == MODE_ROOT else None
-    return StemmerConfig(mode, affixes, patterns, _fingerprint(files))
+    fingerprint = hashlib.sha256(b"".join(f"{name}\0".encode() + files.get(name, b"") + b"\0" for name in RULE_FILES))
+    return StemmerConfig(mode, affixes, patterns, fingerprint.hexdigest())
 
 
 _NO_RULES = StemmerConfig(MODE_NONE)  # mode none reads no rule file

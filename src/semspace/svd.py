@@ -132,8 +132,9 @@ def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
 
 
 def apply_q(reflectors: list, C: np.ndarray) -> np.ndarray:
-    """Overwrite C (float64, m rows) with Q @ C, Q given by `householder_qr`'s reflectors."""
-    for k0, V, T in reversed(reflectors):
+    """Overwrite C (float64, m rows) with Q @ C, Q given by `householder_qr`'s reflectors, each popped once applied."""
+    while reflectors:
+        k0, V, T = reflectors.pop()
         C[k0:] -= V @ (T @ (V.T @ C[k0:]))
     return C
 
@@ -235,35 +236,36 @@ def jacobi_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def jacobi_svds(Xs: Iterable[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """`jacobi_svd` of each matrix, bit for bit; R2 factors of one shape share
-    one Jacobi loop, and a ConvergenceError from any of them is raised. An
-    input the caller keeps no reference to (from an iterator) is freed when its first QR returns."""
+    """`jacobi_svd` of each matrix, bit for bit; R2 factors of one shape
+    share one Jacobi loop, and a ConvergenceError from any of them is raised.
+    An input that only the iterator held goes as its first QR copies it, and
+    R as the second QR does (on CPython 3.10, each as its QR returns)."""
     fronts, groups = [], {}  # groups: R2's shape -> the R2 factors of that shape, in input order
     for X in Xs:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.size == 0:
             raise ValueError("expected a non-empty 2-d matrix")
-        shape = X.shape
-        R, _, reflectors = householder_qr(_merge_duplicate_columns(X))
-        del X
+        shape, slot = X.shape, [_merge_duplicate_columns(X)]
+        del X  # each QR's input lives only in `slot`: popped into the call, it goes as the QR copies it (CPython 3.11+)
+        *slot, _, reflectors = householder_qr(slot.pop())  # slot = [R]
         # R.T[:, p2] = Q2 @ R2, and Jacobi turns the rows of R2 into
         # B = W @ R2 = diag(sigma) @ Z.T, W orthogonal, so up to the cut
         # merged[:, perm] = Q[:, :r] @ Y @ diag(sigma) @ (Q2 @ W.T).T with
         # Y[p2] = Z. U needs only Y, so neither Q2 nor W is formed; Q is applied
         # to Y padded with zero rows.
-        R2, p2 = householder_qr(R.T)[:2]
+        R2, p2 = householder_qr(slot.pop().T)[:2]
         groups.setdefault(R2.shape, []).append(R2)
         fronts.append((shape, R2.shape, p2, reflectors))
-        del R, R2
+        del R2
 
     solved = {}  # R2's shape: its rotated rows and sweeps, in input order
     for key in list(groups):  # each R2 lives on only in its stack; no padding: it would move the sums' bits
         stack = np.stack(groups.pop(key))
         solved[key] = list(zip(stack, _jacobi_rows(stack)))
+        del stack  # it lives on in its rows, and goes with the last of them
 
     results = []
-    while fronts:  # a front's reflectors go once its U is made
-        shape, key, p2, reflectors = fronts.pop(0)
+    for shape, key, p2, reflectors in fronts:  # apply_q lets go of each reflector once it is applied
         B, count = solved[key].pop(0)
         sigma = np.sqrt(np.einsum("ij,ij->i", B, B))
         order = np.argsort(-sigma, kind="stable")
@@ -272,8 +274,11 @@ def jacobi_svds(Xs: Iterable[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, 
         live = int(np.count_nonzero(alive))
         sigma[~alive] = 0.0
 
+        B = B[order[:live]]  # a copy, so a stack goes with its last row before Y is made
+        B /= sigma[:live, None]  # Z.T
         Y = np.zeros((shape[0], live))
-        Y[p2] = (B[order[:live]] / sigma[:live, None]).T
+        Y[p2] = B.T
+        del B
         U = apply_q(reflectors, Y)
 
         mags = np.abs(U)  # near-ties go to the first row, so roundoff cannot pick the sign

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semspace import cli
 from semspace.cli import _build_parser, main
 from semspace.experiment import load_pairs
 from semspace.lsa import Provenance, SemanticSpace, Vocabulary, _checksum, load_space, save_space
@@ -757,16 +758,48 @@ def test_report_stdout_when_no_output(capsys, tiny_corpus, tmp_path):
     assert out.startswith("# semspace comparison report")
 
 
-def test_report_into_a_missing_directory_is_io_error(capsys, tiny_corpus, tmp_path):
+def _segmenting_fails(monkeypatch):
+    def segment_corpus(corpus):
+        raise AssertionError("the corpus was segmented before -o was checked")
+
+    monkeypatch.setattr(cli, "segment_corpus", segment_corpus)
+
+
+def test_report_into_a_missing_directory_is_io_error(capsys, monkeypatch, tiny_corpus, tmp_path):
+    # the directory is checked before the corpus pass, not after the whole run
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("السفير\tالسفارة\tDifferent\n", encoding="utf-8")
     target = tmp_path / "missing" / "x.tsv"
+    _segmenting_fails(monkeypatch)
     code, out, err = run(
         capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "-k", "2", "-o", str(target),
     )
     assert (code, out) == (2, "")
     assert err == f"semspace: error: [Errno 2] No such file or directory: '{target}'\n"
     assert not (tmp_path / "missing").exists()
+
+
+def test_build_into_a_missing_directory_is_io_error(capsys, monkeypatch, tiny_corpus, tmp_path):
+    target = tmp_path / "missing" / "x.bin"
+    _segmenting_fails(monkeypatch)
+    code, out, err = run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"semspace: error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "report"])
+def test_a_failed_run_leaves_its_output_file_alone(capsys, tiny_corpus, tmp_path, command):
+    # -k above the rank fails after the corpus pass: an existing -o file keeps its bytes, a new one is not made
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("السفير\tالسفارة\tDifferent\n", encoding="utf-8")
+    args = ["--mode", "light", str(tiny_corpus)] if command == "build" else ["--corpus", str(tiny_corpus), "--pairs", str(pairs)]
+    kept, absent = tmp_path / "kept.out", tmp_path / "absent.out"
+    kept.write_bytes(b"earlier output")
+    for target in (kept, absent):
+        code, out, err = run(capsys, command, *args, "-k", "999", "-o", str(target))
+        assert (code, out) == (1, "") and err.startswith("semspace: error: k must be in 1..")
+    assert kept.read_bytes() == b"earlier output" and not absent.exists()
 
 
 def test_one_dimension_leaves_pearson_undefined(capsys, mini_corpus_dir, pair_files, tmp_path):

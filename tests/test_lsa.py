@@ -217,7 +217,8 @@ def test_spaces_built_together_equal_spaces_built_alone(mini_paragraphs, mini_st
 
 
 def test_build_spaces_holds_one_count_matrix_at_a_time(monkeypatch, mini_paragraphs, mini_stats):
-    # each mode's counts are made as the SVD pulls them, and freed by the time the next mode's are made
+    # each mode's counts are made as the SVD pulls them; the bundled modes all repeat columns, so each
+    # first QR gets a merged copy, and by then no count array is alive, that mode's own included
     made, live_at_first_qrs = [], []  # a weakref to each count array as it is made; which live at each first QR
     new_matrix, qr = lsa.CooccurrenceMatrix, svd.householder_qr
 
@@ -235,7 +236,7 @@ def test_build_spaces_holds_one_count_matrix_at_a_time(monkeypatch, mini_paragra
     monkeypatch.setattr(lsa, "CooccurrenceMatrix", making)
     monkeypatch.setattr(svd, "householder_qr", first_qrs_noted)
     build_spaces(mini_paragraphs, mini_stats, [make_config(mode) for mode in ("root", "light", "none")], k=40)
-    assert live_at_first_qrs == [[True], [False, True], [False, False, True]]
+    assert live_at_first_qrs == [[False], [False, False], [False, False, False]]
 
 
 @pytest.fixture(scope="module")
