@@ -130,14 +130,14 @@ def _corpus_spaces(
     args: argparse.Namespace, corpus_dir: str, modes: tuple[str, ...]
 ) -> tuple[bool, list[StemmerConfig], list[SemanticSpace]]:
     """One space per mode over the corpus under `corpus_dir`, at the k and
-    scaling of `args`. Each skipped file is warned about before anything can
-    fail, and the rules and the -o directory are checked before the corpus is
-    segmented, so either fails fast; the flag says whether a file was skipped."""
+    scaling of `args`. Each skipped file is warned about before anything can fail;
+    the rules and the -o path (a directory, or in a missing one) are checked before
+    the corpus is segmented, so they fail fast. The flag says whether a file was skipped."""
     corpus = load_corpus(corpus_dir)
     partial = _warn_skipped(corpus.skipped)
     configs = [make_config(mode, _rules_dir(args)) for mode in modes]
-    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
-        os.stat(args.output)  # raises the error that writing the file would, without writing it
+    if args.output and (os.path.isdir(args.output) or not os.path.isdir(os.path.dirname(os.path.abspath(args.output)))):
+        os.open(args.output, os.O_WRONLY)  # raises the error that writing the file would, without writing it
     paragraphs = [segment_corpus(corpus)]  # popped into build_spaces, so its frame alone holds them and lets them go
     stats = corpus_stats(corpus, *paragraphs)
     del corpus

@@ -21,8 +21,6 @@ from pathlib import Path
 
 from .errors import CorpusReadError
 
-Token = str  # normalized, non-empty, Arabic letters only
-
 # rules 1 and 4: drop all outside the letter block U+0621..U+064A, and the tatweel U+0640 in it
 _DROP_KEEP_SPACE = re.compile(r"[^\u0621-\u063F\u0641-\u064A\s]+")
 _FOLDS = (("أ", "ا"), ("إ", "ا"), ("آ", "ا"), ("ى", "ي"))
@@ -33,7 +31,7 @@ def normalize(raw: str) -> str:
     return "".join(tokenize(raw))
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[str]:
     """Split on Unicode whitespace, normalize each piece, drop the empties."""
     # Rules 1 to 4 are one regex pass that drops, then one str.replace per fold.
     # Regex \s and str.isspace agree on every code point, so dropping the
@@ -53,7 +51,7 @@ class RawDocument:
 
 @dataclass(frozen=True)
 class Paragraph:
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]  # normalized, non-empty, Arabic letters only
 
 
 @dataclass

@@ -57,10 +57,6 @@ class Vocabulary(dict):
         """The row of each of `tokens`, all in the vocabulary, as an index array."""
         return np.fromiter(map(self.__getitem__, tokens), dtype=np.intp, count=len(tokens))
 
-    @property
-    def tokens(self) -> list[str]:
-        return list(self)
-
 
 @dataclass
 class CooccurrenceMatrix:
@@ -129,16 +125,19 @@ def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) ->
     token_ids = distinct.rows_of(occurrences)
     columns = np.repeat(np.arange(n), [len(paragraph.tokens) for paragraph in paragraphs])
 
-    def matrix(config: StemmerConfig) -> CooccurrenceMatrix:
+    def matrix(config: StemmerConfig, last: bool) -> CooccurrenceMatrix:
+        nonlocal distinct, token_ids, columns
         stems = list(map(config.stem_token, distinct))
         vocabulary = Vocabulary(stems)
-        rows = vocabulary.rows_of(stems)
+        flat = vocabulary.rows_of(stems)[token_ids] * n + columns  # row * n + column per occurrence
+        if last:  # the corpus's ids go before the last matrix is filled and factored
+            distinct = token_ids = columns = None
         counts = np.zeros((len(vocabulary), n))
-        np.add.at(counts.reshape(-1), rows[token_ids] * n + columns, 1.0)  # row * n + column per occurrence
+        np.add.at(counts.reshape(-1), flat, 1.0)
         counts.flags.writeable = False
         return CooccurrenceMatrix(vocabulary, counts)
 
-    return (matrix(config) for config in configs)  # binds no matrix; once exhausted, frees the corpus's ids
+    return (matrix(config, i == len(configs)) for i, config in enumerate(configs, 1))  # binds no matrix
 
 
 def build_matrix(paragraphs: list[Paragraph], config: StemmerConfig) -> CooccurrenceMatrix:
@@ -231,7 +230,7 @@ def save_space(space: SemanticSpace, path: str | Path) -> None:
     to a multiple of 8, sigma, the word vectors row by row (little-endian
     float64), then the payload's `_checksum`, each part written as it is, never
     joined. An empty word or one holding a newline is a ValueError; `build` never makes one."""
-    tokens = space.vocabulary.tokens
+    tokens = list(space.vocabulary)
     if any(not token or "\n" in token for token in tokens):
         raise ValueError("a space's words are stored newline-joined, so no word may be empty or hold a newline")
     header = b"".join([
@@ -257,14 +256,14 @@ def _checksum(*parts) -> bytes:
     return crc.to_bytes(8, "little")
 
 
+@dataclass
 class _Reader:
     """Reads the payload's fields in order, from `pos` up to `end` of `data`;
     the checksum's 8 bytes follow `end`."""
 
-    def __init__(self, data: bytes, pos: int, end: int):
-        self.data = data
-        self.pos = pos
-        self.end = end
+    data: bytes
+    pos: int
+    end: int
 
     def skip(self, size: int) -> int:
         """Move past the next `size` bytes; returns the offset where they start."""
@@ -276,10 +275,6 @@ class _Reader:
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack_from(fmt, self.data, self.skip(struct.calcsize(fmt)))
-
-    def floats(self, count: int) -> np.ndarray:
-        """The next `count` little-endian float64s, as a read-only view of `data`."""
-        return np.frombuffer(self.data, dtype="<f8", count=count, offset=self.skip(8 * count))
 
     def text(self) -> str:
         """The next length-prefixed UTF-8 string."""
@@ -336,7 +331,7 @@ def load_space(path: str | Path) -> SemanticSpace:
     padding = reader.skip(-reader.pos % 8)
     if any(blob[padding:reader.pos]):
         raise SpaceFormatError("nonzero padding byte before the space's numbers")
-    numbers = reader.floats(k + m * k)  # sigma, then the word vectors row by row
+    numbers = np.frombuffer(blob, dtype="<f8", count=k + m * k, offset=reader.skip(8 * (k + m * k)))  # sigma, then the vectors
     if reader.pos != end:
         raise SpaceFormatError(f"{end - reader.pos} trailing bytes in space file")
     if not np.isfinite(numbers).all():

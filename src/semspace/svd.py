@@ -76,7 +76,10 @@ def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     m, c = A.shape
     n = min(m, c)
     perm = np.arange(c)
-    norms = np.linalg.norm(A, axis=0)
+    with np.errstate(over="ignore"):  # an entry too large to square makes its column's norm inf
+        norms = np.linalg.norm(A, axis=0)
+    if not np.isfinite(norms).all():
+        raise ValueError("matrix holds an entry that is not finite or too large to square")
     exact = norms.copy()  # each column's norm when it was last computed, not downdated
     reflectors = []
     cut = max(m, c) * _MACHINE_EPS  # the rank cut, relative to |r_00|
@@ -140,13 +143,17 @@ def apply_q(reflectors: list, C: np.ndarray) -> np.ndarray:
 
 
 def _merge_duplicate_columns(X: np.ndarray) -> np.ndarray:
-    """Distinct columns of X in first-seen order, each scaled by sqrt(copies)."""
+    """Distinct columns of X in first-seen order, each scaled by sqrt(copies), or X itself when none
+    repeats. The keys, a byte copy of the distinct columns, go before the merged copy is made, and
+    that copy is scaled in place: beside X, one block of the merged size is alive at a time."""
     seen: dict[bytes, int] = {}
     group = [seen.setdefault(X[:, j].tobytes(), len(seen)) for j in range(X.shape[1])]
     if len(seen) == X.shape[1]:
         return X
-    first = np.unique(group, return_index=True)[1]
-    return X[:, first] * np.sqrt(np.bincount(group))
+    seen.clear()
+    merged = X[:, np.unique(group, return_index=True)[1]]
+    merged *= np.sqrt(np.bincount(group))
+    return merged
 
 
 def _jacobi_rows(stack: np.ndarray) -> list[int]:
@@ -229,8 +236,8 @@ def jacobi_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     non-negative, so equal inputs give bit-identical factors. The third
     item is the number of Jacobi sweeps to convergence.
 
-    Raises ConvergenceError (carrying the achieved off-diagonal residual)
-    if _MAX_SWEEPS sweeps leave a pair of rows above _TOL.
+    Raises ValueError at once unless X is a non-empty 2-d matrix of finite entries small enough to square,
+    and ConvergenceError (carrying the achieved off-diagonal residual) if _MAX_SWEEPS sweeps leave a pair above _TOL.
     """
     return jacobi_svds([X])[0]
 
@@ -270,9 +277,8 @@ def jacobi_svds(Xs: Iterable[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, 
         sigma = np.sqrt(np.einsum("ij,ij->i", B, B))
         order = np.argsort(-sigma, kind="stable")
         sigma = np.r_[sigma[order], np.zeros(min(shape) - len(B))]
-        alive = sigma > sigma[0] * _MACHINE_EPS * 10
-        live = int(np.count_nonzero(alive))
-        sigma[~alive] = 0.0
+        live = int(np.count_nonzero(sigma > sigma[0] * _MACHINE_EPS * 10))  # a prefix: sigma is sorted
+        sigma[live:] = 0.0
 
         B = B[order[:live]]  # a copy, so a stack goes with its last row before Y is made
         B /= sigma[:live, None]  # Z.T

@@ -208,6 +208,15 @@ def singular_values_via_augmented(X):
     return np.clip(eigenvalues[: min(m, c)], 0.0, None)
 
 
+def merge_duplicate_columns(X):
+    """The distinct columns of X in first-seen order, each times sqrt(copies),
+    found by np.unique's sort of the columns rather than by their bytes."""
+    _, first, inverse = np.unique(X.T, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # np.unique lists the distinct columns sorted; put them in first-seen order
+    copies = np.bincount(inverse.ravel(), minlength=len(first))
+    return X[:, first[order]] * np.sqrt(copies[order])
+
+
 def euclidean_by_summation(a, b):
     total = 0.0
     for x, y in zip(a, b):

@@ -388,7 +388,7 @@ def test_sim_space_with_a_non_finite_number_is_data_error(capsys, tmp_path):
 def test_sim_space_with_text_that_is_not_utf8_is_data_error(capsys, tiny_corpus, tmp_path):
     space_file = tmp_path / "space.bin"
     run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", str(space_file))
-    first_word = load_space(space_file).vocabulary.tokens[0]
+    first_word = list(load_space(space_file).vocabulary)[0]
     payload = bytearray(space_file.read_bytes()[:-8])
     payload[payload.index(first_word.encode())] = 0xFF
     space_file.write_bytes(bytes(payload) + _checksum(payload))
@@ -786,6 +786,31 @@ def test_build_into_a_missing_directory_is_io_error(capsys, monkeypatch, tiny_co
     assert (code, out) == (2, "")
     assert err == f"semspace: error: [Errno 2] No such file or directory: '{target}'\n"
     assert not (tmp_path / "missing").exists()
+
+
+def test_report_into_a_directory_is_io_error(capsys, monkeypatch, tiny_corpus, tmp_path):
+    # a directory named by -o fails before the corpus pass, with the error writing to it would give
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("السفير\tالسفارة\tDifferent\n", encoding="utf-8")
+    target = tmp_path / "out"
+    target.mkdir()
+    _segmenting_fails(monkeypatch)
+    code, out, err = run(
+        capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "-k", "2", "-o", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"semspace: error: [Errno 21] Is a directory: '{target}'\n"
+    assert target.is_dir() and not any(target.iterdir())
+
+
+def test_build_into_a_directory_is_io_error(capsys, monkeypatch, tiny_corpus, tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    _segmenting_fails(monkeypatch)
+    code, out, err = run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", f"{target}/")
+    assert (code, out) == (2, "")
+    assert err == f"semspace: error: [Errno 21] Is a directory: '{target}/'\n"
+    assert target.is_dir() and not any(target.iterdir())
 
 
 @pytest.mark.parametrize("command", ["build", "report"])

@@ -56,7 +56,7 @@ def _paragraphs(texts):
 def test_build_matrix_counts():
     matrix = build_matrix(_paragraphs(["اب اب جد", "جد"]), NONE_CONFIG)
     assert matrix.shape == (2, 2)
-    assert matrix.vocabulary.tokens == ["اب", "جد"]
+    assert list(matrix.vocabulary) == ["اب", "جد"]
     assert matrix.to_dense().tolist() == [[2.0, 0.0], [1.0, 1.0]]
 
 
@@ -100,7 +100,7 @@ def test_build_matrices_is_build_matrix_per_mode(mini_paragraphs, modes):
     for config, matrix in zip(configs, build_matrices(mini_paragraphs, configs), strict=True):
         alone = build_matrix(mini_paragraphs, config)
         rows, counts = count_matrix(tokens, config.stem_token)
-        assert matrix.vocabulary.tokens == alone.vocabulary.tokens == rows
+        assert list(matrix.vocabulary) == list(alone.vocabulary) == rows
         assert matrix.shape == alone.shape == counts.shape
         assert matrix.counts.tobytes() == alone.counts.tobytes() == counts.tobytes()
 
@@ -118,7 +118,7 @@ def test_build_matrices_match_the_occurrence_oracle(token_lists):
         return
     for config, matrix in zip(configs, build_matrices(paragraphs, configs), strict=True):
         rows, counts = count_matrix(token_lists, config.stem_token)
-        assert matrix.vocabulary.tokens == rows
+        assert list(matrix.vocabulary) == rows
         assert matrix.counts.tobytes() == counts.tobytes() and not matrix.counts.flags.writeable
 
 
@@ -137,7 +137,7 @@ def test_row_conflation_structure(mini_paragraphs, root_config, light_config):
 def test_vocabulary_is_the_dict_it_wraps():
     vocabulary = Vocabulary(["ب", "ا", "ب"])
     assert vocabulary == {"ب": 0, "ا": 1}
-    assert vocabulary.tokens == ["ب", "ا"]
+    assert list(vocabulary) == ["ب", "ا"]  # iterated in row order
     assert vocabulary.index_of("ج") is None
     assert vocabulary.rows_of(["ا", "ب"]).tolist() == [1, 0]
     assert Vocabulary() == {} and not Vocabulary()
@@ -239,6 +239,32 @@ def test_build_spaces_holds_one_count_matrix_at_a_time(monkeypatch, mini_paragra
     assert live_at_first_qrs == [[False], [False, False], [False, False, False]]
 
 
+@pytest.mark.parametrize("modes, live", [(("light",), [False]), (("root", "light", "none"), [True, True, False])])
+def test_build_spaces_lets_the_corpus_ids_go_before_the_last_factorization(monkeypatch, mini_paragraphs, mini_stats,
+                                                                           modes, live):
+    # the corpus's token ids (the first array `rows_of` gives) go once the last matrix's indices are made, so no
+    # mode's first QR sees them after that; every earlier mode still needs them
+    rows, live_at_first_qrs = [], []  # a weakref to each array rows_of returns; is the first alive at each first QR
+    rows_of, qr = lsa.Vocabulary.rows_of, svd.householder_qr
+
+    def noting(vocabulary, tokens):
+        result = rows_of(vocabulary, tokens)
+        rows.append(weakref.ref(result))
+        return result
+
+    calls = itertools.count()
+
+    def first_qrs_noted(A):
+        if next(calls) % 2 == 0:  # each mode runs its first QR, then its second
+            live_at_first_qrs.append(rows[0]() is not None)
+        return qr(A)
+
+    monkeypatch.setattr(lsa.Vocabulary, "rows_of", noting)
+    monkeypatch.setattr(svd, "householder_qr", first_qrs_noted)
+    build_spaces(mini_paragraphs, mini_stats, [make_config(mode) for mode in modes], k=40)
+    assert live_at_first_qrs == live
+
+
 @pytest.fixture(scope="module")
 def usigma_rank_spaces(mini_paragraphs, mini_stats):
     """Each mode's count matrix beside its usigma space at the default k, the rank."""
@@ -262,7 +288,7 @@ def test_usigma_at_the_rank_measures_as_the_count_rows(usigma_rank_spaces, data)
 
 def test_word_vector_verbatim_row(mini_paragraphs, mini_stats):
     (space,) = build_spaces(mini_paragraphs, mini_stats, [NONE_CONFIG], k=10)
-    token = space.vocabulary.tokens[5]
+    token = list(space.vocabulary)[5]
     vec = word_vector(space, token, NONE_CONFIG)
     assert np.array_equal(vec, space.word_vectors[5])
 
@@ -463,7 +489,7 @@ def test_loaded_vocabulary_equals_one_built_from_its_tokens(tmp_path, mini_corpu
     loaded, built = load_space(path).vocabulary, Vocabulary(tokens)
     assert loaded == built and built == loaded
     assert loaded != Vocabulary(tokens[::-1])
-    assert loaded.tokens == built.tokens == tokens
+    assert list(loaded) == list(built) == tokens
     assert len(loaded) == len(built) == len(tokens)
     assert [loaded.index_of(t) for t in tokens] == [built.index_of(t) for t in tokens] == list(range(len(tokens)))
     assert loaded.index_of("غائبتماما") is None and built.index_of("غائبتماما") is None
@@ -576,7 +602,7 @@ def test_any_space_round_trips_bit_for_bit(space):
         loaded = load_space(path)
     assert (loaded.k, loaded.scaling, loaded.n_columns) == (space.k, space.scaling, space.n_columns)
     assert loaded.vocabulary == space.vocabulary
-    assert isinstance(loaded.vocabulary, Vocabulary) and list(loaded.vocabulary) == space.vocabulary.tokens
+    assert isinstance(loaded.vocabulary, Vocabulary) and list(loaded.vocabulary) == list(space.vocabulary)
     assert loaded.provenance == space.provenance
     for got, saved in ((loaded.sigma, space.sigma), (loaded.word_vectors, space.word_vectors)):
         assert got.shape == saved.shape and got.tobytes() == saved.tobytes()
