@@ -123,7 +123,7 @@ def run_comparison(
     rows = [_evaluate_pair(space, config, pair, unit_length) for config, space in zip(configs, spaces) for pair in pairs]
     return ComparisonReport(
         rows=rows,
-        metadata=ReportMetadata(spaces[0].k, spaces[0].scaling, provenance.rules_fingerprint, provenance.space_fingerprint),
+        metadata=ReportMetadata(spaces[0].k, spaces[0].scaling, provenance.rules_fingerprint, provenance.corpus_fingerprint),
         modes=tuple(config.mode for config in configs),
     )
 

@@ -4,11 +4,12 @@ truncated word spaces built from them, with binary persistence.
 `build_spaces` is the one path from paragraphs to spaces: `build` calls it
 with one stemmer config and `report` with all of its modes. `build_matrix`,
 `factorize` and `truncate` are its stages one at a time, for the benchmark's
-traced replicas; `Vocabulary.index_of`, which is `dict.get`, keeps the name
-the benchmark calls. Matrix cells are raw occurrence counts; no weighting is
-applied. Word vectors are rows of U (optionally scaled entrywise by the
-singular values), restricted to the k largest singular directions. A space
-file's stemmer and scaling tags index `_MODE_TAGS` and `SCALINGS`.
+traced replicas; `Vocabulary.index_of` (`dict.get`) and `space_fingerprint`
+(which makes `Provenance.corpus_fingerprint`) keep the names the benchmark
+calls. Matrix cells are raw occurrence counts; no weighting is applied. Word
+vectors are rows of U (optionally scaled entrywise by the singular values),
+restricted to the k largest singular directions. A space file's stemmer and
+scaling tags index `_MODE_TAGS` and `SCALINGS`.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class SvdFactors:
 class Provenance:
     stemmer_mode: str
     rules_fingerprint: str  # hash of the rule files ("" for mode none)
-    space_fingerprint: str  # the corpus fingerprint: hash of rules fingerprint, corpus counts and texts
+    corpus_fingerprint: str  # hash of the rules fingerprint, the corpus counts and the texts
 
 
 @dataclass
@@ -119,7 +120,7 @@ def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) ->
     """
     occurrences = [token for paragraph in paragraphs for token in paragraph.tokens]
     distinct = Vocabulary(occurrences)
-    if not paragraphs or not distinct:
+    if not distinct:
         raise EmptyCorpusError("empty corpus")
     n = len(paragraphs)
     token_ids = distinct.rows_of(occurrences)
@@ -237,7 +238,7 @@ def save_space(space: SemanticSpace, path: str | Path) -> None:
         _MAGIC,
         struct.pack("<IB", _FORMAT_VERSION, _MODE_TAGS.index(space.provenance.stemmer_mode)),
         _pack_str(space.provenance.rules_fingerprint),
-        _pack_str(space.provenance.space_fingerprint),
+        _pack_str(space.provenance.corpus_fingerprint),
         struct.pack("<QQQB", len(tokens), space.n_columns, space.k, SCALINGS.index(space.scaling)),
         _pack_str("\n".join(tokens)),
     ])
@@ -256,36 +257,6 @@ def _checksum(*parts) -> bytes:
     return crc.to_bytes(8, "little")
 
 
-@dataclass
-class _Reader:
-    """Reads the payload's fields in order, from `pos` up to `end` of `data`;
-    the checksum's 8 bytes follow `end`."""
-
-    data: bytes
-    pos: int
-    end: int
-
-    def skip(self, size: int) -> int:
-        """Move past the next `size` bytes; returns the offset where they start."""
-        if self.pos + size > self.end:
-            raise SpaceTruncatedError(f"truncated space file: needed {size} bytes at offset {self.pos}")
-        start = self.pos
-        self.pos += size
-        return start
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.data, self.skip(struct.calcsize(fmt)))
-
-    def text(self) -> str:
-        """The next length-prefixed UTF-8 string."""
-        (size,) = self.unpack("<I")
-        start = self.skip(size)
-        try:
-            return self.data[start:self.pos].decode()
-        except UnicodeDecodeError as exc:
-            raise SpaceFormatError(f"text in space file is not UTF-8: {exc.reason}") from None
-
-
 def load_space(path: str | Path) -> SemanticSpace:
     """Read a space written by save_space; round-trips bit-exactly.
 
@@ -299,9 +270,29 @@ def load_space(path: str | Path) -> SemanticSpace:
         raise SpaceTruncatedError("file too short to be a space file")
     if not blob.startswith(_MAGIC):
         raise SpaceFormatError("not a space file (bad magic)")
-    end = len(blob) - 8  # the payload; the checksum follows it
-    reader = _Reader(blob, len(_MAGIC), end)
-    (version,) = reader.unpack("<I")
+    pos, end = len(_MAGIC), len(blob) - 8  # the payload's fields are read in order from pos; the checksum follows end
+
+    def skip(size: int) -> int:
+        """Move past the next `size` bytes; returns the offset where they start."""
+        nonlocal pos
+        if pos + size > end:
+            raise SpaceTruncatedError(f"truncated space file: needed {size} bytes at offset {pos}")
+        pos += size
+        return pos - size
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack_from(fmt, blob, skip(struct.calcsize(fmt)))
+
+    def text() -> str:
+        """The next length-prefixed UTF-8 string."""
+        (size,) = unpack("<I")
+        start = skip(size)
+        try:
+            return blob[start:pos].decode()
+        except UnicodeDecodeError as exc:
+            raise SpaceFormatError(f"text in space file is not UTF-8: {exc.reason}") from None
+
+    (version,) = unpack("<I")
     if version != _FORMAT_VERSION:  # before the checksum, which older formats compute otherwise
         raise SpaceVersionError(
             f"unsupported space format version {version} (this semspace reads version {_FORMAT_VERSION}); "
@@ -309,17 +300,17 @@ def load_space(path: str | Path) -> SemanticSpace:
         )
     if _checksum(memoryview(blob)[:end]) != blob[end:]:
         raise SpaceChecksumError("space file checksum mismatch")
-    (mode_tag,) = reader.unpack("<B")
+    (mode_tag,) = unpack("<B")
     if mode_tag >= len(_MODE_TAGS):
         raise SpaceFormatError(f"unknown stemmer tag {mode_tag}")
-    rules_fp, space_fp = reader.text(), reader.text()
-    m, n_columns, k = reader.unpack("<QQQ")
+    rules_fp, corpus_fp = text(), text()
+    m, n_columns, k = unpack("<QQQ")
     if not 1 <= k <= m:
         raise SpaceFormatError(f"space keeps k={k} dimensions, outside 1..{m}")
-    (scaling_tag,) = reader.unpack("<B")
+    (scaling_tag,) = unpack("<B")
     if scaling_tag >= len(SCALINGS):
         raise SpaceFormatError(f"unknown scaling tag {scaling_tag}")
-    words = reader.text().split("\n")
+    words = text().split("\n")
     if len(words) != m:
         raise SpaceFormatError(f"space word block holds {len(words)} words, not the {m} of its header")
     vocabulary = Vocabulary()
@@ -328,12 +319,12 @@ def load_space(path: str | Path) -> SemanticSpace:
         raise SpaceFormatError(f"space vocabulary repeats {m - len(vocabulary)} of its {m} words")
     if "" in vocabulary:
         raise SpaceFormatError("space vocabulary holds an empty word")
-    padding = reader.skip(-reader.pos % 8)
-    if any(blob[padding:reader.pos]):
+    padding = skip(-pos % 8)
+    if any(blob[padding:pos]):
         raise SpaceFormatError("nonzero padding byte before the space's numbers")
-    numbers = np.frombuffer(blob, dtype="<f8", count=k + m * k, offset=reader.skip(8 * (k + m * k)))  # sigma, then the vectors
-    if reader.pos != end:
-        raise SpaceFormatError(f"{end - reader.pos} trailing bytes in space file")
+    numbers = np.frombuffer(blob, dtype="<f8", count=k + m * k, offset=skip(8 * (k + m * k)))  # sigma, then the vectors
+    if pos != end:
+        raise SpaceFormatError(f"{end - pos} trailing bytes in space file")
     if not np.isfinite(numbers).all():
         raise SpaceFormatError("space file holds a non-finite singular value or vector entry")
     return SemanticSpace(
@@ -342,6 +333,6 @@ def load_space(path: str | Path) -> SemanticSpace:
         vocabulary=vocabulary,
         sigma=numbers[:k],
         word_vectors=numbers[k:].reshape(m, k),
-        provenance=Provenance(_MODE_TAGS[mode_tag], rules_fp, space_fp),
+        provenance=Provenance(_MODE_TAGS[mode_tag], rules_fp, corpus_fp),
         n_columns=int(n_columns),
     )

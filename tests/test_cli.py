@@ -788,6 +788,31 @@ def test_build_into_a_missing_directory_is_io_error(capsys, monkeypatch, tiny_co
     assert not (tmp_path / "missing").exists()
 
 
+def test_report_into_an_empty_path_is_io_error(capsys, monkeypatch, tiny_corpus, tmp_path):
+    # an empty -o names no file, as a missing directory does: it fails before the corpus pass, not to stdout
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("السفير\tالسفارة\tDifferent\n", encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    _segmenting_fails(monkeypatch)
+    code, out, err = run(capsys, "report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "-k", "2", "-o", "")
+    assert (code, out) == (2, "")
+    assert err == "semspace: error: [Errno 2] No such file or directory: ''\n"
+    assert not any(work.iterdir())
+
+
+def test_build_into_an_empty_path_is_io_error(capsys, monkeypatch, tiny_corpus, tmp_path):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    _segmenting_fails(monkeypatch)
+    code, out, err = run(capsys, "build", "--mode", "light", str(tiny_corpus), "-o", "")
+    assert (code, out) == (2, "")
+    assert err == "semspace: error: [Errno 2] No such file or directory: ''\n"
+    assert not any(work.iterdir())
+
+
 def test_report_into_a_directory_is_io_error(capsys, monkeypatch, tiny_corpus, tmp_path):
     # a directory named by -o fails before the corpus pass, with the error writing to it would give
     pairs = tmp_path / "pairs.tsv"

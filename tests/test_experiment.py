@@ -195,7 +195,7 @@ def test_report_metadata_is_a_spaces_provenance(mini_corpus_dir, mini_paragraphs
     (space,) = build_spaces(mini_paragraphs, mini_stats, [make_config(source)], k=40)
     provenance = space.provenance
     assert bool(provenance.rules_fingerprint) == (source == "root")
-    assert report.metadata == ReportMetadata(40, "u", provenance.rules_fingerprint, provenance.space_fingerprint)
+    assert report.metadata == ReportMetadata(40, "u", provenance.rules_fingerprint, provenance.corpus_fingerprint)
 
 
 def test_auc_counts_ties_half_and_reads_lower_as_better_when_asked():

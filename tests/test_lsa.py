@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -65,11 +65,6 @@ def test_build_matrix_single_cell():
     assert matrix.to_dense().tolist() == [[1.0]]
 
 
-def test_build_matrix_empty_corpus():
-    with pytest.raises(EmptyCorpusError, match="empty corpus"):
-        build_matrix([], NONE_CONFIG)
-
-
 def test_build_matrix_entries_positive_and_column_sums(mini_paragraphs):
     matrix = build_matrix(mini_paragraphs, NONE_CONFIG)
     dense = matrix.to_dense()
@@ -108,12 +103,13 @@ def test_build_matrices_is_build_matrix_per_mode(mini_paragraphs, modes):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(["ال" + w for w in ("اب", "ابي", "جد")] + ["اب", "جد", "هو"]), max_size=6),
                 max_size=6))
+@example([])  # no paragraphs at all, like [[], []], has no token
 def test_build_matrices_match_the_occurrence_oracle(token_lists):
     # empty paragraphs anywhere, repeats, and light stems that merge tokens
     paragraphs = [Paragraph(tuple(tokens)) for tokens in token_lists]
     configs = [make_config("light"), NONE_CONFIG]
     if not any(token_lists):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(EmptyCorpusError, match="^empty corpus$"):
             build_matrices(paragraphs, configs)
         return
     for config, matrix in zip(configs, build_matrices(paragraphs, configs), strict=True):
@@ -361,8 +357,12 @@ def test_corrupted_payload_fails_checksum(tmp_path, light_space):
         load_space(path)
 
 
+def _signed(payload):
+    return payload + _checksum(payload)
+
+
 def _rewrite_with_checksum(path, payload):
-    path.write_bytes(payload + _checksum(payload))
+    path.write_bytes(_signed(payload))
 
 
 def test_truncated_payload_detected(tmp_path, light_space):
@@ -690,16 +690,28 @@ def _set_byte(payload, pos, value):
     return payload[:pos] + bytes([value]) + payload[pos + 1:]
 
 
-@pytest.mark.parametrize("forge, message", [
-    (lambda payload: _set_byte(payload, _tag_offsets(payload)[0], 3), "unknown stemmer tag 3"),
-    (lambda payload: _set_byte(payload, _tag_offsets(payload)[1], 2), "unknown scaling tag 2"),
-    (lambda payload: payload + bytes(8), "8 trailing bytes in space file"),
-], ids=["stemmer-tag", "scaling-tag", "trailing-bytes"])
-def test_forged_space_is_a_format_error_and_sim_exits_4(tmp_path, capsys, forge, message):
+# THREE_WORDS_PAYLOAD's layout: version at 8, the rules fingerprint's length at 13, its floats at 72 (64 bytes)
+@pytest.mark.parametrize("forge, error, message", [
+    (lambda payload: _signed(_set_byte(payload, _tag_offsets(payload)[0], 3)), SpaceFormatError,
+     "unknown stemmer tag 3"),
+    (lambda payload: _signed(_set_byte(payload, _tag_offsets(payload)[1], 2)), SpaceFormatError,
+     "unknown scaling tag 2"),
+    (lambda payload: _signed(payload + bytes(8)), SpaceFormatError, "8 trailing bytes in space file"),
+    (lambda payload: payload[:15], SpaceTruncatedError, "file too short to be a space file"),
+    (lambda payload: _signed(b"SEMSPACF" + payload[8:]), SpaceFormatError, "not a space file (bad magic)"),
+    (lambda payload: payload + bytes(8), SpaceChecksumError, "space file checksum mismatch"),
+    (lambda payload: _signed(payload[:10]), SpaceTruncatedError, "truncated space file: needed 4 bytes at offset 8"),
+    (lambda payload: _signed(payload[:15]), SpaceTruncatedError, "truncated space file: needed 4 bytes at offset 13"),
+    (lambda payload: _signed(payload[:100]), SpaceTruncatedError,
+     "truncated space file: needed 64 bytes at offset 72"),
+], ids=["stemmer-tag", "scaling-tag", "trailing-bytes", "too-short", "bad-magic", "checksum", "cut-in-version",
+        "cut-in-string-length", "cut-in-floats"])
+def test_forged_space_is_a_format_error_and_sim_exits_4(tmp_path, capsys, forge, error, message):
     path = tmp_path / "space.bin"
-    _rewrite_with_checksum(path, forge(THREE_WORDS_PAYLOAD))
-    with pytest.raises(SpaceFormatError, match=f"^{message}$"):
+    path.write_bytes(forge(THREE_WORDS_PAYLOAD))
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
         load_space(path)
+    assert type(caught.value) is error
     assert main(["sim", "--space", str(path), "اب", "جد"]) == 4
     assert capsys.readouterr() == ("", f"semspace: error: {message}\n")
 

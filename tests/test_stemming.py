@@ -149,6 +149,16 @@ def test_default_pattern_faeel_positions(tables, root_config):
     assert root_config.stem("سفير").output == "سفر"
 
 
+def test_only_the_hamza_alif_entries_are_changed_by_normalize(tables, root_config):
+    # README "Stemming rules": normalize folds أ to ا before build, sim and report stem, so these never fire there
+    affixes, _ = tables
+    changed = {(region, entry) for region, entries in vars(affixes).items() for entry in entries
+               if normalize(entry) != entry}
+    assert changed == {("antefixes", "أ"), ("prefixes", "أ")}
+    assert root_config.stem_token("أتتذكروننا") == "ذكر"
+    assert root_config.stem_token(normalize("أتتذكروننا")) == "اتتذكر"
+
+
 def test_tables_consulted_longest_first(tables):
     affixes, _ = tables
     for entries in (affixes.antefixes, affixes.prefixes, affixes.suffixes, affixes.postfixes):
