@@ -130,9 +130,11 @@ def _corpus_spaces(
     args: argparse.Namespace, corpus_dir: str, modes: tuple[str, ...]
 ) -> tuple[bool, list[StemmerConfig], list[SemanticSpace]]:
     """One space per mode over the corpus under `corpus_dir`, at the k and
-    scaling of `args`. Each skipped file is warned about before anything can fail;
-    the rules and the -o path (empty, a directory, or in a missing one) are checked
-    before the corpus is segmented, so they fail fast. The flag says whether a file was skipped."""
+    scaling of `args`. A k below 1 fails first, as a bad flag would; each skipped file is then warned
+    about before anything else can fail, and the rules and the -o path (empty, a directory, or in a
+    missing one) are checked before the corpus is segmented. The flag says whether a file was skipped."""
+    if args.k is not None and args.k < 1:  # a k above the rank is known only after the SVD
+        raise ValueError(f"k must be in 1..rank, got {args.k}")
     corpus = load_corpus(corpus_dir)
     partial = _warn_skipped(corpus.skipped)
     configs = [make_config(mode, _rules_dir(args)) for mode in modes]

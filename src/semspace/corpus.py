@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
 
-from .errors import CorpusReadError
+from .errors import SemspaceError
 
 # rules 1 and 4: drop all outside the letter block U+0621..U+064A, and the tatweel U+0640 in it
 _DROP_KEEP_SPACE = re.compile(r"[^\u0621-\u063F\u0641-\u064A\s]+")
@@ -90,7 +90,7 @@ def load_corpus(root: str | Path) -> Corpus:
     """
     root = Path(root)
     if not root.is_dir():
-        raise CorpusReadError(f"not a readable directory: {root}")
+        raise SemspaceError(f"not a readable directory: {root}")
     # a directory named *.txt is no document; a broken symlink is, and reading it fails
     paths = sorted((p for p in root.rglob("*.txt") if not p.is_dir()), key=lambda p: p.relative_to(root).as_posix())
     corpus = Corpus()

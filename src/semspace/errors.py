@@ -1,4 +1,4 @@
-"""Exception hierarchy. Each class carries the CLI exit code for its failure class."""
+"""Exception hierarchy: one class per CLI exit code, plus the classes a caller catches by name."""
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -7,24 +7,12 @@ EXIT_DATA = 4
 
 
 class SemspaceError(Exception):
+    """Base of the classes below; raised itself for a corpus directory that is missing, unreadable or empty."""
     exit_code = EXIT_IO
 
 
-class CorpusReadError(SemspaceError):
-    """Corpus directory missing or unreadable."""
-
-
-class EmptyCorpusError(SemspaceError):
-    """No usable text found where a non-empty corpus is required."""
-
-
-class RuleFormatError(SemspaceError):
-    """Malformed affix or pattern rule file."""
-    exit_code = EXIT_DATA
-
-
-class PairFormatError(SemspaceError):
-    """Malformed word-pair file."""
+class DataFormatError(SemspaceError):
+    """A rule, pair or space file that fails a check."""
     exit_code = EXIT_DATA
 
 
@@ -40,20 +28,3 @@ class ConvergenceError(SemspaceError):
 class OutOfVocabularyError(SemspaceError):
     """Query word's stemmed form is not a row of the space."""
     exit_code = EXIT_DATA
-
-
-class SpaceFormatError(SemspaceError):
-    """Persisted-space file cannot be decoded."""
-    exit_code = EXIT_DATA
-
-
-class SpaceVersionError(SpaceFormatError):
-    pass
-
-
-class SpaceTruncatedError(SpaceFormatError):
-    pass
-
-
-class SpaceChecksumError(SpaceFormatError):
-    pass

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import OutOfVocabularyError, PairFormatError
+from .errors import DataFormatError, OutOfVocabularyError
 from .lsa import SemanticSpace, word_vector
 from .similarity import MEASURE_ORDER, SimilarityResult, format_value, measure_all, unit_vector
 from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, StemmerConfig
@@ -37,9 +37,9 @@ class WordPair:
 
     def __post_init__(self):
         if not self.word_a or not self.word_b:
-            raise PairFormatError("pair words must be non-empty")
+            raise DataFormatError("pair words must be non-empty")
         if self.label not in LABELS:
-            raise PairFormatError(f"unknown pair label: {self.label!r}")
+            raise DataFormatError(f"unknown pair label: {self.label!r}")
 
 
 def load_pairs(path: str | Path) -> list[WordPair]:
@@ -51,18 +51,18 @@ def load_pairs(path: str | Path) -> list[WordPair]:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise PairFormatError(f"{path}: not UTF-8: {exc.reason}") from None
+        raise DataFormatError(f"{path}: not UTF-8: {exc.reason}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cols = line.split("\t")
         if len(cols) < 3 or len(cols) > 5:
-            raise PairFormatError(f"{path}:{lineno}: expected 3 to 5 tab-separated columns, got {len(cols)}")
+            raise DataFormatError(f"{path}:{lineno}: expected 3 to 5 tab-separated columns, got {len(cols)}")
         word_a, word_b, label, gloss, translit = (c.strip() for c in cols + [""] * (5 - len(cols)))
         try:
             pairs.append(WordPair(word_a, word_b, label, gloss or None, translit or None))
-        except PairFormatError as exc:
-            raise PairFormatError(f"{path}:{lineno}: {exc}") from None
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return pairs
 
 

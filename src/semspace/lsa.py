@@ -26,14 +26,7 @@ import numpy as np
 
 from . import svd as _svd
 from .corpus import CorpusStats, Paragraph, normalize
-from .errors import (
-    EmptyCorpusError,
-    OutOfVocabularyError,
-    SpaceChecksumError,
-    SpaceFormatError,
-    SpaceTruncatedError,
-    SpaceVersionError,
-)
+from .errors import DataFormatError, OutOfVocabularyError, SemspaceError
 from .stemming import MODE_LIGHT, MODE_NONE, MODE_ROOT, StemmerConfig
 
 SCALING_U = "u"
@@ -114,14 +107,14 @@ def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) ->
     matrix per config, which stems and fills each as it is pulled.
 
     Row order is first occurrence in corpus order; column order follows the
-    paragraph list. Raises EmptyCorpusError, at the call, rather than making
+    paragraph list. Raises SemspaceError, at the call, rather than making
     a matrix with no rows or no columns. The corpus is read once, at the
     call, for token ids and columns; each config stems each distinct token once.
     """
     occurrences = [token for paragraph in paragraphs for token in paragraph.tokens]
     distinct = Vocabulary(occurrences)
     if not distinct:
-        raise EmptyCorpusError("empty corpus")
+        raise SemspaceError("empty corpus")
     n = len(paragraphs)
     token_ids = distinct.rows_of(occurrences)
     columns = np.repeat(np.arange(n), [len(paragraph.tokens) for paragraph in paragraphs])
@@ -267,16 +260,16 @@ def load_space(path: str | Path) -> SemanticSpace:
     with open(path, "rb", buffering=0) as file:
         blob = file.readall()
     if len(blob) < len(_MAGIC) + 8:
-        raise SpaceTruncatedError("file too short to be a space file")
+        raise DataFormatError("file too short to be a space file")
     if not blob.startswith(_MAGIC):
-        raise SpaceFormatError("not a space file (bad magic)")
+        raise DataFormatError("not a space file (bad magic)")
     pos, end = len(_MAGIC), len(blob) - 8  # the payload's fields are read in order from pos; the checksum follows end
 
     def skip(size: int) -> int:
         """Move past the next `size` bytes; returns the offset where they start."""
         nonlocal pos
         if pos + size > end:
-            raise SpaceTruncatedError(f"truncated space file: needed {size} bytes at offset {pos}")
+            raise DataFormatError(f"truncated space file: needed {size} bytes at offset {pos}")
         pos += size
         return pos - size
 
@@ -290,43 +283,43 @@ def load_space(path: str | Path) -> SemanticSpace:
         try:
             return blob[start:pos].decode()
         except UnicodeDecodeError as exc:
-            raise SpaceFormatError(f"text in space file is not UTF-8: {exc.reason}") from None
+            raise DataFormatError(f"text in space file is not UTF-8: {exc.reason}") from None
 
     (version,) = unpack("<I")
     if version != _FORMAT_VERSION:  # before the checksum, which older formats compute otherwise
-        raise SpaceVersionError(
+        raise DataFormatError(
             f"unsupported space format version {version} (this semspace reads version {_FORMAT_VERSION}); "
             "rebuild the space with `semspace build`"
         )
     if _checksum(memoryview(blob)[:end]) != blob[end:]:
-        raise SpaceChecksumError("space file checksum mismatch")
+        raise DataFormatError("space file checksum mismatch")
     (mode_tag,) = unpack("<B")
     if mode_tag >= len(_MODE_TAGS):
-        raise SpaceFormatError(f"unknown stemmer tag {mode_tag}")
+        raise DataFormatError(f"unknown stemmer tag {mode_tag}")
     rules_fp, corpus_fp = text(), text()
     m, n_columns, k = unpack("<QQQ")
     if not 1 <= k <= m:
-        raise SpaceFormatError(f"space keeps k={k} dimensions, outside 1..{m}")
+        raise DataFormatError(f"space keeps k={k} dimensions, outside 1..{m}")
     (scaling_tag,) = unpack("<B")
     if scaling_tag >= len(SCALINGS):
-        raise SpaceFormatError(f"unknown scaling tag {scaling_tag}")
+        raise DataFormatError(f"unknown scaling tag {scaling_tag}")
     words = text().split("\n")
     if len(words) != m:
-        raise SpaceFormatError(f"space word block holds {len(words)} words, not the {m} of its header")
+        raise DataFormatError(f"space word block holds {len(words)} words, not the {m} of its header")
     vocabulary = Vocabulary()
     vocabulary.update(zip(words, range(m)))
     if len(vocabulary) < m:
-        raise SpaceFormatError(f"space vocabulary repeats {m - len(vocabulary)} of its {m} words")
+        raise DataFormatError(f"space vocabulary repeats {m - len(vocabulary)} of its {m} words")
     if "" in vocabulary:
-        raise SpaceFormatError("space vocabulary holds an empty word")
+        raise DataFormatError("space vocabulary holds an empty word")
     padding = skip(-pos % 8)
     if any(blob[padding:pos]):
-        raise SpaceFormatError("nonzero padding byte before the space's numbers")
+        raise DataFormatError("nonzero padding byte before the space's numbers")
     numbers = np.frombuffer(blob, dtype="<f8", count=k + m * k, offset=skip(8 * (k + m * k)))  # sigma, then the vectors
     if pos != end:
-        raise SpaceFormatError(f"{end - pos} trailing bytes in space file")
+        raise DataFormatError(f"{end - pos} trailing bytes in space file")
     if not np.isfinite(numbers).all():
-        raise SpaceFormatError("space file holds a non-finite singular value or vector entry")
+        raise DataFormatError("space file holds a non-finite singular value or vector entry")
     return SemanticSpace(
         k=int(k),
         scaling=SCALINGS[scaling_tag],

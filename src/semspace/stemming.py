@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import RuleFormatError
+from .errors import DataFormatError
 
 MODE_ROOT = "root"
 MODE_LIGHT = "light"
@@ -62,11 +62,11 @@ def _read_rules(rules_dir: Path) -> dict[str, bytes]:
 
 def _rule_text(rules: dict[str, bytes], rules_dir: Path, name: str) -> str:
     if name not in rules:
-        raise RuleFormatError(f"missing rule file: {rules_dir / name}")
+        raise DataFormatError(f"missing rule file: {rules_dir / name}")
     try:
         return rules[name].decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise RuleFormatError(f"{rules_dir / name}: not UTF-8: {exc.reason}") from None
+        raise DataFormatError(f"{rules_dir / name}: not UTF-8: {exc.reason}") from None
 
 
 def _longest_first(text: str) -> tuple[str, ...]:
@@ -100,11 +100,11 @@ class Pattern:
     def __post_init__(self):
         k = len(self.root_positions)
         if not 3 <= k <= 4:
-            raise RuleFormatError(f"pattern {self.template!r}: needs 3 or 4 root positions, got {k}")
+            raise DataFormatError(f"pattern {self.template!r}: needs 3 or 4 root positions, got {k}")
         if list(self.root_positions) != sorted(set(self.root_positions)):
-            raise RuleFormatError(f"pattern {self.template!r}: positions must be strictly increasing")
+            raise DataFormatError(f"pattern {self.template!r}: positions must be strictly increasing")
         if self.root_positions[0] < 0 or self.root_positions[-1] >= len(self.template):
-            raise RuleFormatError(f"pattern {self.template!r}: position out of range")
+            raise DataFormatError(f"pattern {self.template!r}: position out of range")
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,13 @@ def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, .
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise RuleFormatError(f"{path}:{lineno}: expected 'template<TAB>positions'")
-        template = parts[0].strip()
+            raise DataFormatError(f"{path}:{lineno}: expected 'template<TAB>positions'")
         try:
-            positions = tuple(int(p) for p in parts[1].split(","))
+            patterns.append(Pattern(parts[0].strip(), tuple(int(p) for p in parts[1].split(","))))
         except ValueError:
-            raise RuleFormatError(f"{path}:{lineno}: positions must be integers") from None
-        patterns.append(Pattern(template, positions))
+            raise DataFormatError(f"{path}:{lineno}: positions must be integers") from None
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return tuple(patterns)
 
 

@@ -1,3 +1,4 @@
+import re
 from importlib.resources import files
 from pathlib import Path
 
@@ -13,6 +14,11 @@ from semspace.stemming import make_config
 def bundled_data(*parts: str) -> Path:
     """A file or directory under the package's bundled data."""
     return Path(str(files("semspace") / "data")).joinpath(*parts)
+
+
+def exactly(message: str) -> str:
+    """A `pytest.raises(match=...)` pattern that takes `message` and nothing else."""
+    return f"^{re.escape(message)}$"
 
 
 def measure(name: str, a, b) -> float | None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semspace import cli
+from semspace import cli, svd
 from semspace.cli import _build_parser, main
 from semspace.experiment import load_pairs
 from semspace.lsa import Provenance, SemanticSpace, Vocabulary, _checksum, load_space, save_space
@@ -187,6 +187,25 @@ def test_stem_light_needs_no_patterns_file(capsys, tmp_path):
     assert "missing rule file" in err
 
 
+@pytest.mark.parametrize("positions, problem", [
+    ("0,1", "needs 3 or 4 root positions, got 2"),
+    ("0,2,1", "positions must be strictly increasing"),
+    ("0,1,3", "position out of range"),
+], ids=["count", "order", "range"])
+def test_bad_pattern_names_its_file_and_line(capsys, tmp_path, positions, problem):
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    for path in bundled_data("rules").glob("*.txt"):
+        (rules / path.name).write_bytes(path.read_bytes())
+    patterns = rules / "patterns.txt"
+    lineno = len(patterns.read_bytes().splitlines()) + 1
+    with patterns.open("a", encoding="utf-8") as file:
+        file.write(f"فعل\t{positions}\n")
+    code, out, err = run(capsys, "stem", "--mode", "root", "--rules", str(rules), "كتب")
+    assert (code, out) == (4, "")
+    assert err == f"semspace: error: {patterns}:{lineno}: pattern 'فعل': {problem}\n"
+
+
 # --- build / sim -------------------------------------------------------------------
 
 def test_build_default_k(capsys, tiny_corpus, tmp_path):
@@ -260,6 +279,15 @@ def test_build_k_out_of_range(capsys, tiny_corpus, tmp_path):
     )
     assert code == 1
     assert "k must be" in err
+
+
+def test_build_that_does_not_converge_exits_3(capsys, monkeypatch, mini_corpus_dir, tmp_path):
+    monkeypatch.setattr(svd, "_MAX_SWEEPS", 1)
+    space_file = tmp_path / "space.bin"
+    code, out, err = run(capsys, "build", "--mode", "light", str(mini_corpus_dir), "-o", str(space_file))
+    assert (code, out) == (3, "")
+    assert err == "semspace: error: one-sided Jacobi did not converge in 1 sweeps (off-diagonal residual 3.135e-01)\n"
+    assert not space_file.exists()
 
 
 def test_sim_out_of_vocabulary(capsys, tiny_corpus, tmp_path):
@@ -713,17 +741,20 @@ def test_rule_files_with_a_byte_order_mark_stem_as_without(capsys, pair_files, t
 
 
 @pytest.mark.parametrize("command", ["build", "report"])
-def test_k_below_one_is_usage_error(capsys, tiny_corpus, tmp_path, command):
+def test_k_below_one_is_usage_error(capsys, monkeypatch, tiny_corpus, tmp_path, command):
+    # a k below 1 is known from the flag alone, so it fails before the corpus pass
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("السفير\tالسفارة\tSimilar\n", encoding="utf-8")
+    k = {"build": "0", "report": "-1"}[command]
     argv = {
-        "build": ["build", "--mode", "light", "-k", "0", str(tiny_corpus), "-o", str(tmp_path / "s.bin")],
-        "report": ["report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "-k", "-1"],
+        "build": ["build", "--mode", "light", "-k", k, str(tiny_corpus), "-o", str(tmp_path / "s.bin")],
+        "report": ["report", "--corpus", str(tiny_corpus), "--pairs", str(pairs), "-k", k],
     }[command]
+    _segmenting_fails(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "k must be in 1.." in err
+    assert err == f"semspace: error: k must be in 1..rank, got {k}\n"
     assert not (tmp_path / "s.bin").exists()
 
 
@@ -760,7 +791,7 @@ def test_report_stdout_when_no_output(capsys, tiny_corpus, tmp_path):
 
 def _segmenting_fails(monkeypatch):
     def segment_corpus(corpus):
-        raise AssertionError("the corpus was segmented before -o was checked")
+        raise AssertionError("the corpus was segmented before a fast check ran")
 
     monkeypatch.setattr(cli, "segment_corpus", segment_corpus)
 

@@ -12,9 +12,10 @@ from semspace.corpus import (
     segment_corpus,
     tokenize,
 )
-from semspace.errors import CorpusReadError
+from semspace.errors import SemspaceError
 from semspace.lsa import space_fingerprint
 
+from conftest import exactly
 import oracles
 
 ARABIC_FIRST, ARABIC_LAST = 0x0621, 0x064A
@@ -155,7 +156,7 @@ def test_load_corpus_empty_dir(tmp_path):
 
 
 def test_load_corpus_missing_dir(tmp_path):
-    with pytest.raises(CorpusReadError):
+    with pytest.raises(SemspaceError, match=exactly(f"not a readable directory: {tmp_path / 'nope'}")):
         load_corpus(tmp_path / "nope")
 
 

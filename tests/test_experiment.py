@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from semspace.errors import EmptyCorpusError, PairFormatError
+from semspace.errors import DataFormatError, SemspaceError
 from semspace.experiment import (
     ComparisonReport,
     ReportMetadata,
@@ -17,7 +17,7 @@ from semspace.lsa import build_spaces, word_vector
 from semspace.similarity import MEASURE_ORDER, measure_all, unit_vector
 from semspace.stemming import make_config
 
-from conftest import comparison
+from conftest import comparison, exactly
 from oracles import auc
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.md"
@@ -62,14 +62,14 @@ def test_load_pairs_minimal_columns(tmp_path):
 def test_load_pairs_malformed_line_reports_number(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("اب\tجد\tSimilar\nاب جد\n", encoding="utf-8")
-    with pytest.raises(PairFormatError, match=":2:"):
+    with pytest.raises(DataFormatError, match=exactly(f"{path}:2: expected 3 to 5 tab-separated columns, got 1")):
         load_pairs(path)
 
 
 def test_load_pairs_bad_label(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("اب\tجد\tsomething\n", encoding="utf-8")
-    with pytest.raises(PairFormatError, match="label"):
+    with pytest.raises(DataFormatError, match=exactly(f"{path}:1: unknown pair label: 'something'")):
         load_pairs(path)
 
 
@@ -225,7 +225,7 @@ def test_light_beats_root_under_every_measure(mini_corpus_dir, all_pairs, k):
 
 
 def test_run_comparison_empty_corpus(tmp_path, all_pairs):
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(SemspaceError, match="^empty corpus$"):
         comparison(tmp_path, all_pairs, ("light",), k=2)
 
 
@@ -296,7 +296,7 @@ def test_section_order_mirrors_modes_and_labels(fixture_report):
 
 
 def test_word_pair_validation():
-    with pytest.raises(PairFormatError):
+    with pytest.raises(DataFormatError, match="^pair words must be non-empty$"):
         WordPair("", "جد", "Similar")
-    with pytest.raises(PairFormatError):
+    with pytest.raises(DataFormatError, match="^unknown pair label: 'Other'$"):
         WordPair("اب", "جد", "Other")

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from semspace import stemming
 from semspace.corpus import normalize
-from semspace.errors import RuleFormatError
+from semspace.errors import DataFormatError
 from semspace.stemming import AffixTable, Pattern, StemmerConfig, StemResult, Stripped, make_config
 
+from conftest import exactly
 import oracles
 
 
@@ -397,24 +398,25 @@ def test_stem_matches_region_oracle_on_words_over_the_affix_letters(root_config,
 # --- rule data loading -------------------------------------------------------
 
 def test_pattern_rejects_bad_positions():
-    with pytest.raises(RuleFormatError):
+    with pytest.raises(DataFormatError, match=exactly("pattern 'فعيل': needs 3 or 4 root positions, got 2")):
         Pattern("فعيل", (0, 1))
-    with pytest.raises(RuleFormatError):
+    with pytest.raises(DataFormatError, match=exactly("pattern 'فعل': positions must be strictly increasing")):
         Pattern("فعل", (0, 2, 1))
-    with pytest.raises(RuleFormatError):
+    with pytest.raises(DataFormatError, match=exactly("pattern 'فعل': position out of range")):
         Pattern("فعل", (0, 1, 9))
-    with pytest.raises(RuleFormatError, match="position out of range"):
+    with pytest.raises(DataFormatError, match=exactly("pattern 'فعلل': position out of range")):
         Pattern("فعلل", (-1, 0, 1))
 
 
 def test_load_rejects_malformed_pattern_line(tmp_path):
     for name in ("antefixes.txt", "prefixes.txt", "suffixes.txt", "postfixes.txt"):
         (tmp_path / name).write_text("", encoding="utf-8")  # so the error can only come from patterns.txt
-    (tmp_path / "patterns.txt").write_text("فعل\t0,1\t2\n", encoding="utf-8")
-    with pytest.raises(RuleFormatError, match="patterns.txt:1"):
+    path = tmp_path / "patterns.txt"
+    path.write_text("فعل\t0,1\t2\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=exactly(f"{path}:1: expected 'template<TAB>positions'")):
         make_config("root", tmp_path)
-    (tmp_path / "patterns.txt").write_text("# templates\nفعل\t0,x,2\n", encoding="utf-8")
-    with pytest.raises(RuleFormatError, match="patterns.txt:2: positions must be integers"):
+    path.write_text("# templates\nفعل\t0,x,2\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=exactly(f"{path}:2: positions must be integers")):
         make_config("root", tmp_path)
 
 
@@ -430,7 +432,7 @@ def test_load_rejects_rule_file_that_is_not_utf8(tmp_path, name):
     for other in ("antefixes.txt", "prefixes.txt", "suffixes.txt", "postfixes.txt", "patterns.txt"):
         (tmp_path / other).write_text("", encoding="utf-8")
     (tmp_path / name).write_bytes(b"\xff\xfe\n")
-    with pytest.raises(RuleFormatError, match=f"{name}: not UTF-8"):
+    with pytest.raises(DataFormatError, match=exactly(f"{tmp_path / name}: not UTF-8: invalid start byte")):
         make_config("root", tmp_path)
 
 
@@ -455,7 +457,8 @@ def test_edited_rule_file_is_parsed_again(tmp_path):
         (tmp_path / name).write_bytes((shipped / name).read_bytes())
     assert make_config("root", tmp_path) is first
     (tmp_path / "patterns.txt").write_text("فعل\t0,1\n", encoding="utf-8")
-    with pytest.raises(RuleFormatError, match="needs 3 or 4 root positions"):
+    message = f"{tmp_path / 'patterns.txt'}:1: pattern 'فعل': needs 3 or 4 root positions, got 2"
+    with pytest.raises(DataFormatError, match=exactly(message)):
         make_config("root", tmp_path)
 
 
@@ -468,7 +471,7 @@ def test_a_str_rules_dir_reads_as_its_path(tmp_path):
         (tmp_path / name).write_bytes((stemming.RULES_DIR / name).read_bytes())
     assert make_config("root", str(tmp_path)) is make_config("root", tmp_path)
     (tmp_path / "suffixes.txt").unlink()
-    with pytest.raises(RuleFormatError, match="missing rule file: .*suffixes.txt"):
+    with pytest.raises(DataFormatError, match=exactly(f"missing rule file: {tmp_path / 'suffixes.txt'}")):
         make_config("light", str(tmp_path))
 
 
@@ -489,7 +492,8 @@ def test_rule_table_lines_load_once_longest_first(tmp_path):
 def test_light_config_does_not_parse_patterns(tmp_path):
     rules_dir = _rules_dir(tmp_path, patterns="فعل\t0,1\t2\n")
     malformed = make_config("light", rules_dir)
-    with pytest.raises(RuleFormatError, match="patterns.txt:1"):
+    message = f"{rules_dir / 'patterns.txt'}:1: expected 'template<TAB>positions'"
+    with pytest.raises(DataFormatError, match=exactly(message)):
         make_config("root", rules_dir)
     (rules_dir / "patterns.txt").write_text("فعل\t0,1,2\n", encoding="utf-8")
     wellformed = make_config("light", rules_dir)
@@ -516,12 +520,13 @@ def test_default_rules_dir_gives_the_config_of_no_rules_dir(mode):
 
 
 def test_load_rejects_missing_file(tmp_path):
-    with pytest.raises(RuleFormatError, match="missing rule file"):
+    with pytest.raises(DataFormatError, match=exactly(f"missing rule file: {tmp_path / 'antefixes.txt'}")):
         make_config("light", tmp_path)
     for name in ("prefixes.txt", "suffixes.txt", "postfixes.txt"):
         (tmp_path / name).write_text("", encoding="utf-8")
     (tmp_path / "antefixes.txt").mkdir()  # a directory is not a rule file
-    with pytest.raises(RuleFormatError, match="missing rule file: .*antefixes.txt"):
+    with pytest.raises(DataFormatError, match=exactly(f"missing rule file: {tmp_path / 'antefixes.txt'}")):
         make_config("light", tmp_path)
-    with pytest.raises(RuleFormatError, match="missing rule file"):  # nor is a file a rules directory
-        make_config("light", tmp_path / "prefixes.txt")
+    file_dir = tmp_path / "prefixes.txt"  # nor is a file a rules directory
+    with pytest.raises(DataFormatError, match=exactly(f"missing rule file: {file_dir / 'antefixes.txt'}")):
+        make_config("light", file_dir)
