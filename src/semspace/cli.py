@@ -118,11 +118,11 @@ def _cmd_stats(args) -> int:
 
 def _cmd_stem(args) -> int:
     stemmer = make_config(args.mode, _rules_dir(args))
+    kind = "root" if args.mode == MODE_ROOT else "stem"
     for word in args.words:
         result = stemmer.stem(word)
-        # Stripped's fields run in word order: antefix, prefix, suffix, postfix
-        parts = ";".join(f"{name}={value}" for name, value in vars(result.stripped).items() if value)
-        sys.stdout.write(f"{result.original}\t{result.output}\t{result.kind}\t{parts or '-'}\n")
+        parts = ";".join(f"{name}={value}" for name in ("antefix", "prefix", "suffix", "postfix") if (value := getattr(result, name)))
+        sys.stdout.write(f"{word}\t{result.output}\t{kind}\t{parts or '-'}\n")
     return 0
 
 

@@ -90,7 +90,7 @@ class SemanticSpace:
     scaling: str
     vocabulary: Vocabulary
     sigma: np.ndarray  # first k singular values
-    word_vectors: np.ndarray  # m x k, row i for vocabulary token i; load_space gives a read-only view
+    word_vectors: np.ndarray  # m x k, row i for vocabulary token i; read-only, built or loaded
     provenance: Provenance
     n_columns: int  # paragraph count of the source matrix
 
@@ -159,7 +159,9 @@ def truncate(
     if scaling not in SCALINGS:
         raise ValueError(f"unknown scaling: {scaling!r}")
     vectors = factors.U[:, :k] * factors.sigma[:k] if scaling == SCALING_USIGMA else factors.U[:, :k].copy()
-    return SemanticSpace(k, scaling, vocabulary, factors.sigma[:k].copy(), vectors, provenance, n_columns)
+    sigma = factors.sigma[:k].copy()
+    sigma.flags.writeable = vectors.flags.writeable = False  # read-only, as load_space gives them
+    return SemanticSpace(k, scaling, vocabulary, sigma, vectors, provenance, n_columns)
 
 
 def build_spaces(

@@ -36,9 +36,6 @@ MODE_LIGHT = "light"
 MODE_NONE = "none"
 MODES = (MODE_ROOT, MODE_LIGHT, MODE_NONE)
 
-KIND_ROOT = "root"
-KIND_STEM = "stem"
-
 MIN_STEM_LEN = 2  # stripping never leaves fewer letters than this
 
 RULE_FILES = ("antefixes.txt", "prefixes.txt", "suffixes.txt", "postfixes.txt", "patterns.txt")
@@ -108,19 +105,12 @@ class Pattern:
 
 
 @dataclass(frozen=True)
-class Stripped:
-    antefix: str | None = None
-    prefix: str | None = None
-    suffix: str | None = None
-    postfix: str | None = None
-
-
-@dataclass(frozen=True)
 class StemResult:
-    original: str
     output: str
-    kind: str  # KIND_ROOT or KIND_STEM
-    stripped: Stripped
+    antefix: str | None  # the stripped parts in word order, None where nothing was stripped
+    prefix: str | None
+    suffix: str | None
+    postfix: str | None
     residual: str  # token minus stripped affixes, before any template match
     pattern: str | None = None  # template that produced a root, if any
 
@@ -204,10 +194,9 @@ class StemmerConfig:
         ahead, behind, residual = _strip(front, back, token)
         antefix, prefix = ahead.groups()
         postfix, suffix = behind.groups()
-        stripped = Stripped(antefix or None, prefix or None, suffix[::-1] or None, postfix[::-1] or None)
         output, template = _match_root(regex, roots, residual)
-        kind = KIND_ROOT if self.mode == MODE_ROOT else KIND_STEM
-        return StemResult(token, output, kind, stripped, residual, pattern=template)
+        parts = (antefix or None, prefix or None, suffix[::-1] or None, postfix[::-1] or None)
+        return StemResult(output, *parts, residual, pattern=template)
 
     @functools.cached_property
     def _matchers(self) -> tuple[re.Pattern, re.Pattern, re.Pattern, tuple]:

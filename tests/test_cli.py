@@ -148,6 +148,19 @@ def test_stem_light_multiple_words(capsys):
     assert lines[1] == "قلم\tقلم\tstem\t-"
 
 
+@pytest.mark.parametrize("mode, lines", [
+    ("light", ["تحديث\tحديث\tstem\tprefix=ت", "عملها\tعمل\tstem\tpostfix=ها",
+               "اجتماعاتها\tاجتماع\tstem\tsuffix=ات;postfix=ها"]),
+    ("root", ["تحديث\tحدث\troot\tprefix=ت", "عملها\tعمل\troot\tpostfix=ها",
+              "اجتماعاتها\tجمع\troot\tsuffix=ات;postfix=ها"]),
+])
+def test_stem_names_only_the_parts_it_stripped(capsys, mode, lines):
+    # a part missing before, between or after others leaves no column of its own
+    code, out, err = run(capsys, "stem", "--mode", mode, "تحديث", "عملها", "اجتماعاتها")
+    assert code == 0
+    assert out.splitlines() == lines
+
+
 def test_stem_custom_rules_dir(capsys, tmp_path):
     rules = tmp_path / "rules"
     rules.mkdir()

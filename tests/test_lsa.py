@@ -165,6 +165,15 @@ def test_truncate_usigma_scaling():
     assert np.allclose(scaled.word_vectors, plain.word_vectors * factors.sigma[:2])
 
 
+@pytest.mark.parametrize("scaling", ["u", "usigma"])
+def test_built_space_arrays_are_read_only(scaling):
+    # as load_space gives them: a caller cannot change a shared space's scores in place
+    space = truncate(factorize_dense(np.array([[3.0, 1.0], [4.0, 0.0]])), 2, scaling, Vocabulary(["ا", "ب"]), PROV, 2)
+    for array in (space.sigma, space.word_vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
 def test_factors_n_is_the_rank(mini_paragraphs, root_config):
     # the bundled corpus has rank 93 of 205 paragraphs
     factors = factorize(build_matrix(mini_paragraphs, root_config))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from semspace import stemming
 from semspace.corpus import normalize
 from semspace.errors import DataFormatError
-from semspace.stemming import AffixTable, Pattern, StemmerConfig, StemResult, Stripped, make_config
+from semspace.stemming import AffixTable, Pattern, StemmerConfig, StemResult, make_config
 
 from conftest import exactly
 import oracles
@@ -24,16 +24,15 @@ def tables():
 
 def _reconstruct(result: StemResult) -> str:
     """Re-attach the stripped parts around the residual."""
-    s = result.stripped
-    return (s.antefix or "") + (s.prefix or "") + result.residual + (s.suffix or "") + (s.postfix or "")
+    parts = (result.antefix, result.prefix, result.residual, result.suffix, result.postfix)
+    return "".join(part or "" for part in parts)
 
 
 def _decompose(config, token) -> tuple:
     """Antefix, prefix, core (the root when a template matched, the residual
     otherwise), suffix and postfix."""
     result = config.stem(token)
-    s = result.stripped
-    return s.antefix, s.prefix, result.output, s.suffix, s.postfix
+    return result.antefix, result.prefix, result.output, result.suffix, result.postfix
 
 
 # --- light stemmer -----------------------------------------------------------
@@ -41,8 +40,8 @@ def _decompose(config, token) -> tuple:
 def test_light_iraqi_feminine(light_config):
     result = light_config.stem("العراقية")
     assert result.output == "عراقي"
-    assert result.stripped.antefix == "ال"
-    assert result.stripped.suffix == "ة"
+    assert result.antefix == "ال"
+    assert result.suffix == "ة"
 
 
 def test_light_iraqi_masculine_conflates(light_config):
@@ -52,7 +51,7 @@ def test_light_iraqi_masculine_conflates(light_config):
 def test_light_fixpoint(light_config):
     result = light_config.stem("قلم")
     assert result.output == "قلم"
-    assert result.stripped == type(result.stripped)()
+    assert (result.antefix, result.prefix, result.suffix, result.postfix) == (None, None, None, None)
 
 
 def test_light_sport_riyadh_merge(light_config):
@@ -85,17 +84,17 @@ def test_root_bare_root_fixpoint(root_config):
 def test_root_do_you_remember_us(root_config):
     result = root_config.stem("أتتذكروننا")
     assert result.output == "ذكر"
-    assert result.stripped.antefix == "أ"
-    assert result.stripped.prefix == "تت"
-    assert result.stripped.suffix == "ون"
-    assert result.stripped.postfix == "نا"
+    assert result.antefix == "أ"
+    assert result.prefix == "تت"
+    assert result.suffix == "ون"
+    assert result.postfix == "نا"
 
 
 def test_root_organizations_regression(root_config, light_config):
     # pinned output of the shipped rules: the residual منظم matches مفعل
     result = root_config.stem("منظمات")
     assert result.output == "نظم"
-    assert result.stripped.suffix == "ات"
+    assert result.suffix == "ات"
     assert light_config.stem("منظمات").output == "منظم"
 
 
@@ -265,8 +264,7 @@ def test_stemming_properties_on_stacked_affixes(root_config, light_config, data)
 
 def _strip_matches_reference(token, affixes):
     result = StemmerConfig("light", affixes).stem(token)
-    stripped, residual = result.stripped, result.residual
-    assert (stripped.antefix, stripped.prefix, stripped.suffix, stripped.postfix, residual) == (
+    assert (result.antefix, result.prefix, result.suffix, result.postfix, result.residual) == (
         oracles.strip_affixes(token, affixes)
     )
 
@@ -314,9 +312,7 @@ def _root_matches_reference(config, token):
     result = config.stem(token)
     antefix, prefix, suffix, postfix, residual = oracles.strip_affixes(token, config.affixes)
     root, template = oracles.match_root(residual, config.patterns) or (residual, None)
-    assert (result.output, result.kind, result.stripped, result.residual, result.pattern) == (
-        root, stemming.KIND_ROOT, Stripped(antefix, prefix, suffix, postfix), residual, template,
-    )
+    assert result == StemResult(root, antefix, prefix, suffix, postfix, residual, template)
 
 
 def test_root_stem_matches_reference_on_the_vocabulary(root_config, mini_paragraphs):
@@ -354,11 +350,10 @@ def test_root_match_matches_reference_on_templates_of_regex_syntax(data):
 
 def _stem_matches_region_oracle(config, token):
     antefix, prefix, suffix, postfix, residual = oracles.strip_affixes_by_region(token, config.affixes)
-    output, kind, template = residual, stemming.KIND_STEM, None
+    output, template = residual, None
     if config.mode == "root":
-        kind = stemming.KIND_ROOT
         output, template = oracles.match_root(residual, config.patterns) or (residual, None)
-    expected = StemResult(token, output, kind, Stripped(antefix, prefix, suffix, postfix), residual, template)
+    expected = StemResult(output, antefix, prefix, suffix, postfix, residual, template)
     assert config.stem(token) == expected
     assert config.stem_token(token) == output
 
