@@ -194,16 +194,21 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"semspace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def path(text: str) -> str:  # the type of every input path: "" would read the current directory, or no path
+        if not text:
+            raise argparse.ArgumentTypeError("empty path")
+        return text
+
     rules = argparse.ArgumentParser(add_help=False)  # the options of every subcommand that stems
-    rules.add_argument("--rules", default=None, help="rules directory")
-    rules.add_argument("--config", default=None)
+    rules.add_argument("--rules", type=path, default=None, help="rules directory")
+    rules.add_argument("--config", type=path, default=None)
     space = argparse.ArgumentParser(add_help=False, parents=[rules])  # and of every subcommand that builds a space
     space.add_argument("-k", type=int, default=None,
                        help="dimensions to keep, at most the rank, for report the smallest over --modes (default min(300, rank))")
     space.add_argument("--scaling", choices=SCALINGS, default=SCALING_U)
 
     p_stats = sub.add_parser("stats", help="corpus statistics as TSV")
-    p_stats.add_argument("corpus_dir")
+    p_stats.add_argument("corpus_dir", type=path)
     p_stats.set_defaults(func=_cmd_stats)
 
     p_stem = sub.add_parser("stem", parents=[rules], help="stem words from the command line")
@@ -213,7 +218,7 @@ def _build_parser() -> _Parser:
 
     p_build = sub.add_parser("build", parents=[space], help="build and persist a word space")
     p_build.add_argument("--mode", choices=MODES, required=True)
-    p_build.add_argument("corpus_dir")
+    p_build.add_argument("corpus_dir", type=path)
     p_build.add_argument("-o", "--output", required=True)
     p_build.set_defaults(func=_cmd_build)
 
@@ -225,7 +230,7 @@ def _build_parser() -> _Parser:
     p_sim.set_defaults(func=_cmd_sim)
 
     p_report = sub.add_parser("report", parents=[space], help="full stemmer-by-measure comparison report")
-    p_report.add_argument("--corpus", required=True)
+    p_report.add_argument("--corpus", type=path, required=True)
     p_report.add_argument("--pairs", required=True, action="append", help="pair file; repeat to read several in order")
     p_report.add_argument("--modes", type=_modes, default=",".join(DEFAULT_MODES),
                           help="comma-separated subset of root,light,none")

@@ -73,14 +73,6 @@ def _longest_first(text: str) -> tuple[str, ...]:
     return tuple(sorted(dict.fromkeys(line for line in lines if line), key=len, reverse=True))
 
 
-@dataclass(frozen=True)
-class AffixTable:
-    antefixes: tuple[str, ...]
-    prefixes: tuple[str, ...]
-    suffixes: tuple[str, ...]
-    postfixes: tuple[str, ...]
-
-
 def _region(affixes: tuple[str, ...], front: bool) -> str:
     """A region as one group that strips until no entry fits: alternatives are
     tried in table order, so the first entry that fits wins, and the lookahead
@@ -178,7 +170,10 @@ class StemmerConfig:
     """How tokens are reduced before they index matrix rows."""
 
     mode: str
-    affixes: AffixTable = AffixTable((), (), (), ())
+    antefixes: tuple[str, ...] = ()  # each table longest first, in RULE_FILES order
+    prefixes: tuple[str, ...] = ()
+    suffixes: tuple[str, ...] = ()
+    postfixes: tuple[str, ...] = ()
     patterns: tuple[Pattern, ...] | None = None
     rules_fingerprint: str = ""
 
@@ -203,9 +198,8 @@ class StemmerConfig:
         """The front match, run on a word (the antefix region, then the prefix
         region), the back match, run on the reversed rest (the postfix region,
         then the suffix region), each region one group, and the templates."""
-        a = self.affixes
-        front = _region(a.antefixes, True) + _region(a.prefixes + a.antefixes, True)
-        back = _region(a.postfixes, False) + _region(a.suffixes + a.postfixes, False)
+        front = _region(self.antefixes, True) + _region(self.prefixes + self.antefixes, True)
+        back = _region(self.postfixes, False) + _region(self.suffixes + self.postfixes, False)
         return re.compile(front, re.DOTALL), re.compile(back, re.DOTALL), *_root_matcher(self.patterns or ())
 
     def stem_token(self, token: str) -> str:
@@ -219,10 +213,10 @@ class StemmerConfig:
 def _config(mode: str, rules_dir: Path, rules: tuple[tuple[str, bytes], ...]) -> StemmerConfig:
     """The config of a mode over the rule files' bytes; light does not parse patterns.txt."""
     files = dict(rules)
-    affixes = AffixTable(*(_longest_first(_rule_text(files, rules_dir, name)) for name in RULE_FILES[:4]))
+    tables = [_longest_first(_rule_text(files, rules_dir, name)) for name in RULE_FILES[:4]]
     patterns = _pattern_table(files, rules_dir) if mode == MODE_ROOT else None
     fingerprint = hashlib.sha256(b"".join(f"{name}\0".encode() + files.get(name, b"") + b"\0" for name in RULE_FILES))
-    return StemmerConfig(mode, affixes, patterns, fingerprint.hexdigest())
+    return StemmerConfig(mode, *tables, patterns, fingerprint.hexdigest())
 
 
 _NO_RULES = StemmerConfig(MODE_NONE)  # mode none reads no rule file

@@ -724,6 +724,33 @@ def test_config_file_that_cannot_be_read_or_split_is_usage_error(capsys, tiny_co
     assert not (tmp_path / "s.bin").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["stats", ""], "argument corpus_dir: empty path"),
+    (["build", "--mode", "light", "", "-o", "{out}"], "argument corpus_dir: empty path"),
+    (["report", "--corpus", "", "--pairs", "{pairs}", "-o", "{out}"], "argument --corpus: empty path"),
+    (["build", "--mode", "light", "--rules", "", "{corpus}", "-o", "{out}"], "argument --rules: empty path"),
+    (["build", "--mode", "light", "--config", "", "{corpus}", "-o", "{out}"], "argument --config: empty path"),
+    (["build", "--mode", "light", "--config", "{conf}", "{corpus}", "-o", "{out}"], "{conf}:1: argument --rules: empty path"),
+], ids=["stats-corpus_dir", "build-corpus_dir", "report-corpus", "rules", "config", "config-line-rules"])
+def test_empty_input_path_is_usage_error(capsys, monkeypatch, tiny_corpus, tmp_path, argv, message):
+    # "" would read the current directory as the corpus, or count as no --rules or --config
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "one.txt").write_bytes((tiny_corpus / "a" / "one.txt").read_bytes())
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("SEMSPACE_RULES", raising=False)
+    names = {"corpus": tiny_corpus, "pairs": tmp_path / "pairs.tsv", "conf": tmp_path / "my.conf", "out": tmp_path / "x.out"}
+    names["pairs"].write_text("السفير\tالسفارة\tDifferent\n", encoding="utf-8")
+    names["conf"].write_text("rules =\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc_info:
+        main([arg.format(**names) for arg in argv])
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"\nsemspace {argv[0]}: error: {message.format(**names)}\n")
+    assert not names["out"].exists()
+
+
 def test_rule_file_that_is_not_utf8_is_data_error(capsys, tmp_path):
     rules = tmp_path / "rules"
     rules.mkdir()

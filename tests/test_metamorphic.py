@@ -119,9 +119,8 @@ def test_root_counts_are_light_counts_summed_over_root_classes(mini_paragraphs, 
 @given(data=st.data())
 def test_root_counts_sum_light_counts_on_affix_wrapped_paragraphs(mini_paragraphs, root_config, light_config, data):
     # surface forms as the benchmark's generator makes them: [antefix] word [suffix] [postfix]
-    affixes = light_config.affixes
     bases = sorted({token for paragraph in mini_paragraphs for token in paragraph.tokens})
-    optional = [st.sampled_from(("",) + entries) for entries in (affixes.antefixes, affixes.suffixes, affixes.postfixes)]
+    optional = [st.sampled_from(("",) + entries) for entries in (light_config.antefixes, light_config.suffixes, light_config.postfixes)]
     words = st.tuples(optional[0], st.sampled_from(bases), optional[1], optional[2]).map(
         lambda parts: normalize("".join(parts))
     )

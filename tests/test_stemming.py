@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from semspace import stemming
 from semspace.corpus import normalize
 from semspace.errors import DataFormatError
-from semspace.stemming import AffixTable, Pattern, StemmerConfig, StemResult, make_config
+from semspace.stemming import Pattern, StemmerConfig, StemResult, make_config
 
 from conftest import exactly
 import oracles
@@ -18,8 +18,12 @@ import oracles
 
 @pytest.fixture(scope="module")
 def tables():
-    config = make_config("root")
-    return config.affixes, config.patterns
+    return make_config("root")
+
+
+def _tables(config) -> tuple[tuple[str, ...], ...]:
+    """A config's four affix tables, in RULE_FILES order."""
+    return config.antefixes, config.prefixes, config.suffixes, config.postfixes
 
 
 def _reconstruct(result: StemResult) -> str:
@@ -132,18 +136,15 @@ def test_decompose_waw_religion(root_config):
 # --- default tables ----------------------------------------------------------
 
 def test_default_antefixes_contain_definite_article(tables):
-    affixes, _ = tables
-    assert "ال" in affixes.antefixes
+    assert "ال" in tables.antefixes
 
 
 def test_default_postfixes_contain_us_pronoun(tables):
-    affixes, _ = tables
-    assert "نا" in affixes.postfixes
+    assert "نا" in tables.postfixes
 
 
 def test_default_pattern_faeel_positions(tables, root_config):
-    _, patterns = tables
-    matches = [p for p in patterns if p.template == "فعيل"]
+    matches = [p for p in tables.patterns if p.template == "فعيل"]
     assert len(matches) == 1
     assert matches[0].root_positions == (0, 1, 3)
     assert root_config.stem("سفير").output == "سفر"
@@ -151,17 +152,15 @@ def test_default_pattern_faeel_positions(tables, root_config):
 
 def test_only_the_hamza_alif_entries_are_changed_by_normalize(tables, root_config):
     # README "Stemming rules": normalize folds أ to ا before build, sim and report stem, so these never fire there
-    affixes, _ = tables
-    changed = {(region, entry) for region, entries in vars(affixes).items() for entry in entries
-               if normalize(entry) != entry}
+    changed = {(region, entry) for region in ("antefixes", "prefixes", "suffixes", "postfixes")
+               for entry in getattr(tables, region) if normalize(entry) != entry}
     assert changed == {("antefixes", "أ"), ("prefixes", "أ")}
     assert root_config.stem_token("أتتذكروننا") == "ذكر"
     assert root_config.stem_token(normalize("أتتذكروننا")) == "اتتذكر"
 
 
 def test_tables_consulted_longest_first(tables):
-    affixes, _ = tables
-    for entries in (affixes.antefixes, affixes.prefixes, affixes.suffixes, affixes.postfixes):
+    for entries in _tables(tables):
         lengths = [len(e) for e in entries]
         assert lengths == sorted(lengths, reverse=True)
 
@@ -235,22 +234,22 @@ def test_config_pickles_after_stemming(mode, first, mini_paragraphs):
 _LETTERS = "".join(chr(c) for c in range(0x0621, 0x064B) if c != 0x0640)  # Arabic letters, no tatweel
 
 
-def _wrapped_token(data, affixes, core=None) -> str:
-    """A core, random unless given, between random stacks of the shipped
+def _wrapped_token(data, config, core=None) -> str:
+    """A core, random unless given, between random stacks of the config's
     front and back affixes."""
     def stack(entries):
         return "".join(data.draw(st.lists(st.sampled_from(entries), max_size=3)))
 
-    front = stack(affixes.antefixes + affixes.prefixes)
+    front = stack(config.antefixes + config.prefixes)
     if core is None:
         core = data.draw(st.text(alphabet=_LETTERS, max_size=6))
-    return front + core + stack(affixes.suffixes + affixes.postfixes)
+    return front + core + stack(config.suffixes + config.postfixes)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_stemming_properties_on_stacked_affixes(root_config, light_config, data):
-    token = _wrapped_token(data, light_config.affixes)
+    token = _wrapped_token(data, light_config)
     light = light_config.stem(token)
     root = root_config.stem(token)
     assert _reconstruct(light) == token
@@ -262,18 +261,18 @@ def test_stemming_properties_on_stacked_affixes(root_config, light_config, data)
     assert len(root.output) >= stemming.MIN_STEM_LEN or root.output == token
 
 
-def _strip_matches_reference(token, affixes):
-    result = StemmerConfig("light", affixes).stem(token)
+def _strip_matches_reference(token, tables):
+    config = StemmerConfig("light", *tables)
+    result = config.stem(token)
     assert (result.antefix, result.prefix, result.suffix, result.postfix, result.residual) == (
-        oracles.strip_affixes(token, affixes)
+        oracles.strip_affixes(token, config)
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_strip_matches_reference_on_shipped_affixes(tables, data):
-    affixes, _ = tables
-    _strip_matches_reference(_wrapped_token(data, affixes), affixes)
+    _strip_matches_reference(_wrapped_token(data, tables), _tables(tables))
 
 
 _REGEX_LETTERS = ".*+?()[\\|\nاب"  # regex syntax, a newline and two plain letters
@@ -291,10 +290,9 @@ def test_strip_matches_reference_on_tables_of_regex_syntax(data):
     entries = list(entries)
     tables = [tuple(data.draw(st.permutations(entries))[: data.draw(st.integers(0, len(entries)))])
               for _ in range(4)]
-    affixes = AffixTable(*tables)
     pieces = st.lists(st.sampled_from(entries), max_size=3).map("".join)
     token = data.draw(pieces) + data.draw(st.text(alphabet=_REGEX_LETTERS, max_size=4)) + data.draw(pieces)
-    _strip_matches_reference(token, affixes)
+    _strip_matches_reference(token, tables)
 
 
 def _filled(data, pattern, alphabet, keep_literals=True) -> str:
@@ -310,7 +308,7 @@ def _filled(data, pattern, alphabet, keep_literals=True) -> str:
 
 def _root_matches_reference(config, token):
     result = config.stem(token)
-    antefix, prefix, suffix, postfix, residual = oracles.strip_affixes(token, config.affixes)
+    antefix, prefix, suffix, postfix, residual = oracles.strip_affixes(token, config)
     root, template = oracles.match_root(residual, config.patterns) or (residual, None)
     assert result == StemResult(root, antefix, prefix, suffix, postfix, residual, template)
 
@@ -326,7 +324,7 @@ def test_root_stem_matches_reference_on_wrapped_template_cores(root_config, data
     # a filled-in template makes most residuals fit some template
     pattern = data.draw(st.sampled_from(root_config.patterns))
     core = _filled(data, pattern, _LETTERS) if data.draw(st.booleans()) else None
-    _root_matches_reference(root_config, _wrapped_token(data, root_config.affixes, core))
+    _root_matches_reference(root_config, _wrapped_token(data, root_config, core))
 
 
 @settings(max_examples=300, deadline=None)
@@ -340,16 +338,16 @@ def test_root_match_matches_reference_on_templates_of_regex_syntax(data):
     patterns = tuple(patterns)
     residual = _filled(data, data.draw(st.sampled_from(patterns)), _REGEX_LETTERS, keep_literals=False)
     expected = oracles.match_root(residual, patterns)
-    no_affixes = AffixTable((), (), (), ())
-    result = StemmerConfig("root", no_affixes, patterns).stem(residual)
+    no_affixes = StemmerConfig("root", patterns=patterns)
+    result = no_affixes.stem(residual)
     assert (result.output, result.pattern) == (expected or (residual, None))
     for pattern in patterns:
-        single = StemmerConfig("root", no_affixes, (pattern,)).stem(residual)
+        single = StemmerConfig("root", patterns=(pattern,)).stem(residual)
         assert (single.output if single.pattern else None) == (oracles.match_root(residual, (pattern,)) or (None,))[0]
 
 
 def _stem_matches_region_oracle(config, token):
-    antefix, prefix, suffix, postfix, residual = oracles.strip_affixes_by_region(token, config.affixes)
+    antefix, prefix, suffix, postfix, residual = oracles.strip_affixes_by_region(token, config)
     output, template = residual, None
     if config.mode == "root":
         output, template = oracles.match_root(residual, config.patterns) or (residual, None)
@@ -358,7 +356,7 @@ def _stem_matches_region_oracle(config, token):
     assert config.stem_token(token) == output
 
 
-def _seeded_scale_tokens(mini_paragraphs, affixes, seed=3, count=3000):
+def _seeded_scale_tokens(mini_paragraphs, config, seed=3, count=3000):
     """Bundled-corpus words between seeded stacks of up to two shipped front and back affixes."""
     rng = random.Random(seed)
     bases = _fixture_vocabulary(mini_paragraphs)
@@ -366,19 +364,19 @@ def _seeded_scale_tokens(mini_paragraphs, affixes, seed=3, count=3000):
     def stack(entries):
         return "".join(rng.choices(entries, k=rng.randint(0, 2)))
 
-    fronts, backs = affixes.antefixes + affixes.prefixes, affixes.suffixes + affixes.postfixes
+    fronts, backs = config.antefixes + config.prefixes, config.suffixes + config.postfixes
     return [stack(fronts) + rng.choice(bases) + stack(backs) for _ in range(count)]
 
 
 @pytest.mark.parametrize("mode", stemming.MODES)
 def test_stem_matches_region_oracle_on_bundled_and_scale_tokens(mode, mini_paragraphs):
     config = make_config(mode)
-    shipped = make_config("light").affixes  # mode none's tables are empty: wrap its words in the shipped ones
+    shipped = make_config("light")  # mode none's tables are empty: wrap its words in the shipped ones
     for token in _fixture_vocabulary(mini_paragraphs) + _seeded_scale_tokens(mini_paragraphs, shipped):
         _stem_matches_region_oracle(config, token)
 
 
-_SHIPPED = make_config("light").affixes
+_SHIPPED = make_config("light")
 _AFFIX_LETTERS = "".join(sorted({ch for e in _SHIPPED.antefixes + _SHIPPED.prefixes + _SHIPPED.suffixes
                                  + _SHIPPED.postfixes for ch in e}))
 
@@ -439,14 +437,14 @@ def test_edited_rule_file_is_parsed_again(tmp_path):
     first = make_config("root", tmp_path)
     again = make_config("root", tmp_path)
     assert again is first
-    assert again.patterns is first.patterns and again.affixes is first.affixes
+    assert again.patterns is first.patterns and _tables(again) == _tables(first)
     (tmp_path / "patterns.txt").write_text("فعل\t0,1,2\n", encoding="utf-8")
     (tmp_path / "prefixes.txt").write_text("ست\n", encoding="utf-8")
     edited = make_config("root", tmp_path)
     assert edited is not first and edited != first
     assert edited.patterns == (Pattern("فعل", (0, 1, 2)),)
-    assert edited.affixes.prefixes == ("ست",)
-    assert edited.affixes.antefixes == first.affixes.antefixes
+    assert edited.prefixes == ("ست",)
+    assert edited.antefixes == first.antefixes
     assert edited.rules_fingerprint != first.rules_fingerprint
     for name in ("patterns.txt", "prefixes.txt"):
         (tmp_path / name).write_bytes((shipped / name).read_bytes())
@@ -480,8 +478,7 @@ def _rules_dir(path, **texts):
 def test_rule_table_lines_load_once_longest_first(tmp_path):
     prefixes = "\ufeffت\n\n# a comment line\n   \nست  # a trailing comment\nي\nت\nاست\nن#\n"
     config = make_config("light", _rules_dir(tmp_path, prefixes=prefixes))
-    assert config.affixes.prefixes == ("است", "ست", "ت", "ي", "ن")
-    assert config.affixes.antefixes == config.affixes.suffixes == config.affixes.postfixes == ()
+    assert _tables(config) == ((), ("است", "ست", "ت", "ي", "ن"), (), ())
 
 
 def test_light_config_does_not_parse_patterns(tmp_path):
@@ -495,7 +492,7 @@ def test_light_config_does_not_parse_patterns(tmp_path):
     (rules_dir / "patterns.txt").unlink()
     absent = make_config("light", rules_dir)
     assert absent.patterns is malformed.patterns is wellformed.patterns is None
-    assert absent.affixes == malformed.affixes == wellformed.affixes
+    assert _tables(absent) == _tables(malformed) == _tables(wellformed)
     fingerprints = {c.rules_fingerprint for c in (malformed, wellformed, absent)}
     assert len(fingerprints) == 3
 
@@ -510,7 +507,7 @@ def test_default_rules_dir_gives_the_config_of_no_rules_dir(mode):
     for rules_dir in (stemming.RULES_DIR, Path(str(files("semspace") / "data" / "rules"))):
         explicit = make_config(mode, rules_dir)
         assert explicit.rules_fingerprint == implicit.rules_fingerprint
-        assert explicit.affixes == implicit.affixes
+        assert _tables(explicit) == _tables(implicit)
         assert explicit.patterns == implicit.patterns
 
 

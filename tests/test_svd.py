@@ -374,6 +374,17 @@ def test_jacobi_rows_end_where_they_started(shape, noise, sweeps):
     assert np.abs(B - reference).max() <= 1e-12
 
 
+def test_jacobi_rows_last_sweep_rotates_nothing_on_the_bundled_r2_factors(mini_paragraphs, root_config, light_config):
+    # README "The factorization": the sweep that ends the iteration rotates nothing. So its result, run
+    # again, converges in one sweep that only swaps, and an odd sweep count un-reverses the rows' bits.
+    Xs = (build_matrix(mini_paragraphs, config).to_dense() for config in (root_config, light_config))
+    stack = np.stack([householder_qr(householder_qr(svd._merge_duplicate_columns(X))[0].T)[0] for X in Xs])
+    assert _jacobi_rows(stack) == [8, 8]
+    again = stack.copy()
+    assert _jacobi_rows(again) == [1, 1]
+    assert np.array_equal(again, stack)
+
+
 @st.composite
 def jacobi_stacks(draw):
     """p = 1..4 problems of one shape (n rows, n <= w): orthogonal rows with
