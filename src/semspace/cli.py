@@ -231,7 +231,7 @@ def _build_parser() -> _Parser:
 
     p_report = sub.add_parser("report", parents=[space], help="full stemmer-by-measure comparison report")
     p_report.add_argument("--corpus", type=path, required=True)
-    p_report.add_argument("--pairs", required=True, action="append", help="pair file; repeat to read several in order")
+    p_report.add_argument("--pairs", type=path, required=True, action="append", help="pair file; repeat to read several in order")
     p_report.add_argument("--modes", type=_modes, default=",".join(DEFAULT_MODES),
                           help="comma-separated subset of root,light,none")
     p_report.add_argument("--format", choices=("tsv", "markdown"), default="tsv")

@@ -41,6 +41,7 @@ MIN_STEM_LEN = 2  # stripping never leaves fewer letters than this
 RULE_FILES = ("antefixes.txt", "prefixes.txt", "suffixes.txt", "postfixes.txt", "patterns.txt")
 
 RULES_DIR = Path(__file__).parent / "data" / "rules"  # the path importlib.resources gives for this package
+Patterns = tuple[tuple[str, tuple[int, ...]], ...]  # patterns.txt's (template, root positions) pairs, in file order
 
 
 def _read_rules(rules_dir: Path) -> dict[str, bytes]:
@@ -82,21 +83,6 @@ def _region(affixes: tuple[str, ...], front: bool) -> str:
 
 
 @dataclass(frozen=True)
-class Pattern:
-    template: str
-    root_positions: tuple[int, ...]
-
-    def __post_init__(self):
-        k = len(self.root_positions)
-        if not 3 <= k <= 4:
-            raise DataFormatError(f"pattern {self.template!r}: needs 3 or 4 root positions, got {k}")
-        if list(self.root_positions) != sorted(set(self.root_positions)):
-            raise DataFormatError(f"pattern {self.template!r}: positions must be strictly increasing")
-        if self.root_positions[0] < 0 or self.root_positions[-1] >= len(self.template):
-            raise DataFormatError(f"pattern {self.template!r}: position out of range")
-
-
-@dataclass(frozen=True)
 class StemResult:
     output: str
     antefix: str | None  # the stripped parts in word order, None where nothing was stripped
@@ -123,18 +109,18 @@ def _strip(front: re.Pattern, back: re.Pattern, token: str) -> tuple[re.Match, r
     return ahead, behind, rest[: len(rest) - behind.end()]
 
 
-def _root_matcher(patterns: tuple[Pattern, ...]) -> tuple[re.Pattern, tuple[tuple[operator.itemgetter, str], ...]]:
+def _root_matcher(patterns: Patterns) -> tuple[re.Pattern, tuple[tuple[operator.itemgetter, str], ...]]:
     """The templates compiled into one alternation in file order, so the
     first template that fits wins, and per template the getter of its root
     letters and the template itself. Each alternative is one group: root
     positions match any letter and the others their own; no templates give
     `(?!)`, which never matches. Data, not a closure, so configs pickle."""
     alternatives = (
-        "".join("." if i in p.root_positions else re.escape(ch) for i, ch in enumerate(p.template))
-        for p in patterns
+        "".join("." if i in positions else re.escape(ch) for i, ch in enumerate(template))
+        for template, positions in patterns
     )
     regex = re.compile("|".join(f"({a})" for a in alternatives) or "(?!)", re.DOTALL)
-    return regex, tuple((operator.itemgetter(*p.root_positions), p.template) for p in patterns)  # 3 or 4 positions: a tuple
+    return regex, tuple((operator.itemgetter(*positions), template) for template, positions in patterns)  # 3 or 4 positions: a tuple
 
 
 def _match_root(regex: re.Pattern, roots: tuple, residual: str) -> tuple[str, str | None]:
@@ -146,7 +132,8 @@ def _match_root(regex: re.Pattern, roots: tuple, residual: str) -> tuple[str, st
     return "".join(letters(residual)), template
 
 
-def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, ...]:
+def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> Patterns:
+    """patterns.txt's pairs, each with 3 or 4 strictly increasing positions inside its template."""
     path = rules_dir / "patterns.txt"
     patterns = []
     for lineno, raw in enumerate(_rule_text(rules, rules_dir, "patterns.txt").splitlines(), start=1):
@@ -157,11 +144,19 @@ def _pattern_table(rules: dict[str, bytes], rules_dir: Path) -> tuple[Pattern, .
         if len(parts) != 2:
             raise DataFormatError(f"{path}:{lineno}: expected 'template<TAB>positions'")
         try:
-            patterns.append(Pattern(parts[0].strip(), tuple(int(p) for p in parts[1].split(","))))
+            template, positions = parts[0].strip(), tuple(int(p) for p in parts[1].split(","))
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: positions must be integers") from None
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        if not 3 <= len(positions) <= 4:
+            problem = f"needs 3 or 4 root positions, got {len(positions)}"
+        elif list(positions) != sorted(set(positions)):
+            problem = "positions must be strictly increasing"
+        elif positions[0] < 0 or positions[-1] >= len(template):
+            problem = "position out of range"
+        else:
+            patterns.append((template, positions))
+            continue
+        raise DataFormatError(f"{path}:{lineno}: pattern {template!r}: {problem}")
     return tuple(patterns)
 
 
@@ -174,7 +169,7 @@ class StemmerConfig:
     prefixes: tuple[str, ...] = ()
     suffixes: tuple[str, ...] = ()
     postfixes: tuple[str, ...] = ()
-    patterns: tuple[Pattern, ...] | None = None
+    patterns: Patterns | None = None  # root only
     rules_fingerprint: str = ""
 
     def __post_init__(self):

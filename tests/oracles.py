@@ -107,8 +107,7 @@ def strip_affixes(token, table):
 def match_root(residual, patterns):
     """(root, template) of the first same-length template whose literal
     positions all agree with `residual`, one character at a time, or None."""
-    for pattern in patterns:
-        template, positions = pattern.template, pattern.root_positions
+    for template, positions in patterns:
         if len(residual) == len(template) and all(
             i in positions or residual[i] == ch for i, ch in enumerate(template)
         ):

@@ -204,7 +204,8 @@ def test_stem_light_needs_no_patterns_file(capsys, tmp_path):
     ("0,1", "needs 3 or 4 root positions, got 2"),
     ("0,2,1", "positions must be strictly increasing"),
     ("0,1,3", "position out of range"),
-], ids=["count", "order", "range"])
+    ("-1,0,1", "position out of range"),
+], ids=["count", "order", "range", "negative"])
 def test_bad_pattern_names_its_file_and_line(capsys, tmp_path, positions, problem):
     rules = tmp_path / "rules"
     rules.mkdir()
@@ -728,12 +729,13 @@ def test_config_file_that_cannot_be_read_or_split_is_usage_error(capsys, tiny_co
     (["stats", ""], "argument corpus_dir: empty path"),
     (["build", "--mode", "light", "", "-o", "{out}"], "argument corpus_dir: empty path"),
     (["report", "--corpus", "", "--pairs", "{pairs}", "-o", "{out}"], "argument --corpus: empty path"),
+    (["report", "--corpus", "{corpus}", "--pairs", "{pairs}", "--pairs", "", "-o", "{out}"], "argument --pairs: empty path"),
     (["build", "--mode", "light", "--rules", "", "{corpus}", "-o", "{out}"], "argument --rules: empty path"),
     (["build", "--mode", "light", "--config", "", "{corpus}", "-o", "{out}"], "argument --config: empty path"),
     (["build", "--mode", "light", "--config", "{conf}", "{corpus}", "-o", "{out}"], "{conf}:1: argument --rules: empty path"),
-], ids=["stats-corpus_dir", "build-corpus_dir", "report-corpus", "rules", "config", "config-line-rules"])
+], ids=["stats-corpus_dir", "build-corpus_dir", "report-corpus", "report-pairs", "rules", "config", "config-line-rules"])
 def test_empty_input_path_is_usage_error(capsys, monkeypatch, tiny_corpus, tmp_path, argv, message):
-    # "" would read the current directory as the corpus, or count as no --rules or --config
+    # "" would read the current directory as the corpus or a pair file, or count as no --rules or --config
     work = tmp_path / "work"
     work.mkdir()
     (work / "one.txt").write_bytes((tiny_corpus / "a" / "one.txt").read_bytes())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from semspace import stemming
 from semspace.corpus import normalize
 from semspace.errors import DataFormatError
-from semspace.stemming import Pattern, StemmerConfig, StemResult, make_config
+from semspace.stemming import StemmerConfig, StemResult, make_config
 
 from conftest import exactly
 import oracles
@@ -144,9 +144,8 @@ def test_default_postfixes_contain_us_pronoun(tables):
 
 
 def test_default_pattern_faeel_positions(tables, root_config):
-    matches = [p for p in tables.patterns if p.template == "فعيل"]
-    assert len(matches) == 1
-    assert matches[0].root_positions == (0, 1, 3)
+    matches = [positions for template, positions in tables.patterns if template == "فعيل"]
+    assert matches == [(0, 1, 3)]
     assert root_config.stem("سفير").output == "سفر"
 
 
@@ -296,14 +295,16 @@ def test_strip_matches_reference_on_tables_of_regex_syntax(data):
 
 
 def _filled(data, pattern, alphabet, keep_literals=True) -> str:
-    """The pattern's template with random letters at its root positions and,
-    unless keep_literals, at each literal position half of the time."""
+    """The (template, positions) pair's template with random letters at its root
+    positions and, unless keep_literals, at each literal position half of the time."""
+    template, positions = pattern
+
     def letter(i, ch):
-        if i in pattern.root_positions or (not keep_literals and data.draw(st.booleans())):
+        if i in positions or (not keep_literals and data.draw(st.booleans())):
             return data.draw(st.sampled_from(alphabet))
         return ch
 
-    return "".join(letter(i, ch) for i, ch in enumerate(pattern.template))
+    return "".join(letter(i, ch) for i, ch in enumerate(template))
 
 
 def _root_matches_reference(config, token):
@@ -334,7 +335,7 @@ def test_root_match_matches_reference_on_templates_of_regex_syntax(data):
     for template in data.draw(st.lists(st.text(alphabet=_REGEX_LETTERS, min_size=3, max_size=5), min_size=1, max_size=6)):
         k = data.draw(st.integers(3, min(4, len(template))))
         positions = data.draw(st.sets(st.integers(0, len(template) - 1), min_size=k, max_size=k))
-        patterns.append(Pattern(template, tuple(sorted(positions))))
+        patterns.append((template, tuple(sorted(positions))))
     patterns = tuple(patterns)
     residual = _filled(data, data.draw(st.sampled_from(patterns)), _REGEX_LETTERS, keep_literals=False)
     expected = oracles.match_root(residual, patterns)
@@ -390,15 +391,37 @@ def test_stem_matches_region_oracle_on_words_over_the_affix_letters(root_config,
 
 # --- rule data loading -------------------------------------------------------
 
-def test_pattern_rejects_bad_positions():
-    with pytest.raises(DataFormatError, match=exactly("pattern 'فعيل': needs 3 or 4 root positions, got 2")):
-        Pattern("فعيل", (0, 1))
-    with pytest.raises(DataFormatError, match=exactly("pattern 'فعل': positions must be strictly increasing")):
-        Pattern("فعل", (0, 2, 1))
-    with pytest.raises(DataFormatError, match=exactly("pattern 'فعل': position out of range")):
-        Pattern("فعل", (0, 1, 9))
-    with pytest.raises(DataFormatError, match=exactly("pattern 'فعلل': position out of range")):
-        Pattern("فعلل", (-1, 0, 1))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pattern_line_is_kept_or_names_its_first_failing_check(tmp_path_factory, data):
+    # patterns.txt's one entry point checks count, then order, then range. Positions in -2..7 come from
+    # the template's indices, those and one past its end, or all of -2..7, and half the time sorted
+    # without repeats, so that each check fails, and a line passes, often
+    template = data.draw(st.text(alphabet=_LETTERS, min_size=2, max_size=6))
+    k = data.draw(st.integers(1, 5))
+    lo, hi = data.draw(st.sampled_from([(0, len(template) - 1), (0, len(template)), (-2, 7)]))
+    if data.draw(st.booleans()):
+        positions = tuple(sorted(data.draw(st.permutations(range(lo, hi + 1)))[:k]))
+    else:
+        positions = tuple(data.draw(st.lists(st.integers(lo, hi), min_size=k, max_size=k)))
+    rules = tmp_path_factory.mktemp("rules")
+    for name in stemming.RULE_FILES:
+        (rules / name).write_bytes((stemming.RULES_DIR / name).read_bytes())
+    path = rules / "patterns.txt"
+    lineno = len(path.read_bytes().splitlines()) + 1
+    with path.open("a", encoding="utf-8") as file:
+        file.write(f"{template}\t{','.join(map(str, positions))}\n")
+    if not 3 <= len(positions) <= 4:
+        problem = f"needs 3 or 4 root positions, got {len(positions)}"
+    elif any(a >= b for a, b in zip(positions, positions[1:])):
+        problem = "positions must be strictly increasing"
+    elif min(positions) < 0 or max(positions) >= len(template):
+        problem = "position out of range"
+    else:
+        assert make_config("root", rules).patterns[-1] == (template, positions)
+        return
+    with pytest.raises(DataFormatError, match=exactly(f"{path}:{lineno}: pattern '{template}': {problem}")):
+        make_config("root", rules)
 
 
 def test_load_rejects_malformed_pattern_line(tmp_path):
@@ -442,7 +465,7 @@ def test_edited_rule_file_is_parsed_again(tmp_path):
     (tmp_path / "prefixes.txt").write_text("ست\n", encoding="utf-8")
     edited = make_config("root", tmp_path)
     assert edited is not first and edited != first
-    assert edited.patterns == (Pattern("فعل", (0, 1, 2)),)
+    assert edited.patterns == (("فعل", (0, 1, 2)),)
     assert edited.prefixes == ("ست",)
     assert edited.antefixes == first.antefixes
     assert edited.rules_fingerprint != first.rules_fingerprint
