@@ -35,12 +35,6 @@ class WordPair:
     gloss: str | None = None
     transliteration: str | None = None
 
-    def __post_init__(self):
-        if not self.word_a or not self.word_b:
-            raise DataFormatError("pair words must be non-empty")
-        if self.label not in LABELS:
-            raise DataFormatError(f"unknown pair label: {self.label!r}")
-
 
 def load_pairs(path: str | Path) -> list[WordPair]:
     """Parse a pair file: word_a<TAB>word_b<TAB>label[<TAB>gloss[<TAB>translit]].
@@ -59,10 +53,11 @@ def load_pairs(path: str | Path) -> list[WordPair]:
         if len(cols) < 3 or len(cols) > 5:
             raise DataFormatError(f"{path}:{lineno}: expected 3 to 5 tab-separated columns, got {len(cols)}")
         word_a, word_b, label, gloss, translit = (c.strip() for c in cols + [""] * (5 - len(cols)))
-        try:
-            pairs.append(WordPair(word_a, word_b, label, gloss or None, translit or None))
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        if not word_a or not word_b:
+            raise DataFormatError(f"{path}:{lineno}: pair words must be non-empty")
+        if label not in LABELS:
+            raise DataFormatError(f"{path}:{lineno}: unknown pair label: {label!r}")
+        pairs.append(WordPair(word_a, word_b, label, gloss or None, translit or None))
     return pairs
 
 

@@ -172,12 +172,6 @@ class StemmerConfig:
     patterns: Patterns | None = None  # root only
     rules_fingerprint: str = ""
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown stemmer mode: {self.mode!r}")
-        if self.mode == MODE_ROOT and self.patterns is None:
-            raise ValueError("root mode requires pattern rules")
-
     def stem(self, token: str) -> StemResult:
         """The full stemming result for one token."""
         front, back, regex, roots = self._matchers
@@ -219,6 +213,8 @@ _NO_RULES = StemmerConfig(MODE_NONE)  # mode none reads no rule file
 
 def make_config(mode: str, rules_dir: str | Path | None = None) -> StemmerConfig:
     """The shared config of a mode over a rules directory, `RULES_DIR` by default."""
+    if mode not in MODES:
+        raise ValueError(f"unknown stemmer mode: {mode!r}")
     if mode == MODE_NONE:
         return _NO_RULES
     rules_dir = RULES_DIR if rules_dir is None else Path(rules_dir)

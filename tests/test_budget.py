@@ -1,8 +1,8 @@
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "semspace"
-# ROADMAP aim 2: the package does not grow past 1,567 lines, its count when this ceiling was last lowered
-SRC_LINE_CEILING = 1567
+# ROADMAP aim 2: the package does not grow past 1,558 lines, its count when this ceiling was last lowered
+SRC_LINE_CEILING = 1558
 
 
 def test_src_stays_within_its_line_budget():

@@ -2,6 +2,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semspace.errors import DataFormatError, SemspaceError
 from semspace.experiment import (
@@ -70,6 +72,47 @@ def test_load_pairs_bad_label(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("اب\tجد\tsomething\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=exactly(f"{path}:1: unknown pair label: 'something'")):
+        load_pairs(path)
+
+
+def test_word_pair_validation(tmp_path):
+    # load_pairs checks a pair's words after stripping them: an empty or whitespace-only word names its line
+    path = tmp_path / "pairs.tsv"
+    for line in ("\tجد\tSimilar", "اب\t  \tDifferent"):
+        path.write_text(f"اب\tجد\tSimilar\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=exactly(f"{path}:2: pair words must be non-empty")):
+            load_pairs(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pair_line_is_kept_or_names_its_first_failing_check(tmp_path_factory, data):
+    # a pair file's one entry point checks the column count, then the words, then the label, each on
+    # stripped fields; a line of 1-7 fields drawn from blanks, one word with and without spaces around
+    # it, the two labels and two near misses follows one valid line
+    word = data.draw(st.sampled_from(["السفير", "كتاب"]))
+    count = data.draw(st.integers(1, 7))
+    fields = data.draw(st.lists(st.sampled_from(["", "  ", word, f" {word} ", "Similar", "Different",
+                                                 "similar", "Other"]), min_size=count, max_size=count))
+    line = "\t".join(fields)
+    path = tmp_path_factory.mktemp("pairs") / "pairs.tsv"
+    path.write_text(f"اب\tجد\tSimilar\n{line}\n", encoding="utf-8")
+    first = WordPair("اب", "جد", "Similar")
+    stripped = [field.strip() for field in fields]
+    if not line.strip():
+        assert load_pairs(path) == [first]
+        return
+    if not 3 <= len(fields) <= 5:
+        problem = f"expected 3 to 5 tab-separated columns, got {len(fields)}"
+    elif not stripped[0] or not stripped[1]:
+        problem = "pair words must be non-empty"
+    elif stripped[2] not in ("Similar", "Different"):
+        problem = f"unknown pair label: {stripped[2]!r}"
+    else:
+        gloss, transliteration = (stripped[3:] + ["", ""])[:2]
+        assert load_pairs(path) == [first, WordPair(*stripped[:3], gloss or None, transliteration or None)]
+        return
+    with pytest.raises(DataFormatError, match=exactly(f"{path}:2: {problem}")):
         load_pairs(path)
 
 
@@ -293,10 +336,3 @@ def test_section_order_mirrors_modes_and_labels(fixture_report):
         "## stemmer=light\tlabel=Similar",
         "## stemmer=light\tlabel=Different",
     ]
-
-
-def test_word_pair_validation():
-    with pytest.raises(DataFormatError, match="^pair words must be non-empty$"):
-        WordPair("", "جد", "Similar")
-    with pytest.raises(DataFormatError, match="^unknown pair label: 'Other'$"):
-        WordPair("اب", "جد", "Other")

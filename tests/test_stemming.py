@@ -436,11 +436,11 @@ def test_load_rejects_malformed_pattern_line(tmp_path):
         make_config("root", tmp_path)
 
 
-@pytest.mark.parametrize("mode, message", [("bogus", "unknown stemmer mode: 'bogus'"),
-                                           ("root", "root mode requires pattern rules")])
-def test_config_rejects_an_unknown_mode_and_root_without_patterns(mode, message):
-    with pytest.raises(ValueError, match=message):
-        StemmerConfig(mode)
+def test_config_rejects_an_unknown_mode_before_reading_rules(tmp_path):
+    # make_config checks the mode first: an empty rules directory gives the same error, not a missing file
+    for rules_dir in (None, tmp_path):
+        with pytest.raises(ValueError, match=exactly("unknown stemmer mode: 'bogus'")):
+            make_config("bogus", rules_dir)
 
 
 @pytest.mark.parametrize("name", ["antefixes.txt", "patterns.txt"])
