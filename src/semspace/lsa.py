@@ -2,11 +2,11 @@
 truncated word spaces built from them, with binary persistence.
 
 `build_spaces` is the one path from paragraphs to spaces: `build` calls it
-with one stemmer config and `report` with all of its modes. `build_matrix`,
-`factorize` and `truncate` are its stages one at a time, for the benchmark's
-traced replicas; `Vocabulary.index_of` (`dict.get`) and `space_fingerprint`
-(which makes `Provenance.corpus_fingerprint`) keep the names the benchmark
-calls. Matrix cells are raw occurrence counts; no weighting is applied. Word
+with one stemmer config and `report` with all of its modes. It factors the
+`(vocabulary, counts)` pairs that `build_matrices` yields. `build_matrix`,
+`factorize`, `CooccurrenceMatrix` and `Vocabulary.index_of` (`dict.get`) are
+shims whose one client is the benchmark's traced replicas; no command calls
+them. Matrix cells are raw occurrence counts; no weighting is applied. Word
 vectors are rows of U (optionally scaled entrywise by the singular values),
 restricted to the k largest singular directions. A space file's stemmer and
 scaling tags index `_MODE_TAGS` and `SCALINGS`.
@@ -102,9 +102,9 @@ def space_fingerprint(rules_fingerprint: str, stats: CorpusStats) -> str:
     return hashlib.sha256("|".join(map(str, fields)).encode("utf-8")).hexdigest()
 
 
-def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) -> Iterator[CooccurrenceMatrix]:
+def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) -> Iterator[tuple[Vocabulary, np.ndarray]]:
     """Count stemmed-word occurrences per paragraph: a lazy iterator of one
-    matrix per config, which stems and fills each as it is pulled.
+    (vocabulary, read-only counts) pair per config, each stemmed and filled as it is pulled.
 
     Row order is first occurrence in corpus order; column order follows the
     paragraph list. Raises SemspaceError, at the call, rather than making
@@ -119,7 +119,7 @@ def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) ->
     token_ids = distinct.rows_of(occurrences)
     columns = np.repeat(np.arange(n), [len(paragraph.tokens) for paragraph in paragraphs])
 
-    def matrix(config: StemmerConfig, last: bool) -> CooccurrenceMatrix:
+    def matrix(config: StemmerConfig, last: bool) -> tuple[Vocabulary, np.ndarray]:
         nonlocal distinct, token_ids, columns
         stems = list(map(config.stem_token, distinct))
         vocabulary = Vocabulary(stems)
@@ -129,14 +129,14 @@ def build_matrices(paragraphs: list[Paragraph], configs: list[StemmerConfig]) ->
         counts = np.zeros((len(vocabulary), n))
         np.add.at(counts.reshape(-1), flat, 1.0)
         counts.flags.writeable = False
-        return CooccurrenceMatrix(vocabulary, counts)
+        return vocabulary, counts
 
     return (matrix(config, i == len(configs)) for i, config in enumerate(configs, 1))  # binds no matrix
 
 
 def build_matrix(paragraphs: list[Paragraph], config: StemmerConfig) -> CooccurrenceMatrix:
-    """`build_matrices` for one config."""
-    return next(build_matrices(paragraphs, [config]))
+    """`build_matrices` for one config, wrapped for the benchmark."""
+    return CooccurrenceMatrix(*next(build_matrices(paragraphs, [config])))
 
 
 def factorize(matrix: CooccurrenceMatrix) -> SvdFactors:
@@ -183,13 +183,13 @@ def build_spaces(
     """
     vocabularies = []  # each matrix's, noted as the SVD takes its counts
 
-    def counts(matrix: CooccurrenceMatrix) -> np.ndarray:  # mapped: a loop over the matrices would keep each alive
-        vocabularies.append(matrix.vocabulary)
-        return matrix.to_dense()
+    def counts(pair: tuple[Vocabulary, np.ndarray]) -> np.ndarray:  # mapped: a loop over the pairs would keep each alive
+        vocabularies.append(pair[0])
+        return pair[1]
 
-    n_columns, matrices = len(paragraphs), build_matrices(paragraphs, configs)
+    n_columns, pairs = len(paragraphs), build_matrices(paragraphs, configs)
     del paragraphs  # counted: freed here when the caller handed them over, as `cli` does (CPython 3.11+)
-    factored = [SvdFactors(U, sigma) for U, sigma, _ in _svd.jacobi_svds(map(counts, matrices))]
+    factored = [SvdFactors(U, sigma) for U, sigma, _ in _svd.jacobi_svds(map(counts, pairs))]
     if k is None:
         k = min(300, *(factors.n for factors in factored))
     spaces = []

@@ -80,8 +80,8 @@ def test_criterion_2_stemmer_contrast(pipeline, root_config, light_config, root_
     stem_a = _stems(light_config, "السفارة")
     stem_b = _stems(light_config, "السفير")
     assert stem_a != stem_b
-    row_a = light_space.vocabulary.index_of(stem_a)
-    row_b = light_space.vocabulary.index_of(stem_b)
+    row_a = light_space.vocabulary.get(stem_a)
+    row_b = light_space.vocabulary.get(stem_b)
     assert row_a is not None and row_b is not None and row_a != row_b
 
     (light_row,) = [
@@ -99,7 +99,7 @@ def test_criterion_3_light_stem_merges(pipeline, light_config, light_space):
         stem_a = _stems(light_config, pair_key[0])
         stem_b = _stems(light_config, pair_key[1])
         assert stem_a == stem_b, pair_key
-        assert light_space.vocabulary.index_of(stem_a) is not None
+        assert light_space.vocabulary.get(stem_a) is not None
         (row,) = [
             r for r in report.rows
             if r.stemmer_mode == "light" and (r.pair.word_a, r.pair.word_b) == pair_key

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from semspace import lsa, svd
 from semspace.cli import main
-from semspace.corpus import Paragraph
+from semspace.corpus import Paragraph, corpus_stats, load_corpus, segment_corpus
 from semspace.errors import DataFormatError, OutOfVocabularyError, SemspaceError
 from semspace.lsa import (
     _checksum,
@@ -25,9 +25,7 @@ from semspace.lsa import (
     SvdFactors,
     Vocabulary,
     build_matrices,
-    build_matrix,
     build_spaces,
-    factorize,
     load_space,
     save_space,
     truncate,
@@ -47,34 +45,32 @@ def _paragraphs(texts):
 
 
 def test_build_matrix_counts():
-    matrix = build_matrix(_paragraphs(["اب اب جد", "جد"]), NONE_CONFIG)
-    assert matrix.shape == (2, 2)
-    assert list(matrix.vocabulary) == ["اب", "جد"]
-    assert matrix.to_dense().tolist() == [[2.0, 0.0], [1.0, 1.0]]
+    vocabulary, counts = next(build_matrices(_paragraphs(["اب اب جد", "جد"]), [NONE_CONFIG]))
+    assert counts.shape == (2, 2)
+    assert list(vocabulary) == ["اب", "جد"]
+    assert counts.tolist() == [[2.0, 0.0], [1.0, 1.0]]
 
 
 def test_build_matrix_single_cell():
-    matrix = build_matrix(_paragraphs(["اب"]), NONE_CONFIG)
-    assert matrix.to_dense().tolist() == [[1.0]]
+    _, counts = next(build_matrices(_paragraphs(["اب"]), [NONE_CONFIG]))
+    assert counts.tolist() == [[1.0]]
 
 
 def test_build_matrix_entries_positive_and_column_sums(mini_paragraphs):
-    matrix = build_matrix(mini_paragraphs, NONE_CONFIG)
-    dense = matrix.to_dense()
+    _, dense = next(build_matrices(mini_paragraphs, [NONE_CONFIG]))
     assert (dense >= 0).all() and np.array_equal(dense, np.floor(dense))
     for j, paragraph in enumerate(mini_paragraphs):
         assert dense[:, j].sum() == len(paragraph.tokens)
 
 
 def test_build_matrix_against_counting_oracle(mini_paragraphs, light_config):
-    matrix = build_matrix(mini_paragraphs[:40], light_config)
+    vocabulary, dense = next(build_matrices(mini_paragraphs[:40], [light_config]))
     oracle = count_occurrences(
         [p.tokens for p in mini_paragraphs[:40]], light_config.stem_token
     )
-    dense = matrix.to_dense()
     for j, counts in enumerate(oracle):
         for token, expected in counts.items():
-            assert dense[matrix.vocabulary.index_of(token), j] == expected
+            assert dense[vocabulary.get(token), j] == expected
         assert dense[:, j].sum() == sum(counts.values())
 
 
@@ -85,12 +81,12 @@ _MODE_SETS = [modes for r in (1, 2, 3) for modes in itertools.combinations(("roo
 def test_build_matrices_is_build_matrix_per_mode(mini_paragraphs, modes):
     configs = [make_config(mode) for mode in modes]
     tokens = [p.tokens for p in mini_paragraphs]
-    for config, matrix in zip(configs, build_matrices(mini_paragraphs, configs), strict=True):
-        alone = build_matrix(mini_paragraphs, config)
-        rows, counts = count_matrix(tokens, config.stem_token)
-        assert list(matrix.vocabulary) == list(alone.vocabulary) == rows
-        assert matrix.shape == alone.shape == counts.shape
-        assert matrix.counts.tobytes() == alone.counts.tobytes() == counts.tobytes()
+    for config, (vocabulary, counts) in zip(configs, build_matrices(mini_paragraphs, configs), strict=True):
+        alone_vocabulary, alone_counts = next(build_matrices(mini_paragraphs, [config]))
+        rows, expected = count_matrix(tokens, config.stem_token)
+        assert list(vocabulary) == list(alone_vocabulary) == rows
+        assert counts.shape == alone_counts.shape == expected.shape
+        assert counts.tobytes() == alone_counts.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -105,21 +101,20 @@ def test_build_matrices_match_the_occurrence_oracle(token_lists):
         with pytest.raises(SemspaceError, match="^empty corpus$"):
             build_matrices(paragraphs, configs)
         return
-    for config, matrix in zip(configs, build_matrices(paragraphs, configs), strict=True):
-        rows, counts = count_matrix(token_lists, config.stem_token)
-        assert list(matrix.vocabulary) == rows
-        assert matrix.counts.tobytes() == counts.tobytes() and not matrix.counts.flags.writeable
+    for config, (vocabulary, counts) in zip(configs, build_matrices(paragraphs, configs), strict=True):
+        rows, expected = count_matrix(token_lists, config.stem_token)
+        assert list(vocabulary) == rows
+        assert counts.tobytes() == expected.tobytes() and not counts.flags.writeable
 
 
 def test_row_conflation_structure(mini_paragraphs, root_config, light_config):
-    root_matrix = build_matrix(mini_paragraphs, root_config)
-    light_matrix = build_matrix(mini_paragraphs, light_config)
+    (root_vocabulary, _), (light_vocabulary, _) = build_matrices(mini_paragraphs, [root_config, light_config])
     # both surface forms collapse to one row under the root stemmer
     assert root_config.stem_token("السفير") == root_config.stem_token("السفارة") == "سفر"
-    assert root_matrix.vocabulary.index_of("سفر") is not None
+    assert root_vocabulary.get("سفر") is not None
     # and stay two distinct rows under the light stemmer
-    a = light_matrix.vocabulary.index_of("سفير")
-    b = light_matrix.vocabulary.index_of("سفار")
+    a = light_vocabulary.get("سفير")
+    b = light_vocabulary.get("سفار")
     assert a is not None and b is not None and a != b
 
 
@@ -127,7 +122,7 @@ def test_vocabulary_is_the_dict_it_wraps():
     vocabulary = Vocabulary(["ب", "ا", "ب"])
     assert vocabulary == {"ب": 0, "ا": 1}
     assert list(vocabulary) == ["ب", "ا"]  # iterated in row order
-    assert vocabulary.index_of("ج") is None
+    assert vocabulary.get("ج") is None
     assert vocabulary.rows_of(["ا", "ب"]).tolist() == [1, 0]
     assert Vocabulary() == {} and not Vocabulary()
 
@@ -176,7 +171,8 @@ def test_built_space_arrays_are_read_only(scaling):
 
 def test_factors_n_is_the_rank(mini_paragraphs, root_config):
     # the bundled corpus has rank 93 of 205 paragraphs
-    factors = factorize(build_matrix(mini_paragraphs, root_config))
+    _, counts = next(build_matrices(mini_paragraphs, [root_config]))
+    factors = factorize_dense(counts)
     assert factors.n == np.count_nonzero(factors.sigma) == factors.U.shape[1] == 93
     assert factors.sigma.shape == (205,)
 
@@ -214,15 +210,33 @@ def test_spaces_built_together_equal_spaces_built_alone(mini_paragraphs, mini_st
         assert space.word_vectors.tobytes() == alone.word_vectors.tobytes()
 
 
+def test_spaces_of_differing_ranks_built_together_equal_spaces_built_alone(tmp_path, root_config, light_config):
+    # `report`'s path when ranks differ: root is 3 x 4 of rank 2 and light 4 x 4 of rank 3, so their R2 factors
+    # differ in shape and each runs its own Jacobi stack; the default k is the smaller rank
+    (tmp_path / "doc.txt").write_text("السفير المدينة\n\nالسفارة المدينة\n\nالوزير\n\nالوزير\n", encoding="utf-8")
+    corpus = load_corpus(tmp_path)
+    paragraphs, stats, configs = segment_corpus(corpus), corpus_stats(corpus), [root_config, light_config]
+    assert [space.k for config in configs for space in build_spaces(paragraphs, stats, [config])] == [2, 3]
+    together = build_spaces(paragraphs, stats, configs)
+    assert [space.word_vectors.shape for space in together] == [(3, 2), (4, 2)]
+    for config, space in zip(configs, together, strict=True):
+        (alone,) = build_spaces(paragraphs, stats, [config], k=2)
+        assert space.sigma.tobytes() == alone.sigma.tobytes()
+        assert space.word_vectors.tobytes() == alone.word_vectors.tobytes()
+
+
 def test_build_spaces_holds_one_count_matrix_at_a_time(monkeypatch, mini_paragraphs, mini_stats):
     # each mode's counts are made as the SVD pulls them; the bundled modes all repeat columns, so each
     # first QR gets a merged copy, and by then no count array is alive, that mode's own included
     made, live_at_first_qrs = [], []  # a weakref to each count array as it is made; which live at each first QR
-    new_matrix, qr = lsa.CooccurrenceMatrix, svd.householder_qr
+    real, qr = lsa.build_matrices, svd.householder_qr
 
-    def making(vocabulary, counts):
-        made.append(weakref.ref(counts))
-        return new_matrix(vocabulary, counts)
+    def note(pair):
+        made.append(weakref.ref(pair[1]))
+        return pair
+
+    def making(paragraphs, configs):  # holds no pair: each passes through `note` as build_spaces pulls it
+        return map(note, real(paragraphs, configs))
 
     calls = itertools.count()
 
@@ -231,7 +245,7 @@ def test_build_spaces_holds_one_count_matrix_at_a_time(monkeypatch, mini_paragra
             live_at_first_qrs.append([ref() is not None for ref in made])
         return qr(A)
 
-    monkeypatch.setattr(lsa, "CooccurrenceMatrix", making)
+    monkeypatch.setattr(lsa, "build_matrices", making)
     monkeypatch.setattr(svd, "householder_qr", first_qrs_noted)
     build_spaces(mini_paragraphs, mini_stats, [make_config(mode) for mode in ("root", "light", "none")], k=40)
     assert live_at_first_qrs == [[False], [False, False], [False, False, False]]
@@ -268,7 +282,7 @@ def usigma_rank_spaces(mini_paragraphs, mini_stats):
     """Each mode's count matrix beside its usigma space at the default k, the rank."""
     configs = [make_config(mode) for mode in ("root", "light", "none")]
     spaces = build_spaces(mini_paragraphs, mini_stats, configs, scaling="usigma")
-    return [(build_matrix(mini_paragraphs, config).to_dense(), space) for config, space in zip(configs, spaces)]
+    return [(counts, space) for (_, counts), space in zip(build_matrices(mini_paragraphs, configs), spaces, strict=True)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,7 +306,7 @@ def test_word_vector_verbatim_row(mini_paragraphs, mini_stats):
 
 
 def test_word_vector_stems_query(light_space, light_config):
-    row = light_space.vocabulary.index_of("عراقي")
+    row = light_space.vocabulary.get("عراقي")
     vec = word_vector(light_space, "العراقية", light_config)
     assert np.array_equal(vec, light_space.word_vectors[row])
 
@@ -500,8 +514,8 @@ def test_loaded_vocabulary_equals_one_built_from_its_tokens(tmp_path, mini_corpu
     assert loaded != Vocabulary(tokens[::-1])
     assert list(loaded) == list(built) == tokens
     assert len(loaded) == len(built) == len(tokens)
-    assert [loaded.index_of(t) for t in tokens] == [built.index_of(t) for t in tokens] == list(range(len(tokens)))
-    assert loaded.index_of("غائبتماما") is None and built.index_of("غائبتماما") is None
+    assert [loaded.get(t) for t in tokens] == [built.get(t) for t in tokens] == list(range(len(tokens)))
+    assert loaded.get("غائبتماما") is None and built.get("غائبتماما") is None
 
 
 @pytest.mark.parametrize("k", [None, 40])

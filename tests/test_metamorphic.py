@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from semspace.corpus import Paragraph, normalize
 from semspace.errors import OutOfVocabularyError
-from semspace.lsa import build_matrices, build_matrix, build_spaces, factorize, word_vector
+from semspace.lsa import build_matrices, build_spaces, word_vector
 from semspace.similarity import measure_all
+from semspace.svd import jacobi_svd
 
 KS = (None, 40)  # the default k (the smallest rank, as `report` picks it) and `-k 40`
 MEASURE_TOL = 1e-12
@@ -29,7 +30,7 @@ def configs(root_config, light_config):
 
 def _sigmas(paragraphs, configs):
     """Each config's singular values, all of them: a space keeps only its first k."""
-    return [factorize(build_matrix(paragraphs, config)).sigma for config in configs]
+    return [jacobi_svd(counts)[1] for _, counts in build_matrices(paragraphs, configs)]
 
 
 def _measures(paragraphs, stats, configs, pairs) -> dict:
@@ -98,15 +99,15 @@ def test_doubled_corpus_scales_sigma_and_leaves_every_measure(
 def _assert_root_counts_sum_light_counts(paragraphs, root_config, light_config):
     """Root's counts are G times light's, exactly, where G is the 0/1 map
     from each light row to the one root row its words stem to."""
-    root, light = build_matrices(paragraphs, [root_config, light_config])
+    (root_vocabulary, root), (light_vocabulary, light) = build_matrices(paragraphs, [root_config, light_config])
     root_row_of = {}
     for token in {token for paragraph in paragraphs for token in paragraph.tokens}:
-        light_row = light.vocabulary.index_of(light_config.stem_token(token))
-        root_row = root.vocabulary.index_of(root_config.stem_token(token))
+        light_row = light_vocabulary.get(light_config.stem_token(token))
+        root_row = root_vocabulary.get(root_config.stem_token(token))
         assert root_row_of.setdefault(light_row, root_row) == root_row, token
     G = np.zeros((root.shape[0], light.shape[0]))
     G[list(root_row_of.values()), list(root_row_of)] = 1.0
-    assert np.array_equal(G @ light.counts, root.counts)
+    assert np.array_equal(G @ light, root)
     return root.shape, light.shape
 
 

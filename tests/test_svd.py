@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from semspace.cli import main
 from semspace.corpus import load_corpus, segment_corpus
 from semspace.errors import ConvergenceError
-from semspace.lsa import build_matrix
+from semspace.lsa import build_matrices
 from semspace import svd
 from semspace.svd import _jacobi_rows, apply_q, householder_qr, jacobi_svd, jacobi_svds
 
@@ -377,7 +377,7 @@ def test_jacobi_rows_end_where_they_started(shape, noise, sweeps):
 def test_jacobi_rows_last_sweep_rotates_nothing_on_the_bundled_r2_factors(mini_paragraphs, root_config, light_config):
     # README "The factorization": the sweep that ends the iteration rotates nothing. So its result, run
     # again, converges in one sweep that only swaps, and an odd sweep count un-reverses the rows' bits.
-    Xs = (build_matrix(mini_paragraphs, config).to_dense() for config in (root_config, light_config))
+    Xs = (counts for _, counts in build_matrices(mini_paragraphs, [root_config, light_config]))
     stack = np.stack([householder_qr(householder_qr(svd._merge_duplicate_columns(X))[0].T)[0] for X in Xs])
     assert _jacobi_rows(stack) == [8, 8]
     again = stack.copy()
@@ -556,7 +556,8 @@ def test_rank_above_live_count_keeps_only_live_columns():
 @pytest.mark.parametrize("mode", ["root", "light"])
 def test_fixture_matrices_converge_within_ten_sweeps(mode, mini_paragraphs, root_config, light_config):
     config = root_config if mode == "root" else light_config
-    _, _, sweeps = jacobi_svd(build_matrix(mini_paragraphs, config).to_dense())
+    _, counts = next(build_matrices(mini_paragraphs, [config]))
+    _, _, sweeps = jacobi_svd(counts)
     assert 1 <= sweeps <= 8  # both take 8; ten is the 240-paragraph case's bound below
 
 
@@ -576,7 +577,7 @@ def seeded_240_paragraphs(tmp_path_factory):
 
 def test_seeded_240_paragraph_light_matrix_converges_within_ten_sweeps(seeded_240_paragraphs, light_config):
     # the full-rank 472 x 240 matrix of the benchmark's scale-build workload
-    X = build_matrix(segment_corpus(load_corpus(seeded_240_paragraphs)), light_config).to_dense()
+    _, X = next(build_matrices(segment_corpus(load_corpus(seeded_240_paragraphs)), [light_config]))
     U, s, sweeps = jacobi_svd(X)
     assert X.shape == (472, 240) and U.shape == (472, 240)
     assert 1 <= sweeps <= 10
@@ -591,7 +592,7 @@ def test_build_peaks_near_three_times_its_count_matrix(capsys, seeded_240_paragr
     light corpus its traced peak is about 2.6x the count matrix's bytes,
     2.9x when the corpus's token and column ids lived on through both QRs,
     4.6x when each of those blocks lived on to the end of its function."""
-    X = build_matrix(segment_corpus(load_corpus(seeded_240_paragraphs)), light_config).to_dense()
+    _, X = next(build_matrices(segment_corpus(load_corpus(seeded_240_paragraphs)), [light_config]))
     assert X.shape == (472, 240)
     nbytes = X.nbytes
     del X
@@ -612,7 +613,7 @@ def test_two_mode_report_peaks_near_2_3_times_its_light_count_matrix(capsys, min
     at about 2.3x the light count matrix's bytes, in light's merge and
     apply_q alike; 3.6x when the merge held its column keys, the unscaled
     copy and the scaled one at once, which was the run's peak."""
-    nbytes = build_matrix(mini_paragraphs, light_config).to_dense().nbytes
+    nbytes = next(build_matrices(mini_paragraphs, [light_config]))[1].nbytes
     argv = ["report", "--corpus", str(mini_corpus_dir), *(arg for path in pair_files for arg in ("--pairs", str(path))),
             "-k", "40", "--modes", "root,light"]
     assert main(argv) == 0  # warm, as the benchmark's operations are: rule files read, patterns compiled
